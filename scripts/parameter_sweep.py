@@ -33,7 +33,6 @@ def show(report) -> None:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=6)
-    parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args()
 
     spec = ScenarioSpec(
@@ -50,10 +49,10 @@ def main() -> None:
     stream = build_stream(triplets, meta.node_names, 1.0)
 
     show(sweep(stream, "tau", [0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 20.0], 2.0,
-               2.0, 0.1, PipelineParams(), threads=args.threads))
+               2.0, 0.1, PipelineParams()))
     print()
     show(sweep(stream, "r", [0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0], 0.1,
-               2.0, 0.1, PipelineParams(), threads=args.threads))
+               2.0, 0.1, PipelineParams()))
 
 
 if __name__ == "__main__":

@@ -10,18 +10,20 @@ from __future__ import annotations
 
 import argparse
 import json
+import struct
 import sys
 from pathlib import Path
 
 from . import intervals as iv
 from .config import ENV_PREFIX, RunConfig, load_config
-from .linkstream import LinkStream, build_stream, normalize_degrees
+from .linkstream import LinkStream, build_stream
 from .pipeline import (
     IdentifiedSet,
     PipelineParams,
     classify_classes,
     detect_events,
     event_statuses,
+    run_identification,
     write_events_csv,
     write_removal_log,
 )
@@ -29,7 +31,6 @@ from .reporting import (
     build_report,
     class_count_summary,
     label_overlap,
-    run_pipeline_once,
     smallest_identifiable_degree,
     sweep,
     validate_removal,
@@ -39,8 +40,7 @@ from .reporting import (
 from .robust_stats import InsufficientSupportError, power_law_test
 from .slicing import (
     TimeSliceGrid,
-    build_class_scheme,
-    build_normalized_scheme,
+    build_scheme,
     fraction_matrix,
     ks_similarity_report,
     slice_value_measures,
@@ -89,7 +89,7 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int)
     p.add_argument("--ks-size-mode", dest="ks_size_mode", choices=["support-extent", "observation-count"])
     p.add_argument("--rollback-fit", dest="rollback_fit", choices=["refit", "frozen"])
-    p.add_argument("--threads", type=int)
+    p.add_argument("--threads", type=int, help="accepted; sweep points always run in order")
 
 
 _CONFIG_KEYS = [
@@ -117,15 +117,22 @@ def _load_stream(path: str, cfg: RunConfig) -> LinkStream:
         head = fh.read(4)
     if head == LinkStream.MAGIC:
         with open(p, "rb") as fh:
-            return LinkStream.load(fh)
-    try:
-        with open(p, "rb") as fh:
-            triplets, meta = parse_trace(fh)
-    except TraceFormatError as exc:
-        raise DataError(f"malformed trace {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise DataError(f"trace {path} is not UTF-8 text: {exc}") from exc
-    return build_stream(triplets, meta.node_names, cfg.delta)
+            try:
+                stream = LinkStream.load(fh)
+            except (struct.error, ValueError) as exc:  # truncated, bad version, bad name
+                raise DataError(f"bad stream cache {path}: {exc}") from exc
+    else:
+        try:
+            with open(p, "rb") as fh:
+                triplets, meta = parse_trace(fh)
+        except TraceFormatError as exc:
+            raise DataError(f"malformed trace {path}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise DataError(f"trace {path} is not UTF-8 text: {exc}") from exc
+        stream = build_stream(triplets, meta.node_names, cfg.delta)
+    if stream.num_nodes == 0:
+        raise DataError(f"trace {path} has no interactions")
+    return stream
 
 
 def _grid_for(stream: LinkStream, cfg: RunConfig) -> TimeSliceGrid:
@@ -138,13 +145,6 @@ def _grid_for(stream: LinkStream, cfg: RunConfig) -> TimeSliceGrid:
             file=sys.stderr,
         )
     return grid
-
-
-def _scheme_for(stream: LinkStream, cfg: RunConfig, normalized_view=None):
-    if normalized_view is not None:
-        return build_normalized_scheme(max(normalized_view.max_value(), 1e-9), cfg.class_ratio)
-    k_max = max(stream.max_degree(), 1)
-    return build_class_scheme(k_max, cfg.class_ratio)
 
 
 def _pipeline_params(cfg: RunConfig) -> PipelineParams:
@@ -253,11 +253,8 @@ def cmd_analyze(args) -> int:
     cfg = _config_from_args(args)
     stream = _load_stream(args.trace, cfg)
     grid = _grid_for(stream, cfg)
-    normalized_view = None
-    if cfg.normalized:
-        normalized_view = normalize_degrees(stream, stream.mean_degree_per_second())
-    scheme = _scheme_for(stream, cfg, normalized_view)
-    matrix = fraction_matrix(stream, grid, scheme, normalized_view)
+    scheme, view = build_scheme(stream, cfg.class_ratio, cfg.normalized)
+    matrix = fraction_matrix(stream, grid, scheme, view)
     labels = classify_classes(matrix, cfg.grubbs_alpha, cfg.ks_alpha, cfg.zero_majority)
     events = detect_events(matrix, labels, cfg.sigma_mult)
 
@@ -277,12 +274,12 @@ def cmd_analyze(args) -> int:
 
     blocks = _analysis_blocks(stream, grid, scheme, labels, events)
     if args.ks_report:
-        measures = slice_value_measures(stream, grid, normalized_view)
+        measures = slice_value_measures(stream, grid, view)
         sim = ks_similarity_report(measures, cfg.two_sample_alpha, cfg.ks_size_mode, cfg.delta)
         with open(out / "ks_ratios.csv", "w", encoding="utf-8") as fh:
             fh.write("slice_a,slice_b,ratio\n")
             for (a, b), ratio in zip(sim.pairs, sim.ratios):
-                fh.write(f"{a},{b},{ratio!r}\n")
+                fh.write(f"{a},{b},{float(ratio)!r}\n")
         blocks["ks_similarity"] = {
             "fraction_above_one": sim.fraction_above_one,
             "pairs": len(sim.pairs),
@@ -321,13 +318,13 @@ def cmd_analyze(args) -> int:
 def _run_identify(args, cfg):
     stream = _load_stream(args.trace, cfg)
     grid = _grid_for(stream, cfg)
-    result = run_pipeline_once(stream, cfg.tau, cfg.class_ratio, _pipeline_params(cfg))
-    return stream, grid, result
+    scheme, _ = build_scheme(stream, cfg.class_ratio, cfg.normalized)
+    return stream, run_identification(stream, grid, scheme, _pipeline_params(cfg))
 
 
 def cmd_identify(args) -> int:
     cfg = _config_from_args(args)
-    stream, grid, result = _run_identify(args, cfg)
+    stream, result = _run_identify(args, cfg)
     out = _outdir(args)
     names = stream.node_names
     with open(out / "removal_log.jsonl", "w", encoding="utf-8") as fh:
@@ -365,7 +362,7 @@ def cmd_identify(args) -> int:
 
 def cmd_validate(args) -> int:
     cfg = _config_from_args(args)
-    stream, grid, result = _run_identify(args, cfg)
+    stream, result = _run_identify(args, cfg)
     report_block = validate_removal(stream, result.final_stream, result, cfg.grubbs_alpha, cfg.ks_alpha)
     out = _outdir(args)
     with open(out / "series_before.csv", "w", encoding="utf-8", newline="") as fh:

@@ -62,11 +62,6 @@ class DegreeProfile:
     def max_value(self) -> int:
         return max(self.values, default=0)
 
-    def intervals_with(self, predicate) -> list[iv.Interval]:
-        """Merged intervals on which ``predicate(value)`` holds."""
-        out = [(a, b) for a, b, val in self.segments() if predicate(val)]
-        return iv.merge(out)
-
 
 @dataclass
 class MeanDegreeSeries:
@@ -125,6 +120,7 @@ class LinkStream:
             self._adjacency.setdefault(key[0], []).append(key)
             self._adjacency.setdefault(key[1], []).append(key)
         self._profiles: dict[int, DegreeProfile] = {}
+        self._series: MeanDegreeSeries | None = None
 
     # -- basic queries ------------------------------------------------------
 
@@ -132,21 +128,8 @@ class LinkStream:
     def num_nodes(self) -> int:
         return len(self.node_names)
 
-    def node_index(self, name: str) -> int:
-        try:
-            return self.node_names.index(name)
-        except ValueError:
-            raise UnknownNodeError(name) from None
-
     def pairs_of(self, node: int) -> list[PairKey]:
         return self._adjacency.get(node, [])
-
-    def neighbours_at(self, node: int, t: float) -> set[int]:
-        out = set()
-        for key in self.pairs_of(node):
-            if iv.covers(self.links[key], t):
-                out.add(key[0] if key[1] == node else key[1])
-        return out
 
     def total_link_seconds(self) -> float:
         return sum(iv.measure(ivs) for ivs in self.links.values())
@@ -222,6 +205,11 @@ class LinkStream:
             return DegreeProfile(node, [], [])
         return DegreeProfile(node, breakpoints, values)
 
+    def segments(self, node: int) -> Iterator[tuple[float, float, int]]:
+        """Degree segments of ``node``; ``NormalizedDegrees.segments`` is the
+        normalized counterpart, so either can serve as the degree view."""
+        return self.degree_profile(node).segments()
+
     def max_degree(self) -> int:
         return max((self.degree_profile(v).max_value for v in range(self.num_nodes)), default=0)
 
@@ -266,7 +254,7 @@ class LinkStream:
     # -- per-second aggregates ----------------------------------------------
 
     def mean_degree_per_second(self) -> MeanDegreeSeries:
-        """Exact per-second integral of the instantaneous mean degree.
+        """Exact per-second integral of the instantaneous mean degree (cached).
 
         Every presence second of a link contributes degree 1 to both of its
         endpoints, so the integral over second s is twice the link measure in
@@ -274,6 +262,8 @@ class LinkStream:
         """
         if self.num_nodes == 0:
             raise ValueError("mean degree undefined for an empty node set")
+        if self._series is not None:
+            return self._series
         start = int(math.floor(self.t_begin))
         stop = int(math.ceil(self.t_end))
         n_seconds = max(stop - start, 0)
@@ -286,7 +276,8 @@ class LinkStream:
                     ov = min(b, s + 1.0) - max(a, float(s))
                     if ov > 0:
                         acc[s - start] += 2.0 * ov
-        return MeanDegreeSeries(start, acc / self.num_nodes)
+        self._series = MeanDegreeSeries(start, acc / self.num_nodes)
+        return self._series
 
     # -- binary cache ---------------------------------------------------------
 

@@ -173,17 +173,13 @@ def identify_event(
             )
     lo, hi = grid.bounds(event.slice_index)
     k_lo, k_hi = scheme.bounds_of(event.class_index)
+    view = stream if normalized is None else normalized
     entries: dict[int, list[iv.Interval]] = {}
     for node in range(stream.num_nodes):
-        if normalized is None:
-            prof = stream.degree_profile(node)
-            if prof.max_value < k_lo:
-                continue
-            in_class = prof.intervals_with(lambda k: k_lo <= k <= k_hi)
-        else:
-            in_class = iv.merge(
-                [(a, b) for a, b, x in normalized.segments(node) if k_lo <= x <= k_hi]
-            )
+        # raw profiles that never reach the class are skipped without a walk
+        if normalized is None and stream.degree_profile(node).max_value < k_lo:
+            continue
+        in_class = iv.merge([(a, b) for a, b, x in view.segments(node) if k_lo <= x <= k_hi])
         clipped = iv.clip(in_class, lo, hi)
         if clipped:
             entries[node] = clipped
@@ -267,14 +263,6 @@ def _detect_state(
     return DetectionState(matrix, labels, events, negatives)
 
 
-def _frozen_negatives(
-    matrix: FractionMatrix,
-    frozen_labels: Sequence[ClassLabel],
-    sigma_mult: float,
-) -> set[tuple[int, int]]:
-    return negative_outliers(matrix, frozen_labels, sigma_mult)
-
-
 def _event_order(event: Event) -> tuple[int, float, int]:
     # highest class first, then largest fraction, then earliest slice
     return (-event.class_index, -event.fraction, event.slice_index)
@@ -303,8 +291,7 @@ def run_identification(
     if params.normalized:
         # the normalization reference is frozen from the input stream so that
         # removals do not shift class membership of untouched couples
-        base_series = stream.mean_degree_per_second()
-        normalized = normalize_degrees(stream, base_series)
+        normalized = normalize_degrees(stream, stream.mean_degree_per_second())
 
     original = stream
     initial = _detect_state(stream, grid, scheme, params, normalized)
@@ -329,15 +316,12 @@ def run_identification(
         tentative_norm = None
         if normalized is not None:
             tentative_norm = normalize_degrees(tentative, normalized.series)
+        tent_state = _detect_state(tentative, grid, scheme, params, tentative_norm)
         if params.rollback_fit == "frozen":
-            tent_matrix = fraction_matrix(tentative, grid, scheme, tentative_norm)
-            before = _frozen_negatives(state.matrix, initial.labels, params.sigma_mult)
-            after = _frozen_negatives(tent_matrix, initial.labels, params.sigma_mult)
-            tent_state = None
+            before = negative_outliers(state.matrix, initial.labels, params.sigma_mult)
+            after = negative_outliers(tent_state.matrix, initial.labels, params.sigma_mult)
         else:
-            tent_state = _detect_state(tentative, grid, scheme, params, tentative_norm)
-            before = state.negatives
-            after = tent_state.negatives
+            before, after = state.negatives, tent_state.negatives
         created = sorted(after - before)
         if created:
             j, i = created[0]
@@ -348,12 +332,7 @@ def run_identification(
                 )
             )
             continue
-        stream = tentative
-        state = tent_state if tent_state is not None else _detect_state(
-            tentative, grid, scheme, params, tentative_norm
-        )
-        if normalized is not None:
-            normalized = tentative_norm
+        stream, state, normalized = tentative, tent_state, tentative_norm
         identified_union = identified_union.merged_with(victims)
         log.append(RemovalRecord(event, victims, "applied"))
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import IO, Sequence
 
 from . import intervals as iv
-from .linkstream import LinkStream, MeanDegreeSeries, normalize_degrees
+from .linkstream import LinkStream, MeanDegreeSeries
 from .pipeline import (
     IdentificationResult,
     IdentifiedSet,
@@ -23,7 +23,7 @@ from .pipeline import (
     run_identification,
 )
 from .robust_stats import fit_homogeneous, three_sigma_outliers
-from .slicing import TimeSliceGrid, build_class_scheme, build_normalized_scheme
+from .slicing import TimeSliceGrid, build_scheme
 from .trace_io import GroundTruth
 
 SCHEMA_VERSION = 1
@@ -319,12 +319,7 @@ def run_pipeline_once(
 ) -> IdentificationResult:
     """Grid + scheme construction followed by a full identification run."""
     grid = TimeSliceGrid.covering(stream.t_begin, stream.t_end, tau)
-    if params.normalized:
-        series = stream.mean_degree_per_second()
-        view = normalize_degrees(stream, series)
-        scheme = build_normalized_scheme(max(view.max_value(), 1e-9), ratio)
-    else:
-        scheme = build_class_scheme(max(stream.max_degree(), 1), ratio)
+    scheme, _ = build_scheme(stream, ratio, params.normalized)
     return run_identification(stream, grid, scheme, params)
 
 
@@ -338,9 +333,10 @@ def sweep(
     params: PipelineParams,
     threads: int = 1,
 ) -> SweepReport:
-    """Run the full pipeline per axis value and compare identified sets
-    against the reference value's run.  Per-point failures are recorded and
-    the sweep continues."""
+    """Run the full pipeline per axis value, in order, and compare identified
+    sets against the reference value's run.  Per-point failures are recorded
+    and the sweep continues.  ``threads`` is accepted for compatibility and
+    does not change how the points run: the work is GIL-bound Python."""
     if axis not in ("tau", "r"):
         raise ValueError("axis must be 'tau' or 'r'")
     if not values:
@@ -360,14 +356,7 @@ def sweep(
             return None, time.perf_counter() - start, f"{type(exc).__name__}: {exc}"
 
     values = list(values)
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(run_point, values))
-    else:
-        outcomes = [run_point(v) for v in values]
-
+    outcomes = [run_point(v) for v in values]
     ref_result = outcomes[values.index(referenced)][0]
     report = SweepReport(axis, referenced)
     for value, (res, elapsed, error) in zip(values, outcomes):

@@ -24,7 +24,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .linkstream import LinkStream, NormalizedDegrees
+from .linkstream import LinkStream, NormalizedDegrees, normalize_degrees
 from .robust_stats import ks_two_sample
 
 
@@ -194,6 +194,18 @@ def build_normalized_scheme(max_value: float, r: float, min_value: float = 1e-12
     return NormalizedClassScheme(r, b_lo, classes)
 
 
+def build_scheme(
+    stream: LinkStream, r: float, normalized: bool
+) -> tuple[DegreeClassScheme | NormalizedClassScheme, NormalizedDegrees | None]:
+    """Class scheme covering every degree of ``stream``, plus the degree view
+    it was built over: None for raw degrees, else the per-second normalized
+    view."""
+    if not normalized:
+        return build_class_scheme(max(stream.max_degree(), 1), r), None
+    view = normalize_degrees(stream, stream.mean_degree_per_second())
+    return build_normalized_scheme(max(view.max_value(), 1e-9), r), view
+
+
 # ---------------------------------------------------------------------------
 # Per-slice measures
 # ---------------------------------------------------------------------------
@@ -228,15 +240,11 @@ def slice_value_measures(
                 acc = per_slice[i]
                 acc[value] = acc.get(value, 0.0) + ov
 
+    view = stream if normalized is None else normalized
     for node in range(stream.num_nodes):
-        if normalized is not None:
-            for a, b, val in normalized.segments(node):
-                if val > 0:
-                    add_segment(a, b, val)
-        else:
-            for a, b, k in stream.degree_profile(node).segments():
-                if k > 0:
-                    add_segment(a, b, k)
+        for a, b, val in view.segments(node):
+            if val > 0:
+                add_segment(a, b, val)
     return per_slice
 
 

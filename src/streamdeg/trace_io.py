@@ -17,10 +17,13 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import networkx as nx
 import numpy as np
+
+# the binary stream cache stores each node name's UTF-8 length as a u16
+MAX_NAME_BYTES = 0xFFFF
 
 
 class TraceFormatError(ValueError):
@@ -70,11 +73,27 @@ class GroundTruth:
         return [e for e in self.entries if e.kind == kind]
 
 
+def _interner(names: list[str]) -> Callable[[str], int]:
+    """Map a name to its dense index, appending unseen names to ``names``."""
+    index: dict[str, int] = {}
+
+    def intern(name: str) -> int:
+        idx = index.get(name)
+        if idx is None:
+            idx = len(names)
+            index[name] = idx
+            names.append(name)
+        return idx
+
+    return intern
+
+
 def parse_trace(source: io.IOBase | bytes | str) -> tuple[list[Triplet], TraceMeta]:
     """Parse a text trace into index-interned triplets plus summary metadata.
 
-    Rejects self-interactions (u == v), non-finite times and malformed lines,
-    reporting the 1-based line number.  Triplets are returned in input order;
+    Rejects self-interactions (u == v), non-finite times, node names longer
+    than ``MAX_NAME_BYTES`` in UTF-8 and malformed lines, reporting the
+    1-based line number.  Triplets are returned in input order;
     duplicates are kept (they are harmless under interval-union semantics).
     """
     if isinstance(source, bytes):
@@ -87,17 +106,9 @@ def parse_trace(source: io.IOBase | bytes | str) -> tuple[list[Triplet], TraceMe
 
     triplets: list[Triplet] = []
     names: list[str] = []
-    index: dict[str, int] = {}
+    intern = _interner(names)
     t_min = math.inf
     t_max = -math.inf
-
-    def intern(name: str) -> int:
-        idx = index.get(name)
-        if idx is None:
-            idx = len(names)
-            index[name] = idx
-            names.append(name)
-        return idx
 
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -114,6 +125,13 @@ def parse_trace(source: io.IOBase | bytes | str) -> tuple[list[Triplet], TraceMe
             raise TraceFormatError(line_no, f"non-finite time {parts[0]!r}")
         if parts[1] == parts[2]:
             raise TraceFormatError(line_no, f"self-interaction {parts[1]!r}")
+        # a UTF-8 character takes at most 4 bytes, so only long lines need the check
+        if len(stripped) > MAX_NAME_BYTES // 4:
+            for name in parts[1:]:
+                if len(name.encode("utf-8")) > MAX_NAME_BYTES:
+                    raise TraceFormatError(
+                        line_no, f"node name longer than {MAX_NAME_BYTES} UTF-8 bytes"
+                    )
         triplets.append(Triplet(t, intern(parts[1]), intern(parts[2])))
         t_min = min(t_min, t)
         t_max = max(t_max, t)
@@ -282,15 +300,7 @@ def generate_synthetic(spec: ScenarioSpec, seed: int) -> tuple[list[Triplet], Tr
     spec.validate()
     rng = np.random.default_rng(seed)
     names: list[str] = []
-    index: dict[str, int] = {}
-
-    def intern(name: str) -> int:
-        idx = index.get(name)
-        if idx is None:
-            idx = len(names)
-            index[name] = idx
-            names.append(name)
-        return idx
+    intern = _interner(names)
 
     records: list[tuple[float, int, int]] = []
     n_bg = spec.background_nodes

@@ -1,9 +1,12 @@
+import io
 import json
+import struct
 from pathlib import Path
 
 import pytest
 
 from streamdeg.cli import main
+from streamdeg.linkstream import LinkStream
 
 SCENARIO = {
     "duration": 120,
@@ -34,6 +37,13 @@ def read_bytes(path: Path) -> bytes:
     return Path(path).read_bytes()
 
 
+def small_cache() -> bytes:
+    stream = LinkStream.from_pair_intervals(["a", "b"], {("a", "b"): [(0.0, 4.0)]})
+    buf = io.BytesIO()
+    stream.save(buf)
+    return buf.getvalue()
+
+
 class TestExitCodes:
     def test_usage_error_unknown_flag(self, capsys):
         assert main(["analyze", "--no-such-flag"]) == 1
@@ -51,6 +61,30 @@ class TestExitCodes:
         rc = main(["analyze", "--trace", str(bad), "--output-dir", str(tmp_path)])
         assert rc == 2
         assert "line 1" in capsys.readouterr().err
+
+    def test_data_error_truncated_cache(self, tmp_path, capsys):
+        cache = tmp_path / "cut.bin"
+        cache.write_bytes(small_cache()[:-5])
+        rc = main(["identify", "--trace", str(cache), "--output-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert "bad stream cache" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_data_error_unknown_cache_version(self, tmp_path, capsys):
+        blob = small_cache()
+        cache = tmp_path / "v9.bin"
+        cache.write_bytes(blob[:4] + struct.pack("<H", 9) + blob[6:])
+        rc = main(["identify", "--trace", str(cache), "--output-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert "unsupported cache version 9" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["analyze", "identify"])
+    def test_data_error_empty_trace(self, tmp_path, capsys, command):
+        trace = tmp_path / "empty.txt"
+        trace.write_text("# no triplets\n")
+        rc = main([command, "--trace", str(trace), "--output-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert "no interactions" in capsys.readouterr().err
 
     def test_data_error_bad_scenario(self, tmp_path):
         sc = tmp_path / "sc.json"
@@ -133,9 +167,13 @@ class TestAnalyze:
         rc = main(["analyze", "--trace", str(synth_dir / "trace.txt"), "--ks-report",
                    "--output-dir", str(out)])
         assert rc == 0
-        assert (out / "ks_ratios.csv").exists()
+        rows = (out / "ks_ratios.csv").read_text().splitlines()
+        assert rows[0] == "slice_a,slice_b,ratio"
         report = json.loads((out / "report.json").read_text())
         assert "ks_similarity" in report
+        assert len(rows) - 1 == report["ks_similarity"]["pairs"] > 0
+        for row in rows[1:]:
+            float(row.split(",")[2])
 
     def test_power_law_flag(self, synth_dir, tmp_path):
         out = tmp_path / "pl"

@@ -3,7 +3,7 @@ import io
 import numpy as np
 import pytest
 
-from streamdeg.linkstream import LinkStream, build_stream
+from streamdeg.linkstream import LinkStream, build_stream, normalize_degrees
 from streamdeg.pipeline import (
     Event,
     NotAnAClassError,
@@ -17,7 +17,15 @@ from streamdeg.pipeline import (
     write_events_csv,
     write_removal_log,
 )
-from streamdeg.slicing import TimeSliceGrid, build_class_scheme, fraction_matrix, FractionMatrix
+from streamdeg.slicing import (
+    FractionMatrix,
+    NormalizedClass,
+    NormalizedClassScheme,
+    TimeSliceGrid,
+    build_class_scheme,
+    fraction_matrix,
+    slice_value_measures,
+)
 from streamdeg.trace_io import (
     FanInInjection,
     ScanInjection,
@@ -155,6 +163,52 @@ class TestIdentifyEvent:
         event = Event(an_like.class_index, 0, 0.1, "high")
         with pytest.raises(NotAnAClassError):
             identify_event(stream, event, grid, scheme, labels)
+
+
+class TestNormalizedView:
+    """With the same mean degree m in every second, the normalized view is the
+    raw one with every degree divided by m."""
+
+    @pytest.fixture()
+    def constant_mean(self):
+        # exactly two links at every instant over five nodes: m = 2 * 2 / 5;
+        # segments cross second and slice boundaries, and c drops to 0 inside
+        pairs = {
+            ("a", "b"): [(0.0, 6.0)],
+            ("c", "d"): [(0.0, 2.5)],
+            ("a", "e"): [(2.5, 4.5)],
+            ("b", "c"): [(4.5, 6.0)],
+        }
+        stream = LinkStream.from_pair_intervals(list("abcde"), pairs, t_begin=0.0, t_end=6.0)
+        series = stream.mean_degree_per_second()
+        assert len(series.values) == 6 and len(set(series.values.tolist())) == 1
+        m = float(series.values[0])
+        assert m == pytest.approx(0.8)
+        return stream, normalize_degrees(stream, series), m, TimeSliceGrid(0.0, 2.0, 3)
+
+    def test_identify_event_matches_raw(self, constant_mean):
+        stream, view, m, grid = constant_mean
+        raw_scheme = build_class_scheme(stream.max_degree(), 0.1)
+        norm_scheme = NormalizedClassScheme(0.1, 0, [
+            NormalizedClass(c.index, c.k_lo / m, c.k_hi / m) for c in raw_scheme.classes
+        ])
+        found = 0
+        for j in range(1, len(raw_scheme) + 1):
+            for i in range(grid.count):
+                event = Event(j, i, 0.0, "nonzero-in-A")
+                raw = identify_event(stream, event, grid, raw_scheme)
+                norm = identify_event(stream, event, grid, norm_scheme, normalized=view)
+                assert norm.entries == raw.entries, (j, i)
+                found += len(raw.entries)
+        assert found > 0
+
+    def test_slice_measures_match_raw(self, constant_mean):
+        stream, view, m, grid = constant_mean
+        raw = slice_value_measures(stream, grid)
+        assert raw[1] == {1: 5.0, 2: 1.5}
+        assert slice_value_measures(stream, grid, view) == [
+            {k / m: measure for k, measure in acc.items()} for acc in raw
+        ]
 
 
 @pytest.fixture(scope="module")

@@ -2,7 +2,9 @@ import io
 
 import pytest
 
+from streamdeg.linkstream import LinkStream
 from streamdeg.trace_io import (
+    MAX_NAME_BYTES,
     FanInInjection,
     GroundTruth,
     ScanInjection,
@@ -50,6 +52,19 @@ class TestParse:
             parse_trace("inf a b\n")
         with pytest.raises(TraceFormatError):
             parse_trace("nan a b\n")
+
+    def test_over_long_node_name_reports_line(self):
+        longest = "x" * MAX_NAME_BYTES
+        triplets, meta = parse_trace(f"1 a {longest}\n")
+        buf = io.BytesIO()
+        LinkStream.from_triplets(triplets, meta.node_names, 1.0).save(buf)
+        buf.seek(0)
+        assert LinkStream.load(buf).node_names == ["a", longest]
+        # 2 UTF-8 bytes per character: 70,000 bytes in 35,000 characters
+        with pytest.raises(TraceFormatError) as exc:
+            parse_trace(f"1 a b\n2 {'é' * 35000} b\n")
+        assert exc.value.line_no == 2
+        assert str(MAX_NAME_BYTES) in str(exc.value)
 
     def test_malformed_field_count(self):
         with pytest.raises(TraceFormatError) as exc:
