@@ -113,6 +113,8 @@ def _load_stream(path: str, cfg: RunConfig) -> LinkStream:
     p = Path(path)
     if not p.exists():
         raise DataError(f"trace file not found: {path}")
+    if not p.is_file():
+        raise DataError(f"trace path is not a file: {path}")
     with open(p, "rb") as fh:
         head = fh.read(4)
     if head == LinkStream.MAGIC:
@@ -408,13 +410,16 @@ def cmd_compare(args) -> int:
     cfg = _config_from_args(args)
     ident_path = Path(args.identified)
     truth_path = Path(args.truth)
-    if not ident_path.exists():
-        raise DataError(f"identified set not found: {args.identified}")
-    if not truth_path.exists():
-        raise DataError(f"truth file not found: {args.truth}")
+    if not ident_path.is_file():
+        raise DataError(f"identified set not found or not a file: {args.identified}")
+    if not truth_path.is_file():
+        raise DataError(f"truth file not found or not a file: {args.truth}")
     identified, names = read_identified_csv(ident_path)
-    with open(truth_path, "r", encoding="utf-8") as fh:
-        truth = read_ground_truth(fh)
+    try:
+        with open(truth_path, "r", encoding="utf-8") as fh:
+            truth = read_ground_truth(fh)
+    except TraceFormatError as exc:
+        raise DataError(f"malformed truth file {args.truth}: {exc}") from exc
     slack = args.slack if args.slack is not None else cfg.delta
     overlap = label_overlap(identified, names, truth, slack)
     out = _outdir(args)

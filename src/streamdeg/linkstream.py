@@ -11,15 +11,15 @@ pair interval covers t.  Degree profiles are computed exactly by a sweep over
 interval endpoints and stored as canonical piecewise-constant functions.
 
 Streams are immutable.  ``remove_interactions`` returns a new stream sharing
-all untouched pair lists (copy-on-write), so speculative removals can be
-rolled back by simply dropping the new value.
+all untouched pair lists, adjacency lists and degree profiles (copy-on-write),
+so speculative removals can be rolled back by simply dropping the new value.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import BinaryIO, Iterable, Iterator, Sequence
 
@@ -54,9 +54,16 @@ class DegreeProfile:
             return 0
         return self.values[i]
 
-    def segments(self) -> Iterator[tuple[float, float, int]]:
-        for i, val in enumerate(self.values):
-            yield self.breakpoints[i], self.breakpoints[i + 1], val
+    def segments(
+        self, t0: float = -math.inf, t1: float = math.inf
+    ) -> Iterator[tuple[float, float, int]]:
+        """Segments in time order, skipping those that end at or before
+        ``t0`` or start at or after ``t1``."""
+        bps = self.breakpoints
+        first = max(bisect_right(bps, t0) - 1, 0)
+        stop = min(bisect_left(bps, t1), len(self.values))
+        for i in range(first, stop):
+            yield bps[i], bps[i + 1], self.values[i]
 
     @property
     def max_value(self) -> int:
@@ -115,10 +122,9 @@ class LinkStream:
             t_end = max(ends) if ends else 0.0
         self.t_begin = t_begin
         self.t_end = t_end
-        self._adjacency: dict[int, list[PairKey]] = {}
-        for key in links:
-            self._adjacency.setdefault(key[0], []).append(key)
-            self._adjacency.setdefault(key[1], []).append(key)
+        # built on first use; a stream made by ``remove_interactions`` gets
+        # its parent's, with only the lists of deleted pairs replaced
+        self._adjacency: dict[int, list[PairKey]] | None = None
         self._profiles: dict[int, DegreeProfile] = {}
         self._series: MeanDegreeSeries | None = None
 
@@ -129,7 +135,15 @@ class LinkStream:
         return len(self.node_names)
 
     def pairs_of(self, node: int) -> list[PairKey]:
-        return self._adjacency.get(node, [])
+        return self._pairs_by_node().get(node, [])
+
+    def _pairs_by_node(self) -> dict[int, list[PairKey]]:
+        if self._adjacency is None:
+            self._adjacency = {}
+            for key in self.links:
+                self._adjacency.setdefault(key[0], []).append(key)
+                self._adjacency.setdefault(key[1], []).append(key)
+        return self._adjacency
 
     def total_link_seconds(self) -> float:
         return sum(iv.measure(ivs) for ivs in self.links.values())
@@ -205,10 +219,13 @@ class LinkStream:
             return DegreeProfile(node, [], [])
         return DegreeProfile(node, breakpoints, values)
 
-    def segments(self, node: int) -> Iterator[tuple[float, float, int]]:
-        """Degree segments of ``node``; ``NormalizedDegrees.segments`` is the
-        normalized counterpart, so either can serve as the degree view."""
-        return self.degree_profile(node).segments()
+    def segments(
+        self, node: int, t0: float = -math.inf, t1: float = math.inf
+    ) -> Iterator[tuple[float, float, int]]:
+        """Degree segments of ``node`` that overlap ``(t0, t1)``;
+        ``NormalizedDegrees.segments`` is the normalized counterpart, so either
+        can serve as the degree view."""
+        return self.degree_profile(node).segments(t0, t1)
 
     def max_degree(self) -> int:
         return max((self.degree_profile(v).max_value for v in range(self.num_nodes)), default=0)
@@ -234,6 +251,7 @@ class LinkStream:
         for node in cuts:
             affected_pairs.update(self.pairs_of(node))
         affected_nodes: set[int] = set()
+        deleted: list[PairKey] = []
         for key in affected_pairs:
             cut = iv.merge(cuts.get(key[0], []) + cuts.get(key[1], []))
             trimmed = iv.subtract(self.links[key], cut)
@@ -244,11 +262,16 @@ class LinkStream:
                 new_links[key] = trimmed
             else:
                 del new_links[key]
+                deleted.append(key)
 
         out = LinkStream(self.node_names, new_links, self.delta, self.t_begin, self.t_end)
-        for node, prof in self._profiles.items():
-            if node not in affected_nodes:
-                out._profiles[node] = prof
+        adjacency = dict(self._pairs_by_node())
+        for node in {n for key in deleted for n in key}:
+            adjacency[node] = [key for key in adjacency[node] if key in new_links]
+        out._adjacency = adjacency
+        out._profiles = {
+            node: prof for node, prof in self._profiles.items() if node not in affected_nodes
+        }
         return out
 
     # -- per-second aggregates ----------------------------------------------
@@ -351,13 +374,16 @@ class NormalizedDegrees:
         mean = self.series.value_at(t)
         return k / mean if mean > 0 else 0.0
 
-    def segments(self, node: int) -> Iterator[tuple[float, float, float]]:
-        """Profile segments refined at second boundaries, values normalized."""
-        for a, b, k in self.stream.degree_profile(node).segments():
+    def segments(
+        self, node: int, t0: float = -math.inf, t1: float = math.inf
+    ) -> Iterator[tuple[float, float, float]]:
+        """Profile segments refined at second boundaries, values normalized;
+        only the pieces in the seconds that overlap ``(t0, t1)``."""
+        for a, b, k in self.stream.degree_profile(node).segments(t0, t1):
             if k == 0:
                 continue
-            s0 = int(math.floor(a))
-            s1 = int(math.ceil(b))
+            s0 = int(math.floor(max(a, t0)))
+            s1 = int(math.ceil(min(b, t1)))
             for s in range(s0, s1):
                 lo = max(a, float(s))
                 hi = min(b, s + 1.0)

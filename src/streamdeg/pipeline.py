@@ -31,11 +31,14 @@ from . import intervals as iv
 from .linkstream import LinkStream, NormalizedDegrees, normalize_degrees
 from .robust_stats import NormalFit, fit_homogeneous, three_sigma_outliers
 from .slicing import (
+    ActiveNodes,
     DegreeClassScheme,
     FractionMatrix,
     NormalizedClassScheme,
     TimeSliceGrid,
     fraction_matrix,
+    rows_reached,
+    update_rows,
 )
 
 POLARITY_HIGH = "high"
@@ -161,9 +164,14 @@ def identify_event(
     scheme: DegreeClassScheme | NormalizedClassScheme,
     labels: Sequence[ClassLabel] | None = None,
     normalized: NormalizedDegrees | None = None,
+    active: ActiveNodes | None = None,
 ) -> IdentifiedSet:
     """Nodes and maximal sub-intervals of the event's slice during which their
-    degree lies in the event's class."""
+    degree lies in the event's class.
+
+    Only the nodes ``active`` lists for the slice are examined; all nodes when
+    it is None.
+    """
     if labels is not None:
         verdict = labels[event.class_index - 1].verdict
         if verdict != "A":
@@ -174,12 +182,14 @@ def identify_event(
     lo, hi = grid.bounds(event.slice_index)
     k_lo, k_hi = scheme.bounds_of(event.class_index)
     view = stream if normalized is None else normalized
+    nodes = range(stream.num_nodes)
+    if active is not None:
+        nodes = active.nodes(range(event.slice_index, event.slice_index + 1))
     entries: dict[int, list[iv.Interval]] = {}
-    for node in range(stream.num_nodes):
-        # raw profiles that never reach the class are skipped without a walk
-        if normalized is None and stream.degree_profile(node).max_value < k_lo:
-            continue
-        in_class = iv.merge([(a, b) for a, b, x in view.segments(node) if k_lo <= x <= k_hi])
+    for node in nodes:
+        in_class = iv.merge(
+            [(a, b) for a, b, x in view.segments(node, lo, hi) if k_lo <= x <= k_hi]
+        )
         clipped = iv.clip(in_class, lo, hi)
         if clipped:
             entries[node] = clipped
@@ -249,14 +259,7 @@ class IdentificationResult:
         return sum(1 for rec in self.log if rec.status == "applied")
 
 
-def _detect_state(
-    stream: LinkStream,
-    grid: TimeSliceGrid,
-    scheme,
-    params: PipelineParams,
-    normalized: NormalizedDegrees | None,
-) -> DetectionState:
-    matrix = fraction_matrix(stream, grid, scheme, normalized)
+def _detect_state(matrix: FractionMatrix, params: PipelineParams) -> DetectionState:
     labels = classify_classes(matrix, params.grubbs_alpha, params.ks_alpha, params.zero_majority)
     events = detect_events(matrix, labels, params.sigma_mult)
     negatives = negative_outliers(matrix, labels, params.sigma_mult)
@@ -280,7 +283,10 @@ def run_identification(
     event (highest class first), remove its identified couples, and keep the
     removal only if it creates no new negative outlier.  Every (class, slice)
     event is attempted at most once, so the loop always terminates.  The
-    original stream object is never mutated.
+    original stream object is never mutated.  A removal is re-detected by
+    recomputing only the fraction-matrix rows its slice reaches, so an attempt
+    costs what the nodes active in that slice cost; the class labels are then
+    refit on the full columns.
 
     Afterwards events are re-detected on the final stream: initially detected
     events that vanished are identified (directly or through cascades), the
@@ -294,7 +300,8 @@ def run_identification(
         normalized = normalize_degrees(stream, stream.mean_degree_per_second())
 
     original = stream
-    initial = _detect_state(stream, grid, scheme, params, normalized)
+    initial = _detect_state(fraction_matrix(stream, grid, scheme, normalized), params)
+    active = ActiveNodes(stream, grid)
     state = initial
     processed: set[tuple[int, int]] = set()
     log: list[RemovalRecord] = []
@@ -308,7 +315,7 @@ def run_identification(
             break
         event = min(pending, key=_event_order)
         processed.add(event.key)
-        victims = identify_event(stream, event, grid, scheme, None, normalized)
+        victims = identify_event(stream, event, grid, scheme, None, normalized, active)
         if victims.is_empty:
             log.append(RemovalRecord(event, victims, "cascade", "already removed"))
             continue
@@ -316,7 +323,11 @@ def run_identification(
         tentative_norm = None
         if normalized is not None:
             tentative_norm = normalize_degrees(tentative, normalized.series)
-        tent_state = _detect_state(tentative, grid, scheme, params, tentative_norm)
+        # victims lie inside the event's slice, so only the rows it reaches change
+        rows = rows_reached(grid, event.slice_index)
+        tent_state = _detect_state(
+            update_rows(state.matrix, tentative, rows, active, tentative_norm), params
+        )
         if params.rollback_fit == "frozen":
             before = negative_outliers(state.matrix, initial.labels, params.sigma_mult)
             after = negative_outliers(tent_state.matrix, initial.labels, params.sigma_mult)

@@ -20,7 +20,7 @@ import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import IO, Sequence
+from typing import IO, Iterable, Sequence
 
 import numpy as np
 
@@ -221,31 +221,86 @@ def slice_value_measures(
     Keys are integer degrees (or real normalized degrees when a normalized
     view is given); zero-degree time is not included.
     """
-    per_slice: list[dict[float, float]] = [dict() for _ in range(grid.count)]
-    if grid.count == 0:
+    view = stream if normalized is None else normalized
+    return _row_measures(view, range(stream.num_nodes), grid, range(grid.count))
+
+
+def _row_measures(
+    view: LinkStream | NormalizedDegrees,
+    nodes: Iterable[int],
+    grid: TimeSliceGrid,
+    rows: range,
+) -> list[dict[float, float]]:
+    """Measure per degree value in each slice of ``rows``, from the segments
+    of ``nodes``.
+
+    A row's sums take the same terms in the same order whichever rows are
+    asked for, as long as ``nodes`` is ascending and holds every node active
+    in the row, so one recomputed row is bitwise equal to that row of the
+    full computation.
+    """
+    per_slice: list[dict[float, float]] = [dict() for _ in rows]
+    if not rows:
         return per_slice
     origin, tau, end = grid.origin, grid.tau, grid.end
-
-    def add_segment(a: float, b: float, value) -> None:
-        if b <= origin or a >= end:
-            return
-        a = max(a, origin)
-        b = min(b, end)
-        i0 = int(math.floor((a - origin) / tau))
-        i1 = min(int(math.ceil((b - origin) / tau)), grid.count)
-        for i in range(i0, i1):
-            lo = origin + i * tau
-            ov = min(b, lo + tau) - max(a, lo)
-            if ov > 0:
-                acc = per_slice[i]
-                acc[value] = acc.get(value, 0.0) + ov
-
-    view = stream if normalized is None else normalized
-    for node in range(stream.num_nodes):
-        for a, b, val in view.segments(node):
-            if val > 0:
-                add_segment(a, b, val)
+    # every segment with a positive overlap below ends after t0 and starts before t1
+    t0 = origin + rows.start * tau
+    t1 = origin + (rows.stop - 1) * tau + tau
+    for node in nodes:
+        for a, b, val in view.segments(node, t0, t1):
+            if val <= 0 or b <= origin or a >= end:
+                continue
+            a = max(a, origin)
+            b = min(b, end)
+            i0 = max(int(math.floor((a - origin) / tau)), rows.start)
+            i1 = min(int(math.ceil((b - origin) / tau)), rows.stop)
+            for i in range(i0, i1):
+                lo = origin + i * tau
+                ov = min(b, lo + tau) - max(a, lo)
+                if ov > 0:
+                    acc = per_slice[i - rows.start]
+                    acc[val] = acc.get(val, 0.0) + ov
     return per_slice
+
+
+class ActiveNodes:
+    """For each slice, a superset of the nodes with activity in it.
+
+    Built from the first and last breakpoint of every degree profile,
+    widened by one slice on each side against rounding at slice edges.
+    Removals only shrink activity, so the index stays a superset for every
+    stream derived from ``stream`` by ``remove_interactions``.
+    """
+
+    def __init__(self, stream: LinkStream, grid: TimeSliceGrid):
+        first = np.full(stream.num_nodes, np.inf)
+        last = np.full(stream.num_nodes, -np.inf)
+        for node in range(stream.num_nodes):
+            bps = stream.degree_profile(node).breakpoints
+            if bps:
+                first[node] = bps[0]
+                last[node] = bps[-1]
+        self._first_slice = np.floor((first - grid.origin) / grid.tau) - 1
+        self._stop_slice = np.ceil((last - grid.origin) / grid.tau) + 1
+
+    def nodes(self, rows: range) -> list[int]:
+        """Ascending indices of the nodes that may be active in ``rows``."""
+        mask = (self._first_slice < rows.stop) & (rows.start < self._stop_slice)
+        return np.flatnonzero(mask).tolist()
+
+
+def rows_reached(grid: TimeSliceGrid, slice_index: int) -> range:
+    """Rows of the fraction matrix that a change of degrees inside
+    ``grid.bounds(slice_index)`` can alter.
+
+    Row i + 1 starts exactly where the change stops.  Row i - 1 is measured up
+    to ``origin + (i - 1) * tau + tau``, which rounding can place after
+    ``origin + i * tau`` when tau is not dyadic; only then can it change.
+    """
+    i = slice_index
+    lo = grid.origin + i * grid.tau
+    reaches_back = i > 0 and grid.origin + (i - 1) * grid.tau + grid.tau > lo
+    return range(i - 1 if reaches_back else i, i + 1)
 
 
 @dataclass
@@ -308,27 +363,49 @@ def fraction_matrix(
     scheme: DegreeClassScheme | NormalizedClassScheme,
     normalized: NormalizedDegrees | None = None,
 ) -> FractionMatrix:
-    """Exact fraction matrix from degree-profile segments clipped to slices.
+    """Exact fraction matrix from degree-profile segments clipped to slices."""
+    if stream.num_nodes == 0:
+        raise ValueError("fraction matrix undefined for an empty node set")
+    matrix = FractionMatrix(
+        grid, scheme, np.zeros((grid.count, len(scheme))), np.zeros(grid.count), stream.num_nodes
+    )
+    _fill_rows(matrix, slice_value_measures(stream, grid, normalized), range(grid.count))
+    return matrix
+
+
+def update_rows(
+    matrix: FractionMatrix,
+    stream: LinkStream,
+    rows: range,
+    active: ActiveNodes,
+    normalized: NormalizedDegrees | None = None,
+) -> FractionMatrix:
+    """Copy of ``matrix`` with ``rows`` recomputed on ``stream``, whose nodes
+    active in those rows are among ``active``; each row is bitwise equal to
+    the same row of ``fraction_matrix(stream, ...)``."""
+    view = stream if normalized is None else normalized
+    out = FractionMatrix(
+        matrix.grid, matrix.scheme, matrix.fractions.copy(), matrix.zero.copy(), matrix.node_count
+    )
+    _fill_rows(out, _row_measures(view, active.nodes(rows), matrix.grid, rows), rows)
+    return out
+
+
+def _fill_rows(matrix: FractionMatrix, measures: list[dict[float, float]], rows: range) -> None:
+    """Overwrite ``rows`` of ``matrix`` with the fractions of ``measures``.
 
     The zero column is computed independently from the active measure, so the
     row-sum-equals-one invariant is a real check rather than a tautology.
     """
-    if stream.num_nodes == 0:
-        raise ValueError("fraction matrix undefined for an empty node set")
-    measures = slice_value_measures(stream, grid, normalized)
-    n = len(scheme)
-    fractions = np.zeros((grid.count, n))
-    zero = np.zeros(grid.count)
-    denom = grid.tau * stream.num_nodes
-    for i, acc in enumerate(measures):
+    denom = matrix.grid.tau * matrix.node_count
+    for i, acc in zip(rows, measures):
+        row = np.zeros(matrix.n_classes)
         active = 0.0
         for value, m in sorted(acc.items()):
-            j = scheme.class_of(value)
-            fractions[i, j - 1] += m
+            row[matrix.scheme.class_of(value) - 1] += m
             active += m
-        zero[i] = (denom - active) / denom
-    fractions /= denom
-    return FractionMatrix(grid, scheme, fractions, zero, stream.num_nodes)
+        matrix.fractions[i] = row / denom
+        matrix.zero[i] = (denom - active) / denom
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import networkx as nx
@@ -49,7 +50,18 @@ class TraceMeta:
     node_names: list[str] = field(default_factory=list)
 
     def index_of(self, name: str) -> int:
-        return self.node_names.index(name)
+        """Index of a node name; ``ValueError`` if the name is unknown."""
+        try:
+            return self._name_index[name]
+        except KeyError:
+            raise ValueError(f"unknown node name {name!r}") from None
+
+    @cached_property
+    def _name_index(self) -> dict[str, int]:
+        index: dict[str, int] = {}
+        for i, name in enumerate(self.node_names):
+            index.setdefault(name, i)
+        return index
 
 
 @dataclass(frozen=True)
@@ -163,16 +175,34 @@ def write_ground_truth(truth: GroundTruth, out: io.IOBase) -> None:
 
 
 def read_ground_truth(source: io.IOBase | str) -> GroundTruth:
+    """Parse ground-truth CSV rows ``node,start,end,kind``.
+
+    A row with another field count, a time that is not a number or an
+    interval that is not well-formed raises ``TraceFormatError`` with its
+    1-based line number.
+    """
     text = source if isinstance(source, str) else source.read()
     if isinstance(text, bytes):
         text = text.decode("utf-8")
-    rows = list(csv.reader(io.StringIO(text)))
+    reader = csv.reader(io.StringIO(text))
     entries = []
-    for row in rows:
+    for row in reader:
         if not row or row[0] == "node":
             continue
+        if len(row) != 4:
+            raise TraceFormatError(
+                reader.line_num, f"expected 'node,start,end,kind', got {len(row)} fields"
+            )
         node, start, end, kind = row
-        entries.append(TruthEntry(node, float(start), float(end), kind))
+        try:
+            entry = TruthEntry(node, float(start), float(end), kind)
+        except ValueError:
+            raise TraceFormatError(
+                reader.line_num, f"cannot parse times {start!r}, {end!r}"
+            ) from None
+        if not entry.start < entry.end:
+            raise TraceFormatError(reader.line_num, f"interval not well-formed: {start}, {end}")
+        entries.append(entry)
     return GroundTruth(entries)
 
 

@@ -86,6 +86,13 @@ class TestExitCodes:
         assert rc == 2
         assert "no interactions" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["analyze", "identify"])
+    def test_data_error_trace_is_directory(self, tmp_path, capsys, command):
+        rc = main([command, "--trace", str(tmp_path), "--output-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert "not a file" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_data_error_bad_scenario(self, tmp_path):
         sc = tmp_path / "sc.json"
         sc.write_text("{not json")
@@ -318,3 +325,26 @@ class TestCompare:
         rc = main(["compare", "--identified", str(tmp_path / "x.csv"),
                    "--truth", str(tmp_path / "y.csv"), "--output-dir", str(tmp_path)])
         assert rc == 2
+
+    @pytest.mark.parametrize("directory", ["--identified", "--truth"])
+    def test_directory_inputs(self, tmp_path, capsys, directory):
+        files = {"--identified": tmp_path / "identified.csv", "--truth": tmp_path / "truth.csv"}
+        files["--identified"].write_text("node,start,end\na,1.0,2.0\n")
+        files["--truth"].write_text("node,start,end,kind\na,1,2,spike\n")
+        files[directory] = tmp_path
+        rc = main(["compare", "--identified", str(files["--identified"]),
+                   "--truth", str(files["--truth"]), "--output-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert "not a file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row", ["a,1", "a,x,2,scan"])
+    def test_malformed_truth(self, tmp_path, capsys, row):
+        ident = tmp_path / "identified.csv"
+        ident.write_text("node,start,end\na,1.0,2.0\n")
+        truth = tmp_path / "truth.csv"
+        truth.write_text(f"node,start,end,kind\n{row}\n")
+        rc = main(["compare", "--identified", str(ident), "--truth", str(truth),
+                   "--output-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert "line 2" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()

@@ -113,6 +113,21 @@ class TestDegreeProfile:
             assert prof.value_at(t) == brute_force_degree(stream, node, t)
 
 
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_windowed_segments(self, seed):
+        rng = np.random.default_rng(seed)
+        stream = random_stream(rng, n_nodes=6, n_triplets=40)
+        # window edges on breakpoints and whole seconds as well as between them
+        edges = stream.degree_profile(0).breakpoints + list(rng.uniform(-2.0, 53.0, 10))
+        edges += [float(t) for t in rng.integers(-2, 53, 5)]
+        for view in (stream, normalize_degrees(stream, stream.mean_degree_per_second())):
+            segs = list(view.segments(0))
+            for t0, t1 in rng.choice(edges, size=(20, 2)):
+                windowed = [s for s in segs if s[1] > t0 and s[0] < t1]
+                assert list(view.segments(0, t0, t1)) == windowed
+
+
 class TestRemoval:
     def test_remove_node_b_everywhere(self):
         stream = ref_stream()
@@ -157,6 +172,18 @@ class TestRemoval:
         stream = ref_stream()
         out = stream.remove_interactions([(1, (0.0, 1.0))])
         assert out.links[(0, 2)] is stream.links[(0, 2)]
+
+    def test_adjacency_follows_deleted_pairs(self):
+        rng = np.random.default_rng(5)
+        stream = random_stream(rng)
+        streams = [stream]
+        for node in range(0, stream.num_nodes, 3):
+            streams.append(streams[-1].remove_interactions([(node, (0.0, 60.0))]))
+        for s in streams:
+            rebuilt = LinkStream(s.node_names, s.links, s.delta, s.t_begin, s.t_end)
+            for node in range(s.num_nodes):
+                assert s.pairs_of(node) == rebuilt.pairs_of(node)
+        assert len(streams[-1].links) < len(stream.links)
 
 
 class TestMeanDegree:

@@ -3,6 +3,7 @@ import io
 import numpy as np
 import pytest
 
+from streamdeg import pipeline
 from streamdeg.linkstream import LinkStream, build_stream, normalize_degrees
 from streamdeg.pipeline import (
     Event,
@@ -23,8 +24,10 @@ from streamdeg.slicing import (
     NormalizedClassScheme,
     TimeSliceGrid,
     build_class_scheme,
+    build_scheme,
     fraction_matrix,
     slice_value_measures,
+    update_rows,
 )
 from streamdeg.trace_io import (
     FanInInjection,
@@ -381,6 +384,44 @@ class TestRunIdentification:
             result = run_identification(stream, grid, scheme)
             got[tau] = result.identified_set.entries.get(burst)
         assert all(v == [(60.0, 62.0)] for v in got.values()), got
+
+
+class TestRowUpdate:
+    """The removal loop recomputes only the rows an attempt reaches and looks
+    only at the nodes indexed for the event's slice; each attempt's matrix
+    must equal a full recompute of the tentative stream, and its victims
+    those found by scanning every node."""
+
+    @pytest.mark.parametrize("rollback_fit", ["refit", "frozen"])
+    @pytest.mark.parametrize("normalized", [False, True])
+    @pytest.mark.parametrize("tau", [2.0, 0.3])  # 0.3: slice edges are not exact
+    @pytest.mark.parametrize("scenario", ["injected_scenario", "rollback_scenario"])
+    def test_equals_full_recompute(
+        self, request, monkeypatch, scenario, tau, normalized, rollback_fit
+    ):
+        stream = request.getfixturevalue(scenario)[0]
+        grid = TimeSliceGrid.covering(stream.t_begin, stream.t_end, tau)
+        scheme, _ = build_scheme(stream, 0.1, normalized)
+        attempts = []
+
+        def checked(matrix, tentative, rows, active, view=None):
+            out = update_rows(matrix, tentative, rows, active, view)
+            full = fraction_matrix(tentative, grid, scheme, view)
+            assert np.array_equal(out.fractions, full.fractions), rows
+            assert np.array_equal(out.zero, full.zero), rows
+            attempts.append(rows)
+            return out
+
+        def identify_checked(stream, event, grid, scheme, labels, view, active):
+            out = identify_event(stream, event, grid, scheme, labels, view, active)
+            assert out.entries == identify_event(stream, event, grid, scheme, labels, view).entries
+            return out
+
+        monkeypatch.setattr(pipeline, "update_rows", checked)
+        monkeypatch.setattr(pipeline, "identify_event", identify_checked)
+        params = PipelineParams(rollback_fit=rollback_fit, normalized=normalized)
+        result = run_identification(stream, grid, scheme, params)
+        assert len(attempts) == sum(1 for rec in result.log if rec.status != "cascade") > 0
 
 
 class TestExports:

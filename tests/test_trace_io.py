@@ -88,6 +88,12 @@ class TestParse:
         triplets, _ = parse_trace("1 a b\n1 a b\n")
         assert len(triplets) == 2
 
+    def test_index_of(self):
+        _, meta = parse_trace("1 a b\n2 c a\n")
+        assert [meta.index_of(n) for n in ("a", "b", "c")] == [0, 1, 2]
+        with pytest.raises(ValueError, match="unknown node name 'd'"):
+            meta.index_of("d")
+
 
 def test_round_trip_preserves_triplets_and_order():
     text = "1 a b\n0.25 c d\n1 a b\n3.75 b d\n"
@@ -114,6 +120,13 @@ def test_ground_truth_csv_round_trip():
 def test_ground_truth_rejects_bad_interval():
     with pytest.raises(ValueError):
         GroundTruth([TruthEntry("x", 5.0, 5.0, "scan")])
+
+
+@pytest.mark.parametrize("row", ["a,1", "a,1,2,scan,extra", "a,x,2,scan", "a,3,2,scan", "a,nan,2,scan"])
+def test_ground_truth_bad_row_reports_line(row):
+    with pytest.raises(TraceFormatError) as exc:
+        read_ground_truth(f"node,start,end,kind\nb,1,2,spike\n{row}\n")
+    assert exc.value.line_no == 3
 
 
 class TestSynthetic:
