@@ -37,7 +37,7 @@ from .reporting import (
     write_report,
     write_series_csv,
 )
-from .robust_stats import InsufficientSupportError, power_law_test
+from .robust_stats import MIN_BOOTSTRAP, InsufficientSupportError, power_law_test
 from .slicing import (
     TimeSliceGrid,
     build_scheme,
@@ -105,7 +105,9 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         return load_config(getattr(args, "config", None), overrides)
     except FileNotFoundError as exc:
         raise DataError(f"config file not found: {exc.filename}") from exc
-    except (ValueError, json.JSONDecodeError) as exc:
+    except OSError as exc:  # a directory, unreadable, ...
+        raise DataError(f"cannot read config file {exc.filename}: {exc.strerror}") from exc
+    except (TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise UsageError(f"bad configuration: {exc}") from exc
 
 
@@ -201,12 +203,12 @@ def read_identified_csv(path: Path) -> tuple[IdentifiedSet, list[str]]:
 def cmd_synth(args) -> int:
     cfg = _config_from_args(args)
     path = Path(args.scenario)
-    if not path.exists():
-        raise DataError(f"scenario file not found: {args.scenario}")
+    if not path.is_file():
+        raise DataError(f"scenario file not found or not a file: {args.scenario}")
     try:
         spec = scenario_from_dict(json.loads(path.read_text()))
         spec.validate()
-    except (json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (LookupError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise DataError(f"bad scenario {args.scenario}: {exc}") from exc
     triplets, meta, truth = generate_synthetic(spec, cfg.seed)
     out = _outdir(args)
@@ -253,6 +255,8 @@ def _analysis_blocks(stream, grid, scheme, labels, events):
 
 def cmd_analyze(args) -> int:
     cfg = _config_from_args(args)
+    if args.power_law and args.bootstrap_count < MIN_BOOTSTRAP:
+        raise UsageError(f"--bootstrap-count must be at least {MIN_BOOTSTRAP}")
     stream = _load_stream(args.trace, cfg)
     grid = _grid_for(stream, cfg)
     scheme, view = build_scheme(stream, cfg.class_ratio, cfg.normalized)
@@ -414,12 +418,17 @@ def cmd_compare(args) -> int:
         raise DataError(f"identified set not found or not a file: {args.identified}")
     if not truth_path.is_file():
         raise DataError(f"truth file not found or not a file: {args.truth}")
-    identified, names = read_identified_csv(ident_path)
+    try:
+        identified, names = read_identified_csv(ident_path)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"identified set {args.identified} is not UTF-8 text: {exc}") from exc
     try:
         with open(truth_path, "r", encoding="utf-8") as fh:
             truth = read_ground_truth(fh)
     except TraceFormatError as exc:
         raise DataError(f"malformed truth file {args.truth}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"truth file {args.truth} is not UTF-8 text: {exc}") from exc
     slack = args.slack if args.slack is not None else cfg.delta
     overlap = label_overlap(identified, names, truth, slack)
     out = _outdir(args)

@@ -70,6 +70,8 @@ def load_config(
     if config_path:
         with open(config_path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
         unknown = set(data) - set(_FIELD_TYPES)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")

@@ -16,11 +16,14 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import optimize, special, stats
+from scipy import special
 
 # Two-sample critical coefficient at the default significance, kept at the
 # literal rounded value the rest of the pipeline is calibrated against.
 TWO_SAMPLE_COEFF = {0.1: 1.073}
+
+# Fewest bootstrap replicates power_law_test accepts.
+MIN_BOOTSTRAP = 100
 
 
 class InsufficientSupportError(ValueError):
@@ -105,7 +108,7 @@ def grubbs_critical(n: int, alpha: float) -> float:
     """Two-sided Grubbs critical value from the Student-t quantile."""
     if n < 3:
         return math.inf
-    t = stats.t.ppf(1.0 - alpha / (2.0 * n), n - 2)
+    t = special.stdtrit(n - 2, 1.0 - alpha / (2.0 * n))
     return (n - 1) / math.sqrt(n) * math.sqrt(t * t / (n - 2 + t * t))
 
 
@@ -159,7 +162,7 @@ def one_sample_ks_coefficient(alpha: float) -> float:
 def _ks_against_normal(values: np.ndarray, mu: float, sigma: float) -> float:
     x = np.sort(values)
     n = len(x)
-    cdf = stats.norm.cdf((x - mu) / sigma)
+    cdf = special.ndtr((x - mu) / sigma)
     hi = np.arange(1, n + 1) / n
     lo = np.arange(0, n) / n
     return float(max((hi - cdf).max(), (cdf - lo).max()))
@@ -231,6 +234,7 @@ class PowerLawVerdict:
 
 def _discrete_mle_alpha(n: int, log_sum: float, k_min: int) -> float:
     """Maximize the zeta likelihood of P(k) = k^-a / zeta(a, k_min)."""
+    from scipy import optimize  # costly to import; only the power-law fit needs it
 
     def neg_ll(a: float) -> float:
         return n * math.log(special.zeta(a, k_min)) + a * log_sum
@@ -305,8 +309,8 @@ def power_law_test(
     tail from the fitted model, then refits from scratch; the p-value is the
     share of replicates whose KS distance reaches the observed one.
     """
-    if bootstrap_count < 100:
-        raise ValueError("bootstrap_count must be at least 100")
+    if bootstrap_count < MIN_BOOTSTRAP:
+        raise ValueError(f"bootstrap_count must be at least {MIN_BOOTSTRAP}")
     samples = np.asarray(samples, dtype=np.int64)
     if (samples < 1).any():
         raise ValueError("power-law support starts at 1")

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-import networkx as nx
 import numpy as np
 
 # the binary stream cache stores each node name's UTF-8 length as a u16
@@ -271,11 +270,22 @@ class ScenarioSpec:
     rate_modulation: str | None = None
     injections: list[Injection] = field(default_factory=list)
 
+    @property
+    def regular_degree(self) -> int:
+        """Degree of each per-second regular graph: at most background_nodes - 1."""
+        return min(self.background_degree, self.background_nodes - 1)
+
     def validate(self) -> None:
         if self.duration <= 0:
             raise ValueError("duration must be positive")
         if self.background_model not in ("regular", "poisson"):
             raise ValueError(f"unknown background model {self.background_model!r}")
+        if (
+            self.background_model == "regular"
+            and self.regular_degree >= 1
+            and (self.regular_degree * self.background_nodes) % 2
+        ):
+            raise ValueError("regular background needs background_degree * background_nodes even")
         for inj in self.injections:
             w0, w1 = inj.window
             if not (0 <= w0 < w1 <= self.duration):
@@ -289,6 +299,8 @@ class ScenarioSpec:
 
 def scenario_from_dict(raw: dict) -> ScenarioSpec:
     """Build a scenario from its JSON representation (see README)."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"scenario must be a JSON object, got {type(raw).__name__}")
     injections: list[Injection] = []
     for item in raw.get("injections", []):
         kind = item["kind"]
@@ -337,16 +349,16 @@ def generate_synthetic(spec: ScenarioSpec, seed: int) -> tuple[list[Triplet], Tr
     bg = [intern(f"bg{i}") for i in range(n_bg)]
 
     if n_bg > 0 and spec.background_model == "regular":
-        d = min(spec.background_degree, n_bg - 1)
-        if d >= 1 and (d * n_bg) % 2 == 0:
+        d = spec.regular_degree
+        if d >= 1:
+            import networkx as nx  # costly to import; only this generator needs it
+
             for sec in range(int(math.floor(spec.duration))):
                 g_seed = int(rng.integers(0, 2**31 - 1))
                 graph = nx.random_regular_graph(d, n_bg, seed=g_seed)
                 center = sec + 0.5
                 for a, b in sorted(graph.edges()):
                     records.append((center, bg[a], bg[b]))
-        elif d >= 1:
-            raise ValueError("regular background needs background_degree * background_nodes even")
     elif n_bg > 0:
         rates = np.where(rng.random(n_bg) < spec.high_fraction, spec.rate_high, spec.rate_low)
         for i in range(n_bg):

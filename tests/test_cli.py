@@ -1,10 +1,15 @@
 import io
 import json
+import os
 import struct
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 
+import streamdeg
 from streamdeg.cli import main
 from streamdeg.linkstream import LinkStream
 
@@ -98,6 +103,52 @@ class TestExitCodes:
         sc.write_text("{not json")
         rc = main(["synth", "--scenario", str(sc), "--output-dir", str(tmp_path)])
         assert rc == 2
+
+    def test_data_error_scenario_is_directory(self, tmp_path, capsys):
+        rc = main(["synth", "--scenario", str(tmp_path), "--output-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert "not a file" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_data_error_scenario_not_an_object(self, tmp_path, capsys):
+        sc = tmp_path / "sc.json"
+        sc.write_text(json.dumps([SCENARIO]))
+        rc = main(["synth", "--scenario", str(sc), "--output-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert "JSON object" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_data_error_scenario_odd_regular_degree_sum(self, tmp_path, capsys):
+        sc = tmp_path / "sc.json"
+        sc.write_text(json.dumps({"duration": 10, "background_nodes": 5, "background_degree": 3}))
+        rc = main(["synth", "--scenario", str(sc), "--output-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert "even" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_data_error_config_is_directory(self, synth_dir, tmp_path, capsys):
+        rc = main(["analyze", "--trace", str(synth_dir / "trace.txt"), "--config", str(tmp_path),
+                   "--output-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert "cannot read config file" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("content", ['[{"tau": 1.0}]', '{"tau": "x"}'])
+    def test_usage_error_bad_config_file(self, synth_dir, tmp_path, capsys, content):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(content)
+        rc = main(["analyze", "--trace", str(synth_dir / "trace.txt"), "--config", str(cfg),
+                   "--output-dir", str(tmp_path / "out")])
+        assert rc == 1
+        assert "bad configuration" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_usage_error_bootstrap_count_too_small(self, synth_dir, tmp_path, capsys):
+        rc = main(["analyze", "--trace", str(synth_dir / "trace.txt"), "--power-law",
+                   "--bootstrap-count", "10", "--output-dir", str(tmp_path / "out")])
+        assert rc == 1
+        assert "--bootstrap-count must be at least 100" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_usage_error_bad_sweep_reference(self, synth_dir, tmp_path):
         rc = main([
@@ -337,6 +388,18 @@ class TestCompare:
         assert rc == 2
         assert "not a file" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("which", ["--identified", "--truth"])
+    def test_not_utf8_inputs(self, tmp_path, capsys, which):
+        files = {"--identified": tmp_path / "identified.csv", "--truth": tmp_path / "truth.csv"}
+        files["--identified"].write_text("node,start,end\na,1.0,2.0\n")
+        files["--truth"].write_text("node,start,end,kind\na,1,2,spike\n")
+        files[which].write_bytes(b"node,start,end\n\xff\xfe,1.0,2.0\n")
+        rc = main(["compare", "--identified", str(files["--identified"]),
+                   "--truth", str(files["--truth"]), "--output-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert "not UTF-8" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("row", ["a,1", "a,x,2,scan"])
     def test_malformed_truth(self, tmp_path, capsys, row):
         ident = tmp_path / "identified.csv"
@@ -348,3 +411,31 @@ class TestCompare:
         assert rc == 2
         assert "line 2" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+# Modules that cost most of a fresh import and that identify never calls.
+HEAVY_MODULES = ("scipy.stats", "scipy.optimize", "networkx")
+
+
+def test_identify_imports_no_heavy_modules(tmp_path):
+    # a fresh interpreter: this test process has long since imported them all
+    trace = tmp_path / "steady.txt"
+    write_steady_trace(trace, 60)
+    script = textwrap.dedent(f"""
+        import sys
+        import streamdeg.cli
+        heavy = {HEAVY_MODULES!r}
+        print(sorted(m for m in heavy if m in sys.modules))
+        rc = streamdeg.cli.main(["identify", "--trace", {str(trace)!r},
+                                 "--output-dir", {str(tmp_path / "out")!r}])
+        print(rc, sorted(m for m in heavy if m in sys.modules))
+    """)
+    src = str(Path(streamdeg.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "[]"
+    assert lines[-1] == "0 []"

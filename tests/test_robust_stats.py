@@ -7,6 +7,7 @@ from scipy import stats as sp_stats
 
 from streamdeg.robust_stats import (
     NormalFit,
+    _ks_against_normal,
     fit_homogeneous,
     grubbs_critical,
     grubbs_prune,
@@ -141,6 +142,32 @@ class TestGrubbs:
         second = grubbs_prune(first.kept, 0.05)
         assert second.removed == []
         np.testing.assert_array_equal(first.kept, second.kept)
+
+
+class TestScipySpecialEquivalence:
+    """grubbs_critical and _ks_against_normal call scipy.special directly (so the
+    CLI need not import scipy.stats); the distribution objects they replace must
+    give bitwise-equal values."""
+
+    def test_grubbs_critical_matches_t_ppf(self):
+        for alpha in (0.01, 0.05, 0.1):
+            for n in range(3, 2001):
+                t = sp_stats.t.ppf(1.0 - alpha / (2.0 * n), n - 2)
+                ref = (n - 1) / math.sqrt(n) * math.sqrt(t * t / (n - 2 + t * t))
+                assert grubbs_critical(n, alpha) == ref, (n, alpha)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_ks_against_normal_matches_norm_cdf(self, seed):
+        rng = np.random.default_rng(seed)
+        for size in (8, 100, 5000):
+            values = rng.normal(rng.uniform(-5, 5), rng.uniform(0.01, 10), size)
+            mu, sigma = float(values.mean()), float(values.std())
+            x = np.sort(values)
+            cdf = sp_stats.norm.cdf((x - mu) / sigma)
+            hi = np.arange(1, size + 1) / size
+            lo = np.arange(0, size) / size
+            ref = float(max((hi - cdf).max(), (cdf - lo).max()))
+            assert _ks_against_normal(values, mu, sigma) == ref
 
 
 class TestFitHomogeneous:

@@ -203,6 +203,16 @@ class TestSynthetic:
         with pytest.raises(ValueError):
             generate_synthetic(spec, seed=0)
 
+    def test_odd_regular_degree_sum_rejected_by_validate(self):
+        # 5 nodes of degree 3 admit no 3-regular graph
+        spec = ScenarioSpec(duration=10, background_nodes=5, background_degree=3)
+        with pytest.raises(ValueError, match="even"):
+            spec.validate()
+        # the degree is capped at background_nodes - 1 = 4 before the check
+        ScenarioSpec(duration=10, background_nodes=5, background_degree=7).validate()
+        ScenarioSpec(duration=10, background_nodes=5, background_degree=3,
+                     background_model="poisson").validate()
+
     def test_poisson_model_runs(self):
         spec = ScenarioSpec(
             duration=30, background_nodes=15, background_model="poisson",
@@ -230,3 +240,5 @@ def test_scenario_from_dict():
     with pytest.raises(ValueError):
         scenario_from_dict({"duration": 1, "background_nodes": 1,
                             "injections": [{"kind": "nope", "window": [0, 1]}]})
+    with pytest.raises(ValueError, match="JSON object"):
+        scenario_from_dict([raw])
