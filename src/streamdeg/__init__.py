@@ -55,6 +55,7 @@ from .trace_io import (
     ScenarioSpec,
     TraceMeta,
     Triplet,
+    Triplets,
     TruthEntry,
     generate_synthetic,
     parse_trace,

@@ -59,6 +59,16 @@ def _coerce(name: str, raw: str):
     return raw
 
 
+# the JSON types a config-file value may take, per field type; a bool is
+# never an int here, and a float may be written as an int
+_JSON_TYPES = {
+    "bool": ((bool,), "true or false"),
+    "int": ((int,), "an integer"),
+    "float": ((int, float), "a number"),
+    "str": ((str,), "a string"),
+}
+
+
 def load_config(
     config_path: str | Path | None = None,
     overrides: dict | None = None,
@@ -75,6 +85,10 @@ def load_config(
         unknown = set(data) - set(_FIELD_TYPES)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        for name, value in data.items():
+            allowed, expected = _JSON_TYPES[_FIELD_TYPES[name]]
+            if type(value) not in allowed:
+                raise ValueError(f"{name} must be {expected}, got {json.dumps(value)}")
         merged.update(data)
     env = os.environ if environ is None else environ
     for name in _FIELD_TYPES:

@@ -26,7 +26,7 @@ from typing import BinaryIO, Iterable, Iterator, Sequence
 import numpy as np
 
 from . import intervals as iv
-from .trace_io import Triplet
+from .trace_io import Triplet, Triplets
 
 PairKey = tuple[int, int]
 
@@ -157,15 +157,49 @@ class LinkStream:
         node_names: Sequence[str],
         delta: float,
     ) -> "LinkStream":
-        """Union the delta-window of every triplet into its pair's intervals."""
+        """Union the delta-window of every triplet into its pair's intervals.
+
+        The windows are sorted by (pair, start, end), and a merged interval
+        starts wherever the pair changes or a window starts after the previous
+        one ends.  Every window has the same width, so a pair's ends are sorted
+        along with its starts and the previous end is the merged end so far.
+        Empty windows are dropped, as ``intervals.merge`` drops them; a pair
+        left without any keeps an empty list.  Pairs are keyed in order of
+        first appearance.
+        """
         if delta <= 0:
             raise ValueError("delta must be positive")
+        cols = Triplets.of(triplets)
         half = delta / 2.0
-        raw: dict[PairKey, list[iv.Interval]] = {}
-        for t, u, v in triplets:
-            raw.setdefault(_pair(u, v), []).append((t - half, t + half))
-        links = {key: iv.merge(ivs) for key, ivs in raw.items()}
-        return cls(node_names, links, delta)
+        lo = np.minimum(cols.u, cols.v)
+        hi = np.maximum(cols.u, cols.v)
+        width = int(hi.max()) + 1 if len(hi) else 1
+        pair = lo * width + hi
+        keys, first_at = np.unique(pair, return_index=True)
+        start = cols.t - half
+        end = cols.t + half
+        keep = end > start
+        pair, start, end = pair[keep], start[keep], end[keep]
+        order = np.lexsort((end, start, pair))
+        pair, start, end = pair[order], start[order], end[order]
+
+        opens = np.ones(len(pair), dtype=bool)
+        opens[1:] = (pair[1:] != pair[:-1]) | (start[1:] > end[:-1])
+        closes = np.ones(len(pair), dtype=bool)
+        closes[:-1] = opens[1:]
+        merged = list(zip(start[opens].tolist(), end[closes].tolist()))
+        run_pair = pair[opens]
+        lo_at = np.searchsorted(run_pair, keys, side="left").tolist()
+        hi_at = np.searchsorted(run_pair, keys, side="right").tolist()
+        key_u = (keys // width).tolist()
+        key_v = (keys % width).tolist()
+        links = {
+            (key_u[i], key_v[i]): merged[lo_at[i]:hi_at[i]]
+            for i in np.argsort(first_at).tolist()
+        }
+        t_begin = float(start.min()) if len(start) else 0.0
+        t_end = float(end.max()) if len(end) else 0.0
+        return cls(node_names, links, delta, t_begin, t_end)
 
     @classmethod
     def from_pair_intervals(

@@ -281,12 +281,16 @@ class _PowerLawSampler:
         self.k_min = k_min
         ks = np.arange(k_min, k_min + self.CAP)
         z = special.zeta(alpha, k_min)
-        self.cdf = 1.0 - special.zeta(alpha, ks + 1) / z
-        self.ks = ks
+        cdf = 1.0 - special.zeta(alpha, ks + 1) / z
+        # draws are below 1, so none lands past the first entry that reaches 1
+        full = np.flatnonzero(cdf == 1.0)
+        stop = int(full[0]) + 1 if full.size else self.CAP
+        self.cdf = cdf[:stop]
+        self.ks = ks[:stop]
 
     def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
         u = rng.random(size)
-        out = self.ks[np.minimum(np.searchsorted(self.cdf, u, side="right"), self.CAP - 1)]
+        out = self.ks[np.minimum(np.searchsorted(self.cdf, u, side="right"), len(self.ks) - 1)]
         overflow = u > self.cdf[-1]
         if overflow.any():
             tail = np.floor(

@@ -16,9 +16,11 @@ from __future__ import annotations
 import csv
 import io
 import math
+from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, NamedTuple, Sequence
+from itertools import compress, repeat
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -99,13 +101,62 @@ def _interner(names: list[str]) -> Callable[[str], int]:
     return intern
 
 
-def parse_trace(source: io.IOBase | bytes | str) -> tuple[list[Triplet], TraceMeta]:
+class Triplets(Sequence[Triplet]):
+    """A trace as three columns: times ``t`` (float64) and node indices ``u``
+    and ``v`` (int64).
+
+    Reads as a sequence of ``Triplet`` holding plain Python ``float``/``int``
+    values, and compares equal to a list of the same triplets.
+    """
+
+    def __init__(self, t: np.ndarray, u: np.ndarray, v: np.ndarray):
+        self.t = np.asarray(t, dtype=np.float64)
+        self.u = np.asarray(u, dtype=np.int64)
+        self.v = np.asarray(v, dtype=np.int64)
+
+    @classmethod
+    def of(cls, triplets: Iterable[Triplet]) -> "Triplets":
+        """The columns of any iterable of ``(t, u, v)``; a ``Triplets`` as is."""
+        if isinstance(triplets, cls):
+            return triplets
+        rows = list(triplets)
+        t, u, v = zip(*rows) if rows else ((), (), ())
+        return cls(np.array(t, dtype=np.float64), np.array(u, dtype=np.int64),
+                   np.array(v, dtype=np.int64))
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __iter__(self) -> Iterator[Triplet]:
+        return map(Triplet, self.t.tolist(), self.u.tolist(), self.v.tolist())
+
+    def __getitem__(self, i: int) -> Triplet:
+        return Triplet(float(self.t[i]), int(self.u[i]), int(self.v[i]))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Triplets):
+            return all(map(np.array_equal, (self.t, self.u, self.v), (other.t, other.u, other.v)))
+        if isinstance(other, list):
+            return list(self) == other
+        return NotImplemented
+
+
+def _first(mask: np.ndarray) -> int | None:
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if hits.size else None
+
+
+def parse_trace(source: io.IOBase | bytes | str) -> tuple[Triplets, TraceMeta]:
     """Parse a text trace into index-interned triplets plus summary metadata.
 
-    Rejects self-interactions (u == v), non-finite times, node names longer
-    than ``MAX_NAME_BYTES`` in UTF-8 and malformed lines, reporting the
-    1-based line number.  Triplets are returned in input order;
-    duplicates are kept (they are harmless under interval-union semantics).
+    Lines are split by ``str.splitlines`` and fields by ``str.split``; a line
+    whose first field starts with ``#`` is a comment.  Rejects lines without
+    exactly 3 fields, times ``float`` cannot read or that are not finite,
+    self-interactions (u == v) and node names longer than ``MAX_NAME_BYTES``
+    in UTF-8, reporting the 1-based number of the first bad line (checked in
+    that order).  Triplets are returned in input order; duplicates are kept
+    (they are harmless under interval-union semantics).  Names are indexed in
+    order of first appearance.
     """
     if isinstance(source, bytes):
         text = source.decode("utf-8")
@@ -115,42 +166,70 @@ def parse_trace(source: io.IOBase | bytes | str) -> tuple[list[Triplet], TraceMe
         raw = source.read()
         text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
 
-    triplets: list[Triplet] = []
-    names: list[str] = []
-    intern = _interner(names)
-    t_min = math.inf
-    t_max = -math.inf
+    # every line end is whitespace to str.split, so one split of the data
+    # lines yields their fields in order
+    lines = text.splitlines()
+    fields = np.fromiter(map(len, map(str.split, lines)), np.int64, len(lines))
+    data = fields > 0
+    if "#" in text:
+        comment = map(str.startswith, map(str.lstrip, lines), repeat("#"))
+        data &= ~np.fromiter(comment, bool, len(lines))
+        text = "\n".join(compress(lines, data.tolist()))
+    del lines
+    line_nos = np.flatnonzero(data) + 1
+    fields = fields[data]
 
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        parts = stripped.split()
-        if len(parts) != 3:
-            raise TraceFormatError(line_no, f"expected 't u v', got {len(parts)} fields")
-        try:
-            t = float(parts[0])
-        except ValueError:
-            raise TraceFormatError(line_no, f"cannot parse time {parts[0]!r}") from None
-        if not math.isfinite(t):
-            raise TraceFormatError(line_no, f"non-finite time {parts[0]!r}")
-        if parts[1] == parts[2]:
-            raise TraceFormatError(line_no, f"self-interaction {parts[1]!r}")
-        # a UTF-8 character takes at most 4 bytes, so only long lines need the check
-        if len(stripped) > MAX_NAME_BYTES // 4:
-            for name in parts[1:]:
-                if len(name.encode("utf-8")) > MAX_NAME_BYTES:
-                    raise TraceFormatError(
-                        line_no, f"node name longer than {MAX_NAME_BYTES} UTF-8 bytes"
-                    )
-        triplets.append(Triplet(t, intern(parts[1]), intern(parts[2])))
-        t_min = min(t_min, t)
-        t_max = max(t_max, t)
+    # Each check looks only at the lines before the earliest fault found so
+    # far, so the first bad line wins, and on one line the earlier check.
+    limit = len(fields)
+    error: TraceFormatError | None = None
 
-    if not triplets:
+    def fail(i: int | None, message: Callable[[int], str]) -> None:
+        nonlocal limit, error
+        if i is not None:
+            limit = i
+            error = TraceFormatError(int(line_nos[i]), message(i))
+
+    fail(_first(fields != 3), lambda i: f"expected 't u v', got {fields[i]} fields")
+    tokens = text.split()
+    del tokens[3 * limit:]
+    time_tokens = tokens[0::3]
+    try:
+        times = np.fromiter(map(float, time_tokens), np.float64, len(time_tokens))
+    except ValueError:
+        parsed: list[float] = []
+        with suppress(ValueError):
+            parsed.extend(map(float, time_tokens))  # stops at the bad token
+        fail(len(parsed), lambda i: f"cannot parse time {time_tokens[i]!r}")
+        times = np.array(parsed, dtype=np.float64)
+    fail(_first(~np.isfinite(times)), lambda i: f"non-finite time {time_tokens[i]!r}")
+
+    del tokens[0::3]  # leaves u0, v0, u1, v1, ...
+    index = dict.fromkeys(tokens)
+    for i, name in enumerate(index):
+        index[name] = i
+    names = list(index)
+    ids = np.fromiter(map(index.__getitem__, tokens), np.int64, len(tokens))
+    u, v = ids[0::2], ids[1::2]
+    fail(_first(u[:limit] == v[:limit]), lambda i: f"self-interaction {names[u[i]]!r}")
+    # a UTF-8 character takes at most 4 bytes, so only long names need encoding
+    name_lengths = np.fromiter(map(len, names), np.int64, len(names))
+    too_long = np.zeros(len(names), dtype=bool)
+    for i in np.flatnonzero(name_lengths > MAX_NAME_BYTES // 4):
+        too_long[i] = len(names[i].encode("utf-8")) > MAX_NAME_BYTES
+    fail(
+        _first(too_long[u[:limit]] | too_long[v[:limit]]),
+        lambda i: f"node name longer than {MAX_NAME_BYTES} UTF-8 bytes",
+    )
+    if error is not None:
+        raise error
+
+    if len(times):
+        t_min, t_max = float(times[times.argmin()]), float(times[times.argmax()])
+    else:
         t_min = t_max = 0.0
-    meta = TraceMeta(len(triplets), len(names), t_min, t_max, names)
-    return triplets, meta
+    meta = TraceMeta(len(times), len(names), t_min, t_max, names)
+    return Triplets(times, u, v), meta
 
 
 def format_time(t: float) -> str:

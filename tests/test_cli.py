@@ -143,6 +143,31 @@ class TestExitCodes:
         assert "bad configuration" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("content,message", [
+        ('{"normalized": "no"}', "normalized must be true or false"),
+        ('{"seed": true}', "seed must be an integer"),
+        ('{"seed": 5.0}', "seed must be an integer"),
+        ('{"tau": false}', "tau must be a number"),
+        ('{"ks_size_mode": 1}', "ks_size_mode must be a string"),
+    ])
+    def test_usage_error_config_value_type(self, synth_dir, tmp_path, capsys, content, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(content)
+        rc = main(["analyze", "--trace", str(synth_dir / "trace.txt"), "--config", str(cfg),
+                   "--output-dir", str(tmp_path / "out")])
+        assert rc == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_config_float_accepts_json_integer(self, synth_dir, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"tau": 4, "normalized": false}')
+        rc = main(["analyze", "--trace", str(synth_dir / "trace.txt"), "--config", str(cfg),
+                   "--output-dir", str(tmp_path / "out")])
+        assert rc == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["config"]["tau"] == 4.0
+
     def test_usage_error_bootstrap_count_too_small(self, synth_dir, tmp_path, capsys):
         rc = main(["analyze", "--trace", str(synth_dir / "trace.txt"), "--power-law",
                    "--bootstrap-count", "10", "--output-dir", str(tmp_path / "out")])

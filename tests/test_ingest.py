@@ -1,0 +1,247 @@
+"""Differential tests of the columnar trace ingest.
+
+``reference_parse`` is the line-by-line parser the columnar ``parse_trace``
+replaced, and ``reference_links`` the ``intervals.merge``-based construction
+of a stream's links that ``LinkStream.from_triplets`` replaced; both are kept
+here, unchanged in behaviour, as the oracles.
+"""
+
+import math
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from streamdeg import intervals as iv
+from streamdeg.linkstream import build_stream
+from streamdeg.trace_io import (
+    MAX_NAME_BYTES,
+    TraceFormatError,
+    TraceMeta,
+    Triplet,
+    Triplets,
+    parse_trace,
+)
+
+
+def reference_parse(text: str) -> tuple[list[Triplet], TraceMeta]:
+    triplets: list[Triplet] = []
+    names: list[str] = []
+    index: dict[str, int] = {}
+
+    def intern(name: str) -> int:
+        if name not in index:
+            index[name] = len(names)
+            names.append(name)
+        return index[name]
+
+    t_min = math.inf
+    t_max = -math.inf
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        parts = stripped.split()
+        if len(parts) != 3:
+            raise TraceFormatError(line_no, f"expected 't u v', got {len(parts)} fields")
+        try:
+            t = float(parts[0])
+        except ValueError:
+            raise TraceFormatError(line_no, f"cannot parse time {parts[0]!r}") from None
+        if not math.isfinite(t):
+            raise TraceFormatError(line_no, f"non-finite time {parts[0]!r}")
+        if parts[1] == parts[2]:
+            raise TraceFormatError(line_no, f"self-interaction {parts[1]!r}")
+        for name in parts[1:]:
+            if len(name.encode("utf-8")) > MAX_NAME_BYTES:
+                raise TraceFormatError(
+                    line_no, f"node name longer than {MAX_NAME_BYTES} UTF-8 bytes"
+                )
+        triplets.append(Triplet(t, intern(parts[1]), intern(parts[2])))
+        t_min = min(t_min, t)
+        t_max = max(t_max, t)
+    if not triplets:
+        t_min = t_max = 0.0
+    return triplets, TraceMeta(len(triplets), len(names), t_min, t_max, names)
+
+
+def reference_links(triplets, delta: float) -> dict:
+    half = delta / 2.0
+    raw: dict = {}
+    for t, u, v in triplets:
+        raw.setdefault((min(u, v), max(u, v)), []).append((t - half, t + half))
+    return {key: iv.merge(ivs) for key, ivs in raw.items()}
+
+
+def exact(triplets) -> list:
+    """Triplets with the types and float signs spelled out."""
+    return [(repr(t), type(t), u, type(u), v, type(v)) for t, u, v in triplets]
+
+
+def assert_parses_alike(text: str) -> None:
+    try:
+        want = reference_parse(text)
+    except TraceFormatError as exc:
+        with pytest.raises(TraceFormatError) as got:
+            parse_trace(text)
+        assert (got.value.line_no, str(got.value)) == (exc.line_no, str(exc))
+        return
+    triplets, meta = parse_trace(text)
+    assert isinstance(triplets, Triplets)
+    assert exact(triplets) == exact(want[0])
+    assert triplets == want[0]
+    assert meta == want[1]
+    assert (repr(meta.t_min), repr(meta.t_max)) == (repr(want[1].t_min), repr(want[1].t_max))
+
+
+def assert_builds_alike(triplets, names, delta: float) -> None:
+    want = reference_links(triplets, delta)
+    for given_as in (list(triplets), Triplets.of(triplets)):
+        stream = build_stream(given_as, names, delta)
+        assert list(stream.links.items()) == list(want.items())
+        assert all(type(s) is float and type(e) is float for ivs in stream.links.values()
+                   for s, e in ivs)
+        starts = [ivs[0][0] for ivs in want.values() if ivs]
+        ends = [ivs[-1][1] for ivs in want.values() if ivs]
+        assert stream.t_begin == (min(starts) if starts else 0.0)
+        assert stream.t_end == (max(ends) if ends else 0.0)
+
+
+LINE_ENDS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+SEPARATORS = [" ", "  ", "\t", " \t ", "\x1f", "\xa0", "\u3000"]
+TIMES = ["0", "1", "2.5", "0.25", "-3", "1_0", "-0.0", "+0", "1e17", "1e22", "infinity",
+         "-inf", "nan", "1e400", "oops", "1__0", "0x10", "٣"]
+NAMES = ["a", "b", "c", "a#b", "#b", "é", "a.b", "1", "-0.0"]
+
+GOOD_TIMES = ["0", "1", "2.5", "0.25", "-3", "1_0", "-0.0", "+0", "1e17", "1e22"]
+
+separators = st.sampled_from(SEPARATORS)
+float_reprs = st.floats(allow_nan=False, allow_infinity=False, width=64).map(repr)
+
+
+@st.composite
+def trace_lines(draw, valid: bool) -> str:
+    """One line; with ``valid`` only data, comment and blank lines."""
+    kinds = ["data"] * 6 + ["comment", "blank"] + ([] if valid else ["fields", "self"])
+    kind = draw(st.sampled_from(kinds))
+    lead = draw(st.sampled_from(["", " ", "\t", "\x1f "]))
+    trail = draw(st.sampled_from(["", " ", "\t"]))
+    sep = draw(separators)
+    if kind == "comment":
+        body = "#" + draw(st.sampled_from(["", " header", "1 a b", "#"]))
+    elif kind == "blank":
+        body = ""
+    elif kind == "fields":
+        tokens = draw(st.lists(st.sampled_from(NAMES + TIMES[:3]), max_size=5)
+                      .filter(lambda ts: len(ts) != 3))
+        body = sep.join(tokens)
+    else:
+        u = draw(st.sampled_from(NAMES))
+        v = u if kind == "self" else draw(st.sampled_from([n for n in NAMES if n != u]))
+        time = draw(st.one_of(st.sampled_from(GOOD_TIMES if valid else TIMES), float_reprs))
+        body = sep.join([time, u, v])
+    return lead + body + trail
+
+
+@st.composite
+def trace_texts(draw, valid: bool = False) -> str:
+    lines = draw(st.lists(trace_lines(valid), max_size=12))
+    ends = [draw(st.sampled_from(LINE_ENDS)) for _ in lines]
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if lines and draw(st.booleans()):
+        text = text[: -len(ends[-1])]  # no line end after the last line
+    return text
+
+
+class TestParseMatchesReference:
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(trace_texts(), trace_texts(valid=True)))
+    @example("")
+    @example("1 a b\r\n2 b c\r\n")
+    @example("1 a b\x0b2 b c\x0c3 c a\x1c4 a b\x1d5 b c\x1e6 c a\x857 a b 8 b c ")
+    @example("1\ta\tb\n2\t\tb c\n")
+    @example("1 a\x1fb\n")
+    @example("  # indented comment\n\t#tab comment\n1 a#b b\n2 #a b\n")
+    @example("1_0 a b\n-0.0 b c\n")
+    @example("-0.0 a b\n0 b c\n0.0 c a\n")
+    @example("infinity a b\n")
+    @example("1e400 a b\n")
+    @example("1 a b\n1 a b\n1 b a\n")
+    @example("1 a b\n2 c c\n3 d\n")
+    @example("1 a b\n2 c\n3 d d\n")
+    @example("1 a b\noops c d\n2 e e\n")
+    @example("nan a a\n")
+    def test_parse(self, text):
+        assert_parses_alike(text)
+
+    @pytest.mark.parametrize("text", [
+        f"1 a {'x' * MAX_NAME_BYTES}\n",
+        f"1 a {'x' * (MAX_NAME_BYTES + 1)}\n",
+        f"1 {'é' * (MAX_NAME_BYTES // 2)}x b\n",
+        f"1 {'é' * (MAX_NAME_BYTES // 2 + 1)} b\n",
+        f"1 a b\n2 c {'€' * 21846}\n3 d\n",
+        f"1 a b\n2 c d e\n3 {'€' * 21846} c\n",
+        f"1 {'x' * (MAX_NAME_BYTES + 1)} {'x' * (MAX_NAME_BYTES + 1)}\n",
+    ])
+    def test_name_length_limit(self, text):
+        assert_parses_alike(text)
+
+    def test_two_faults_first_line_wins(self):
+        for first, second in [("2 c", "3 d d"), ("x c d", "3 e"), ("inf c d", "nan e f"),
+                              ("2 c c", "3 d"), ("2 d d", "oops e f")]:
+            text = f"1 a b\n{first}\n{second}\n"
+            with pytest.raises(TraceFormatError) as exc:
+                parse_trace(text)
+            assert exc.value.line_no == 2
+            assert_parses_alike(text)
+            assert_parses_alike(f"1 a b\n{second}\n{first}\n")
+
+
+class TestTriplets:
+    def test_sequence_of_plain_values(self):
+        triplets, _ = parse_trace("1 a b\n2.5 b c\n")
+        assert len(triplets) == 2
+        first = triplets[0]
+        assert first == Triplet(1.0, 0, 1)
+        assert (type(first.t), type(first.u), type(first.v)) == (float, int, int)
+        assert triplets[-1] == Triplet(2.5, 1, 2)
+        assert triplets == [Triplet(1.0, 0, 1), Triplet(2.5, 1, 2)]
+        assert triplets != [Triplet(1.0, 0, 1)]
+        with pytest.raises(IndexError):
+            triplets[2]
+
+    def test_of_round_trips(self):
+        rows = [Triplet(0.5, 2, 0), Triplet(0.5, 0, 2)]
+        cols = Triplets.of(rows)
+        assert cols == rows
+        assert Triplets.of(cols) is cols
+        assert Triplets.of(iter([])) == []
+
+
+pair_times = st.one_of(
+    st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 2.25, 10.0, 1e16, 1e17, 1e17 + 16, 2.0**53]),
+    st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
+    st.floats(min_value=1e15, max_value=1e18, allow_nan=False),
+)
+
+
+class TestBuildMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.tuples(pair_times, st.integers(0, 5), st.integers(0, 5))
+                 .filter(lambda r: r[1] != r[2]), max_size=40),
+        st.sampled_from([1.0, 0.1, 3.0, 1e-9, 2.0**-30]),
+    )
+    @example([], 1.0)
+    @example([(1.0, 0, 1), (1.0, 0, 1), (1.0, 1, 0)], 1.0)
+    @example([(1e17, 0, 1), (1.0, 1, 2), (1e17, 0, 1)], 1.0)  # t ± delta/2 collapses at 1e17
+    @example([(1e17, 0, 1)], 1.0)
+    @example([(0.0, 3, 1), (1.0, 1, 3), (2.5, 0, 3), (3.5, 3, 1)], 1.0)
+    def test_links(self, rows, delta):
+        triplets = [Triplet(t, u, v) for t, u, v in rows]
+        assert_builds_alike(triplets, [f"n{i}" for i in range(6)], delta)
+
+    @settings(max_examples=100, deadline=None)
+    @given(trace_texts(valid=True))
+    def test_parsed_traces(self, text):
+        triplets, meta = parse_trace(text)
+        assert_builds_alike(list(triplets), meta.node_names, 1.0)

@@ -55,3 +55,33 @@ def test_self_calibration():
         verdict = power_law_test(samples, bootstrap_count=100, significance=0.1, seed=seed)
         rejections += verdict.rejected
     assert rejections <= 2
+
+
+@pytest.mark.parametrize("alpha,k_min", [(20.0, 4), (2.5, 1), (1.5, 10)])
+def test_sampler_table_cut_draws_the_same(alpha, k_min):
+    from scipy import special
+
+    from streamdeg.robust_stats import _PowerLawSampler
+
+    sampler = _PowerLawSampler(alpha, k_min)
+    cap = _PowerLawSampler.CAP
+    ks = np.arange(k_min, k_min + cap)
+    cdf = 1.0 - special.zeta(alpha, ks + 1) / special.zeta(alpha, k_min)
+    assert len(sampler.cdf) <= cap
+    if alpha == 20.0:
+        assert len(sampler.cdf) < 100  # the CDF reaches 1.0 within a few dozen entries
+
+    def full_table_draw(rng, size):
+        u = rng.random(size)
+        out = ks[np.minimum(np.searchsorted(cdf, u, side="right"), cap - 1)]
+        overflow = u > cdf[-1]
+        if overflow.any():
+            tail = np.floor((k_min - 0.5) * (1.0 - u[overflow]) ** (-1.0 / (alpha - 1.0)) + 0.5)
+            out = out.copy()
+            out[overflow] = tail.astype(np.int64)
+        return out
+
+    for seed in range(8):
+        got = sampler.draw(np.random.default_rng(seed), 5000)
+        want = full_table_draw(np.random.default_rng(seed), 5000)
+        np.testing.assert_array_equal(got, want)
