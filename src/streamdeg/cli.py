@@ -9,8 +9,8 @@ exception (wall-clock is not reproducible).
 from __future__ import annotations
 
 import argparse
+import csv
 import json
-import struct
 import sys
 from pathlib import Path
 
@@ -123,7 +123,7 @@ def _load_stream(path: str, cfg: RunConfig) -> LinkStream:
         with open(p, "rb") as fh:
             try:
                 stream = LinkStream.load(fh)
-            except (struct.error, ValueError) as exc:  # truncated, bad version, bad name
+            except ValueError as exc:  # truncated, bad version, bad count, bad name
                 raise DataError(f"bad stream cache {path}: {exc}") from exc
     else:
         try:
@@ -169,29 +169,39 @@ def _outdir(args) -> Path:
 
 
 def write_identified_csv(identified: IdentifiedSet, node_names, out) -> None:
-    out.write("node,start,end\n")
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["node", "start", "end"])
     for node, (s, e) in identified.victims():
-        out.write(f"{node_names[node]},{s!r},{e!r}\n")
+        writer.writerow([node_names[node], repr(s), repr(e)])
 
 
 def read_identified_csv(path: Path) -> tuple[IdentifiedSet, list[str]]:
+    """Rows ``node,start,end`` as ``write_identified_csv`` writes them; a
+    first row whose first field is ``node`` is the header."""
     names: list[str] = []
     index: dict[str, int] = {}
     entries: dict[int, list] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("node,"):
-                continue
-            try:
-                name, s, e = line.split(",")
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        first = True
+        try:
+            for row in reader:
+                if not row:
+                    continue
+                if first and row[0] == "node":
+                    first = False
+                    continue
+                first = False
+                name, s, e = row
                 start, end = float(s), float(e)
-            except ValueError:
-                raise DataError(f"malformed identified set {path} at line {line_no}")
-            if name not in index:
-                index[name] = len(names)
-                names.append(name)
-            entries.setdefault(index[name], []).append((start, end))
+                if name not in index:
+                    index[name] = len(names)
+                    names.append(name)
+                entries.setdefault(index[name], []).append((start, end))
+        except UnicodeDecodeError:
+            raise
+        except (csv.Error, ValueError):  # a field count, a time, an over-long field
+            raise DataError(f"malformed identified set {path} at line {reader.line_num}")
     return IdentifiedSet({n: iv.merge(ivs) for n, ivs in entries.items()}), names
 
 
@@ -241,7 +251,7 @@ def _analysis_blocks(stream, grid, scheme, labels, events):
     return {
         "stream": {
             "nodes": stream.num_nodes,
-            "pairs": len(stream.links),
+            "pairs": stream.num_pairs,
             "link_seconds": stream.total_link_seconds(),
             "t_begin": stream.t_begin,
             "t_end": stream.t_end,
@@ -311,6 +321,7 @@ def cmd_analyze(args) -> int:
                 "k_min": verdict.k_min,
                 "p_value": verdict.p_value,
                 "rejected": verdict.rejected,
+                "alpha_at_bound": verdict.alpha_at_bound,
             }
         except InsufficientSupportError as exc:
             blocks["power_law"] = {"error": str(exc)}

@@ -6,13 +6,19 @@ the window ``[t - delta/2, t + delta/2)`` to the pair ``uv``; overlapping
 windows are unioned, so a pair is linked from t1 to t2 exactly when the two
 nodes interacted at least once every ``delta`` within that span.
 
+Storage is columnar.  Pair ``p`` joins nodes ``u[p] < v[p]``, in order of
+first appearance, and its intervals are ``starts[offsets[p]:offsets[p + 1]]``
+and ``ends[...]`` (CSR).  A pair that a removal empties stays in place but is
+marked dead, so pair indices never move; ``links`` reads the alive pairs.
+
 The instantaneous degree of a node is the number of distinct neighbours whose
 pair interval covers t.  Degree profiles are computed exactly by a sweep over
 interval endpoints and stored as canonical piecewise-constant functions.
 
 Streams are immutable.  ``remove_interactions`` returns a new stream sharing
-all untouched pair lists, adjacency lists and degree profiles (copy-on-write),
-so speculative removals can be rolled back by simply dropping the new value.
+the pair endpoints, the node-to-pair adjacency and every untouched degree
+profile, so speculative removals can be rolled back by simply dropping the new
+value.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ import math
 import struct
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import BinaryIO, Iterable, Iterator, Sequence
+from typing import BinaryIO, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -29,6 +35,12 @@ from . import intervals as iv
 from .trace_io import Triplet, Triplets
 
 PairKey = tuple[int, int]
+
+# Interval endpoints one block of the profile sweep gathers; bounds its
+# temporaries.  A node with more endpoints gets a block of its own.
+_SWEEP_ENDPOINTS = 1 << 16
+# Nodes per sweep block, so a node's offset in its block is one uint16.
+_SWEEP_NODES = 1 << 16
 
 
 class UnknownNodeError(KeyError):
@@ -97,8 +109,66 @@ class MeanDegreeSeries:
         return np.arange(self.start_second, self.start_second + len(self.values))
 
 
-def _pair(u: int, v: int) -> PairKey:
-    return (u, v) if u < v else (v, u)
+def _ranges(first: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Concatenation of ``arange(f, f + c)`` over the pairs of ``first`` and
+    ``counts``."""
+    ends = np.cumsum(counts)
+    if len(ends) == 0 or ends[-1] == 0:
+        return np.zeros(0, dtype=np.int64)
+    return np.repeat(first - (ends - counts), counts) + np.arange(ends[-1])
+
+
+class _PairTable:
+    """Pair endpoints and the lookups built from them, once, for a root
+    stream and every stream derived from it."""
+
+    def __init__(self, u: np.ndarray, v: np.ndarray, num_nodes: int):
+        self.u = u
+        self.v = v
+        self.num_nodes = num_nodes
+        self._adjacency: tuple[np.ndarray, np.ndarray] | None = None
+        self._index: dict[PairKey, int] | None = None
+
+    def adjacency(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(first, pair_ids)``: the pairs of node n are
+        ``pair_ids[first[n]:first[n + 1]]``, ascending."""
+        if self._adjacency is None:
+            ids = np.arange(len(self.u))
+            nodes = np.concatenate([self.u, self.v])
+            ids = np.concatenate([ids, ids])
+            order = np.lexsort((ids, nodes))
+            first = np.zeros(self.num_nodes + 1, dtype=np.int64)
+            np.cumsum(np.bincount(nodes, minlength=self.num_nodes), out=first[1:])
+            self._adjacency = (first, ids[order])
+        return self._adjacency
+
+    def index(self) -> dict[PairKey, int]:
+        if self._index is None:
+            keys = zip(self.u.tolist(), self.v.tolist())
+            self._index = {key: p for p, key in enumerate(keys)}
+        return self._index
+
+
+class PairIntervals(Mapping[PairKey, list[iv.Interval]]):
+    """Read-only view of a stream's alive pairs in stream order; each value
+    is a new list of ``(start, end)`` float tuples."""
+
+    def __init__(self, stream: "LinkStream"):
+        self._stream = stream
+
+    def __getitem__(self, key: PairKey) -> list[iv.Interval]:
+        p = self._stream._table.index().get(key)
+        if p is None or not self._stream._alive[p]:
+            raise KeyError(key)
+        return self._stream._intervals(p)
+
+    def __iter__(self) -> Iterator[PairKey]:
+        alive = self._stream._alive
+        table = self._stream._table
+        return zip(table.u[alive].tolist(), table.v[alive].tolist())
+
+    def __len__(self) -> int:
+        return self._stream.num_pairs
 
 
 class LinkStream:
@@ -107,26 +177,50 @@ class LinkStream:
     def __init__(
         self,
         node_names: Sequence[str],
-        links: dict[PairKey, list[iv.Interval]],
+        links: Mapping[PairKey, Sequence[iv.Interval]],
         delta: float,
         t_begin: float | None = None,
         t_end: float | None = None,
     ):
-        self.node_names = list(node_names)
-        self.links = links
-        self.delta = delta
+        keys = list(links)
+        lists = [links[key] for key in keys]
+        counts = np.array([len(ivs) for ivs in lists], dtype=np.int64)
+        flat = np.array([pt for ivs in lists for pt in ivs], dtype=np.float64).reshape(-1, 2)
+        offsets = np.zeros(len(keys) + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
         if t_begin is None or t_end is None:
-            starts = [ivs[0][0] for ivs in links.values() if ivs]
-            ends = [ivs[-1][1] for ivs in links.values() if ivs]
-            t_begin = min(starts) if starts else 0.0
-            t_end = max(ends) if ends else 0.0
+            nonempty = counts > 0
+            t_begin = float(flat[offsets[:-1][nonempty], 0].min()) if nonempty.any() else 0.0
+            t_end = float(flat[offsets[1:][nonempty] - 1, 1].max()) if nonempty.any() else 0.0
+        table = _PairTable(
+            np.array([k[0] for k in keys], dtype=np.int64),
+            np.array([k[1] for k in keys], dtype=np.int64),
+            len(node_names),
+        )
+        self._setup(node_names, table, offsets, flat[:, 0].copy(), flat[:, 1].copy(),
+                    np.ones(len(keys), dtype=bool), delta, t_begin, t_end)
+
+    def _setup(self, node_names, table, offsets, starts, ends, alive, delta, t_begin, t_end):
+        self.node_names = list(node_names)
+        self.delta = delta
         self.t_begin = t_begin
         self.t_end = t_end
-        # built on first use; a stream made by ``remove_interactions`` gets
-        # its parent's, with only the lists of deleted pairs replaced
-        self._adjacency: dict[int, list[PairKey]] | None = None
-        self._profiles: dict[int, DegreeProfile] = {}
+        self._table = table
+        self._offsets = offsets
+        self._starts = starts
+        self._ends = ends
+        self._alive = alive
+        self.num_pairs = int(np.count_nonzero(alive))
+        # built on first use; a stream made by ``remove_interactions`` starts
+        # from its parent's, without the profiles of the nodes it cut
+        self._profiles: list[DegreeProfile | None] | None = None
         self._series: MeanDegreeSeries | None = None
+
+    @classmethod
+    def _of_arrays(cls, node_names, table, offsets, starts, ends, alive, delta, t_begin, t_end):
+        stream = cls.__new__(cls)
+        stream._setup(node_names, table, offsets, starts, ends, alive, delta, t_begin, t_end)
+        return stream
 
     # -- basic queries ------------------------------------------------------
 
@@ -134,19 +228,32 @@ class LinkStream:
     def num_nodes(self) -> int:
         return len(self.node_names)
 
-    def pairs_of(self, node: int) -> list[PairKey]:
-        return self._pairs_by_node().get(node, [])
+    @property
+    def links(self) -> PairIntervals:
+        return PairIntervals(self)
 
-    def _pairs_by_node(self) -> dict[int, list[PairKey]]:
-        if self._adjacency is None:
-            self._adjacency = {}
-            for key in self.links:
-                self._adjacency.setdefault(key[0], []).append(key)
-                self._adjacency.setdefault(key[1], []).append(key)
-        return self._adjacency
+    def _intervals(self, p: int) -> list[iv.Interval]:
+        a, b = int(self._offsets[p]), int(self._offsets[p + 1])
+        return list(zip(self._starts[a:b].tolist(), self._ends[a:b].tolist()))
+
+    def _pair_ids(self, node: int) -> np.ndarray:
+        """Alive pairs of ``node``, ascending; none for an unknown node."""
+        if not 0 <= node < self.num_nodes:
+            return np.zeros(0, dtype=np.int64)
+        first, pair_ids = self._table.adjacency()
+        ids = pair_ids[first[node]:first[node + 1]]
+        return ids[self._alive[ids]]
+
+    def pairs_of(self, node: int) -> list[PairKey]:
+        ids = self._pair_ids(node)
+        return list(zip(self._table.u[ids].tolist(), self._table.v[ids].tolist()))
 
     def total_link_seconds(self) -> float:
-        return sum(iv.measure(ivs) for ivs in self.links.values())
+        lengths = (self._ends - self._starts).tolist()
+        offsets = self._offsets.tolist()
+        return sum(
+            sum(lengths[offsets[p]:offsets[p + 1]]) for p in np.flatnonzero(self._alive).tolist()
+        )
 
     # -- construction -------------------------------------------------------
 
@@ -164,8 +271,8 @@ class LinkStream:
         one ends.  Every window has the same width, so a pair's ends are sorted
         along with its starts and the previous end is the merged end so far.
         Empty windows are dropped, as ``intervals.merge`` drops them; a pair
-        left without any keeps an empty list.  Pairs are keyed in order of
-        first appearance.
+        left without any keeps no intervals.  Pairs are kept in order of first
+        appearance.
         """
         if delta <= 0:
             raise ValueError("delta must be positive")
@@ -187,19 +294,20 @@ class LinkStream:
         opens[1:] = (pair[1:] != pair[:-1]) | (start[1:] > end[:-1])
         closes = np.ones(len(pair), dtype=bool)
         closes[:-1] = opens[1:]
-        merged = list(zip(start[opens].tolist(), end[closes].tolist()))
         run_pair = pair[opens]
-        lo_at = np.searchsorted(run_pair, keys, side="left").tolist()
-        hi_at = np.searchsorted(run_pair, keys, side="right").tolist()
-        key_u = (keys // width).tolist()
-        key_v = (keys % width).tolist()
-        links = {
-            (key_u[i], key_v[i]): merged[lo_at[i]:hi_at[i]]
-            for i in np.argsort(first_at).tolist()
-        }
+        lo_at = np.searchsorted(run_pair, keys, side="left")
+        counts = np.searchsorted(run_pair, keys, side="right") - lo_at
+        seen = np.argsort(first_at)
+        runs = _ranges(lo_at[seen], counts[seen])
+        offsets = np.zeros(len(keys) + 1, dtype=np.int64)
+        np.cumsum(counts[seen], out=offsets[1:])
+        table = _PairTable(keys[seen] // width, keys[seen] % width, len(node_names))
         t_begin = float(start.min()) if len(start) else 0.0
         t_end = float(end.max()) if len(end) else 0.0
-        return cls(node_names, links, delta, t_begin, t_end)
+        return cls._of_arrays(
+            node_names, table, offsets, start[opens][runs], end[closes][runs],
+            np.ones(len(keys), dtype=bool), delta, t_begin, t_end,
+        )
 
     @classmethod
     def from_pair_intervals(
@@ -212,46 +320,93 @@ class LinkStream:
     ) -> "LinkStream":
         """Build directly from explicit per-pair interval lists (mainly tests)."""
         name_idx = {n: i for i, n in enumerate(node_names)}
-        links = {
-            _pair(name_idx[a], name_idx[b]): iv.merge(ivs)
-            for (a, b), ivs in pair_intervals.items()
-        }
+        links = {}
+        for (a, b), ivs in pair_intervals.items():
+            i, j = name_idx[a], name_idx[b]
+            links[(i, j) if i < j else (j, i)] = iv.merge(ivs)
         return cls(node_names, links, delta, t_begin, t_end)
 
     # -- degree profiles ----------------------------------------------------
 
     def degree_profile(self, node: int) -> DegreeProfile:
-        """Exact piecewise-constant degree of ``node`` (cached)."""
+        """Exact piecewise-constant degree of ``node`` (cached).
+
+        The first query builds every missing profile in one sweep."""
         if not 0 <= node < self.num_nodes:
             raise UnknownNodeError(node)
-        prof = self._profiles.get(node)
+        if self._profiles is None:
+            self._profiles = [None] * self.num_nodes
+        prof = self._profiles[node]
         if prof is None:
-            prof = self._compute_profile(node)
-            self._profiles[node] = prof
+            missing = [n for n, p in enumerate(self._profiles) if p is None]
+            for prof in self._sweep_profiles(np.array(missing, dtype=np.int64)):
+                self._profiles[prof.node] = prof
+            prof = self._profiles[node]
         return prof
 
-    def _compute_profile(self, node: int) -> DegreeProfile:
-        deltas: dict[float, int] = {}
-        for key in self.pairs_of(node):
-            for s, e in self.links[key]:
-                deltas[s] = deltas.get(s, 0) + 1
-                deltas[e] = deltas.get(e, 0) - 1
-        breakpoints: list[float] = []
-        values: list[int] = []
-        level = 0
-        for t in sorted(deltas):
-            d = deltas[t]
-            if d == 0:
-                # an end and a start meeting at t cancel out: no level change
-                continue
-            level += d
-            breakpoints.append(t)
-            values.append(level)
-        if values and values[-1] == 0:
-            values.pop()
-        if not values:
-            return DegreeProfile(node, [], [])
-        return DegreeProfile(node, breakpoints, values)
+    def _sweep_profiles(self, nodes: np.ndarray) -> list[DegreeProfile]:
+        """Exact degree profiles of ``nodes`` (ascending), one sweep per block.
+
+        A block gathers the endpoints of its nodes' alive intervals, +1 at a
+        start and -1 at an end, in pair order and then time order; sorts them
+        by time and then, stably, by node; sums the steps of each (node, time)
+        and drops zero sums, so an end meeting a start leaves no breakpoint;
+        and accumulates the levels.  A node's steps sum to 0, so one running
+        sum over the block restarts at 0 for every node.  Ties keep gather
+        order, so a breakpoint is the first of its equal times, as a dict
+        keyed by time keeps.
+        """
+        first, pair_ids = self._table.adjacency()
+        acc = np.zeros(len(pair_ids) + 1, dtype=np.int64)
+        # dead pairs hold no intervals, so they add no endpoints
+        np.cumsum(np.diff(self._offsets)[pair_ids], out=acc[1:])
+        bound = np.cumsum(2 * (acc[first[nodes + 1]] - acc[first[nodes]]))
+        out: list[DegreeProfile] = []
+        i = 0
+        while i < len(nodes):
+            base = bound[i - 1] if i else 0
+            j = int(np.searchsorted(bound, base + _SWEEP_ENDPOINTS, side="right"))
+            j = min(max(j, i + 1), i + _SWEEP_NODES)
+            out += self._sweep_block(nodes[i:j])
+            i = j
+        return out
+
+    def _sweep_block(self, block: np.ndarray) -> list[DegreeProfile]:
+        first, pair_ids = self._table.adjacency()
+        offsets = self._offsets
+        n_adj = first[block + 1] - first[block]
+        pairs = pair_ids[_ranges(first[block], n_adj)]
+        owner = np.repeat(np.arange(len(block), dtype=np.uint16), n_adj)
+        live = self._alive[pairs]
+        pairs, owner = pairs[live], owner[live]
+        n_iv = offsets[pairs + 1] - offsets[pairs]
+        runs = _ranges(offsets[pairs], n_iv)
+        times = np.empty(2 * len(runs))
+        times[0::2] = self._starts[runs]
+        times[1::2] = self._ends[runs]
+        steps = np.empty(len(times), dtype=np.int64)
+        steps[0::2] = 1
+        steps[1::2] = -1
+        local = np.repeat(owner, 2 * n_iv)
+
+        order = np.argsort(times, kind="stable")
+        order = order[np.argsort(local[order], kind="stable")]
+        times, local, steps = times[order], local[order], steps[order]
+        heads = np.ones(len(times), dtype=bool)
+        heads[1:] = (local[1:] != local[:-1]) | (times[1:] != times[:-1])
+        at = np.flatnonzero(heads)
+        sums = np.add.reduceat(steps, at) if len(at) else steps
+        kept = at[sums != 0]
+        levels = np.cumsum(sums[sums != 0]).tolist()
+        bps = times[kept].tolist()
+        cut = [0] + np.cumsum(np.bincount(local[kept], minlength=len(block))).tolist()
+        profiles = []
+        for k, node in enumerate(block.tolist()):
+            lo, hi = cut[k], cut[k + 1]
+            # the last level is the 0 after the node's last end
+            profiles.append(DegreeProfile(node, bps[lo:hi], levels[lo:hi - 1]) if hi > lo
+                            else DegreeProfile(node, [], []))
+        return profiles
 
     def segments(
         self, node: int, t0: float = -math.inf, t1: float = math.inf
@@ -273,39 +428,48 @@ class LinkStream:
 
         For each victim ``(v, I)`` every pair containing v loses ``I``
         intersected with its intervals; all other pairs are shared untouched.
-        Removing absent time is a no-op.
+        A pair left without intervals dies.  Removing absent time is a no-op.
         """
         cuts: dict[int, list[iv.Interval]] = {}
         for node, interval in victims:
             cuts.setdefault(node, []).append(interval)
         cuts = {node: iv.merge(ivs) for node, ivs in cuts.items()}
 
-        new_links = dict(self.links)
-        affected_pairs: set[PairKey] = set()
+        affected: set[int] = set()
         for node in cuts:
-            affected_pairs.update(self.pairs_of(node))
-        affected_nodes: set[int] = set()
-        deleted: list[PairKey] = []
-        for key in affected_pairs:
-            cut = iv.merge(cuts.get(key[0], []) + cuts.get(key[1], []))
-            trimmed = iv.subtract(self.links[key], cut)
-            if trimmed == self.links[key]:
-                continue  # cut missed this pair; keep the shared list
-            affected_nodes.update(key)
-            if trimmed:
-                new_links[key] = trimmed
-            else:
-                del new_links[key]
-                deleted.append(key)
+            affected.update(self._pair_ids(node).tolist())
+        u, v = self._table.u, self._table.v
+        trimmed: dict[int, list[iv.Interval]] = {}
+        for p in sorted(affected):
+            a, b = int(u[p]), int(v[p])
+            old = self._intervals(p)
+            new = iv.subtract(old, iv.merge(cuts.get(a, []) + cuts.get(b, [])))
+            if new != old:
+                trimmed[p] = new
 
-        out = LinkStream(self.node_names, new_links, self.delta, self.t_begin, self.t_end)
-        adjacency = dict(self._pairs_by_node())
-        for node in {n for key in deleted for n in key}:
-            adjacency[node] = [key for key in adjacency[node] if key in new_links]
-        out._adjacency = adjacency
-        out._profiles = {
-            node: prof for node, prof in self._profiles.items() if node not in affected_nodes
-        }
+        offsets, starts, ends, alive = self._offsets, self._starts, self._ends, self._alive
+        if trimmed:
+            counts = np.diff(offsets)
+            starts_at, ends_at, done = [], [], 0
+            for p, new in trimmed.items():
+                counts[p] = len(new)
+                cut = np.array(new, dtype=np.float64).reshape(-1, 2)
+                starts_at += [starts[done:offsets[p]], cut[:, 0]]
+                ends_at += [ends[done:offsets[p]], cut[:, 1]]
+                done = offsets[p + 1]
+            offsets = np.zeros_like(offsets)
+            np.cumsum(counts, out=offsets[1:])
+            starts = np.concatenate(starts_at + [starts[done:]])
+            ends = np.concatenate(ends_at + [ends[done:]])
+            alive = alive.copy()
+            alive[[p for p, new in trimmed.items() if not new]] = False
+
+        out = LinkStream._of_arrays(self.node_names, self._table, offsets, starts, ends, alive,
+                                    self.delta, self.t_begin, self.t_end)
+        if self._profiles is not None:
+            out._profiles = list(self._profiles)
+            for p in trimmed:
+                out._profiles[int(u[p])] = out._profiles[int(v[p])] = None
         return out
 
     # -- per-second aggregates ----------------------------------------------
@@ -325,14 +489,14 @@ class LinkStream:
         stop = int(math.ceil(self.t_end))
         n_seconds = max(stop - start, 0)
         acc = np.zeros(n_seconds)
-        for ivs in self.links.values():
-            for a, b in ivs:
-                s0 = int(math.floor(a))
-                s1 = int(math.ceil(b))
-                for s in range(s0, s1):
-                    ov = min(b, s + 1.0) - max(a, float(s))
-                    if ov > 0:
-                        acc[s - start] += 2.0 * ov
+        # dead pairs hold no intervals, so this is pair order, then time order
+        for a, b in zip(self._starts.tolist(), self._ends.tolist()):
+            s0 = int(math.floor(a))
+            s1 = int(math.ceil(b))
+            for s in range(s0, s1):
+                ov = min(b, s + 1.0) - max(a, float(s))
+                if ov > 0:
+                    acc[s - start] += 2.0 * ov
         self._series = MeanDegreeSeries(start, acc / self.num_nodes)
         return self._series
 
@@ -342,47 +506,104 @@ class LinkStream:
     VERSION = 1
 
     def save(self, out: BinaryIO) -> None:
-        """Serialize to the little-endian binary cache format (see README)."""
-        out.write(self.MAGIC)
-        out.write(struct.pack("<H", self.VERSION))
-        out.write(struct.pack("<ddd", self.delta, self.t_begin, self.t_end))
-        out.write(struct.pack("<Q", self.num_nodes))
+        """Serialize to the little-endian binary cache format (see README):
+        a header, the node names, then one record per alive pair in key
+        order, ``u, v, n`` as u64 followed by n ``start, end`` f64 pairs."""
+        head = [self.MAGIC, struct.pack("<H", self.VERSION),
+                struct.pack("<ddd", self.delta, self.t_begin, self.t_end),
+                struct.pack("<Q", self.num_nodes)]
         for name in self.node_names:
             raw = name.encode("utf-8")
-            out.write(struct.pack("<H", len(raw)))
-            out.write(raw)
-        keys = sorted(self.links)
-        out.write(struct.pack("<Q", len(keys)))
-        for key in keys:
-            ivs = self.links[key]
-            out.write(struct.pack("<QQQ", key[0], key[1], len(ivs)))
-            for s, e in ivs:
-                out.write(struct.pack("<dd", s, e))
+            head += [struct.pack("<H", len(raw)), raw]
+        alive = np.flatnonzero(self._alive)
+        u, v = self._table.u[alive], self._table.v[alive]
+        order = np.lexsort((v, u))
+        first = self._offsets[alive][order]
+        counts = self._offsets[alive + 1][order] - first
+        head.append(struct.pack("<Q", len(order)))
+        out.write(b"".join(head))
+
+        heads = np.zeros(len(order), dtype=np.int64)
+        np.cumsum(3 + 2 * counts[:-1], out=heads[1:])
+        words = np.empty(int(heads[-1] + 3 + 2 * counts[-1]) if len(order) else 0, dtype="<u8")
+        is_head = np.zeros(len(words), dtype=bool)
+        for k, column in enumerate((u[order], v[order], counts)):
+            words[heads + k] = column
+            is_head[heads + k] = True
+        runs = _ranges(first, counts)
+        body = np.empty((len(runs), 2), dtype="<f8")
+        body[:, 0] = self._starts[runs]
+        body[:, 1] = self._ends[runs]
+        words[~is_head] = body.reshape(-1).view("<u8")
+        out.write(words.tobytes())
 
     @classmethod
     def load(cls, src: BinaryIO) -> "LinkStream":
-        magic = src.read(4)
-        if magic != cls.MAGIC:
+        """Read a cache written by ``save``.  Every count is checked against
+        the bytes left before anything is allocated for it; bytes after the
+        last record are ignored."""
+        buf = src.read()
+        if buf[:4] != cls.MAGIC:
             raise ValueError("not a link-stream cache file")
-        (version,) = struct.unpack("<H", src.read(2))
+        pos = 4
+
+        def unpack(fmt: str) -> tuple:
+            nonlocal pos
+            size = struct.calcsize(fmt)
+            if pos + size > len(buf):
+                raise ValueError(f"truncated at byte {len(buf)}")
+            pos += size
+            return struct.unpack_from(fmt, buf, pos - size)
+
+        (version,) = unpack("<H")
         if version != cls.VERSION:
             raise ValueError(f"unsupported cache version {version}")
-        delta, t_begin, t_end = struct.unpack("<ddd", src.read(24))
-        (n_nodes,) = struct.unpack("<Q", src.read(8))
+        delta, t_begin, t_end = unpack("<ddd")
+        (n_nodes,) = unpack("<Q")
+        if n_nodes > (len(buf) - pos) // 2:
+            raise ValueError(f"{n_nodes} node names cannot fit in {len(buf) - pos} bytes")
         names = []
         for _ in range(n_nodes):
-            (ln,) = struct.unpack("<H", src.read(2))
-            names.append(src.read(ln).decode("utf-8"))
-        (n_pairs,) = struct.unpack("<Q", src.read(8))
-        links: dict[PairKey, list[iv.Interval]] = {}
-        for _ in range(n_pairs):
-            u, v, n_iv = struct.unpack("<QQQ", src.read(24))
-            ivs = []
-            for _ in range(n_iv):
-                s, e = struct.unpack("<dd", src.read(16))
-                ivs.append((s, e))
-            links[(u, v)] = ivs
-        return cls(names, links, delta, t_begin, t_end)
+            (ln,) = unpack("<H")
+            if pos + ln > len(buf):
+                raise ValueError(f"truncated at byte {len(buf)}")
+            names.append(buf[pos:pos + ln].decode("utf-8"))
+            pos += ln
+        (n_pairs,) = unpack("<Q")
+        n_words = (len(buf) - pos) // 8
+        if n_pairs > n_words // 3:
+            raise ValueError(f"{n_pairs} pairs cannot fit in {len(buf) - pos} bytes")
+
+        # one hop per record: a head is three words, then 2n interval words
+        words = np.frombuffer(buf, dtype="<u8", count=n_words, offset=pos)
+        hop = memoryview(words.astype(np.uint64))
+        heads = [0] * n_pairs
+        at = 0
+        for r in range(n_pairs):
+            if at + 3 > n_words:
+                raise ValueError(f"truncated at byte {len(buf)}")
+            heads[r] = at
+            at += 3 + 2 * hop[at + 2]
+        if at > n_words:
+            raise ValueError(f"truncated at byte {len(buf)}")
+
+        heads = np.array(heads, dtype=np.int64)
+        if n_pairs and max(words[heads].max(), words[heads + 1].max()) >= n_nodes:
+            raise ValueError(f"pair node index out of range for {n_nodes} nodes")
+        u, v, counts = (words[heads + k].astype(np.int64) for k in range(3))
+        order = np.lexsort((v, u))
+        if ((u[order][1:] == u[order][:-1]) & (v[order][1:] == v[order][:-1])).any():
+            raise ValueError("duplicate pair record")
+        is_body = np.ones(at, dtype=bool)
+        for k in range(3):
+            is_body[heads + k] = False
+        body = np.frombuffer(buf, dtype="<f8", count=at, offset=pos)[is_body].astype(np.float64)
+        offsets = np.zeros(n_pairs + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        return cls._of_arrays(
+            names, _PairTable(u, v, n_nodes), offsets, body[0::2], body[1::2],
+            np.ones(n_pairs, dtype=bool), delta, t_begin, t_end,
+        )
 
 
 def build_stream(triplets: Iterable[Triplet], node_names: Sequence[str], delta: float) -> LinkStream:

@@ -223,6 +223,13 @@ def three_sigma_outliers(
 # ---------------------------------------------------------------------------
 
 
+# Search interval of the zeta MLE, and the optimizer's tolerance on alpha
+# (scipy's default for the bounded method).  An estimate within the tolerance
+# of either bound is the bound, not a fit.
+ALPHA_BOUNDS = (1.01, 20.0)
+ALPHA_XATOL = 1e-5
+
+
 @dataclass
 class PowerLawVerdict:
     alpha_hat: float
@@ -230,6 +237,7 @@ class PowerLawVerdict:
     ks_stat: float
     p_value: float
     rejected: bool
+    alpha_at_bound: bool
 
 
 def _discrete_mle_alpha(n: int, log_sum: float, k_min: int) -> float:
@@ -239,7 +247,9 @@ def _discrete_mle_alpha(n: int, log_sum: float, k_min: int) -> float:
     def neg_ll(a: float) -> float:
         return n * math.log(special.zeta(a, k_min)) + a * log_sum
 
-    res = optimize.minimize_scalar(neg_ll, bounds=(1.01, 20.0), method="bounded")
+    res = optimize.minimize_scalar(
+        neg_ll, bounds=ALPHA_BOUNDS, method="bounded", options={"xatol": ALPHA_XATOL}
+    )
     return float(res.x)
 
 
@@ -343,4 +353,5 @@ def power_law_test(
         if ks_rep >= ks_data:
             exceed += 1
     p_value = exceed / bootstrap_count
-    return PowerLawVerdict(alpha_hat, k_min, ks_data, p_value, p_value < significance)
+    at_bound = min(abs(alpha_hat - b) for b in ALPHA_BOUNDS) <= ALPHA_XATOL
+    return PowerLawVerdict(alpha_hat, k_min, ks_data, p_value, p_value < significance, at_bound)

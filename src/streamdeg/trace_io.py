@@ -253,7 +253,8 @@ def write_ground_truth(truth: GroundTruth, out: io.IOBase) -> None:
 
 
 def read_ground_truth(source: io.IOBase | str) -> GroundTruth:
-    """Parse ground-truth CSV rows ``node,start,end,kind``.
+    """Parse ground-truth CSV rows ``node,start,end,kind``; a first row
+    whose first field is ``node`` is the header.
 
     A row with another field count, a time that is not a number or an
     interval that is not well-formed raises ``TraceFormatError`` with its
@@ -264,23 +265,31 @@ def read_ground_truth(source: io.IOBase | str) -> GroundTruth:
         text = text.decode("utf-8")
     reader = csv.reader(io.StringIO(text))
     entries = []
-    for row in reader:
-        if not row or row[0] == "node":
-            continue
-        if len(row) != 4:
-            raise TraceFormatError(
-                reader.line_num, f"expected 'node,start,end,kind', got {len(row)} fields"
-            )
-        node, start, end, kind = row
-        try:
-            entry = TruthEntry(node, float(start), float(end), kind)
-        except ValueError:
-            raise TraceFormatError(
-                reader.line_num, f"cannot parse times {start!r}, {end!r}"
-            ) from None
-        if not entry.start < entry.end:
-            raise TraceFormatError(reader.line_num, f"interval not well-formed: {start}, {end}")
-        entries.append(entry)
+    first = True
+    try:
+        for row in reader:
+            if not row:
+                continue
+            if first and row[0] == "node":
+                first = False
+                continue  # the header
+            first = False
+            if len(row) != 4:
+                raise TraceFormatError(
+                    reader.line_num, f"expected 'node,start,end,kind', got {len(row)} fields"
+                )
+            node, start, end, kind = row
+            try:
+                entry = TruthEntry(node, float(start), float(end), kind)
+            except ValueError:
+                raise TraceFormatError(
+                    reader.line_num, f"cannot parse times {start!r}, {end!r}"
+                ) from None
+            if not entry.start < entry.end:
+                raise TraceFormatError(reader.line_num, f"interval not well-formed: {start}, {end}")
+            entries.append(entry)
+    except csv.Error as exc:  # e.g. a field over the csv module's size limit
+        raise TraceFormatError(reader.line_num, str(exc)) from None
     return GroundTruth(entries)
 
 

@@ -10,8 +10,10 @@ from pathlib import Path
 import pytest
 
 import streamdeg
-from streamdeg.cli import main
+from streamdeg.cli import main, write_identified_csv
 from streamdeg.linkstream import LinkStream
+from streamdeg.pipeline import IdentifiedSet
+from streamdeg.trace_io import GroundTruth, TruthEntry, write_ground_truth
 
 SCENARIO = {
     "duration": 120,
@@ -265,6 +267,9 @@ class TestAnalyze:
         assert rc == 0
         report = json.loads((out / "report.json").read_text())
         assert "alpha_hat" in report["power_law"]
+        # the regular background puts almost all degree mass at k_min = 4, so
+        # the fit runs into the search bound and says so
+        assert report["power_law"]["alpha_at_bound"] is True
 
     def test_power_law_insufficient_support_reported(self, tmp_path):
         trace = tmp_path / "steady.txt"
@@ -332,6 +337,8 @@ class TestIdentify:
         report = json.loads((second / "report.json").read_text())
         assert report["identification"]["applied_removals"] == 0
         assert report["identification"]["removed_share"] == 0.0
+        # loading and saving the cache round-trips its bytes
+        assert read_bytes(second / "cleaned_stream.bin") == read_bytes(first / "cleaned_stream.bin")
 
     def test_deterministic_including_threads(self, synth_dir, tmp_path):
         outs = []
@@ -425,7 +432,41 @@ class TestCompare:
         assert "not UTF-8" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("row", ["a,1", "a,x,2,scan"])
+    def test_node_name_with_comma(self, tmp_path):
+        # identify's own output must be valid compare input for any node name
+        ident = tmp_path / "identified.csv"
+        with open(ident, "w", encoding="utf-8") as fh:
+            write_identified_csv(IdentifiedSet({0: [(29.7, 30.7)]}), ["a,b"], fh)
+        assert ident.read_text() == 'node,start,end\n"a,b",29.7,30.7\n'
+        truth = tmp_path / "truth.csv"
+        with open(truth, "w", encoding="utf-8", newline="") as fh:
+            write_ground_truth(GroundTruth([TruthEntry("a,b", 29.7, 30.7, "scan")]), fh)
+        out = tmp_path / "out"
+        rc = main(["compare", "--identified", str(ident), "--truth", str(truth),
+                   "--output-dir", str(out)])
+        assert rc == 0
+        overlap = json.loads((out / "report.json").read_text())["label_overlap"]
+        assert [m["node"] for m in overlap["matched"]] == ["a,b"]
+        assert overlap["precision"] == overlap["recall"] == 1.0
+
+    def test_node_named_node(self, tmp_path):
+        # only the first row is a header; a node may be called "node"
+        ident = tmp_path / "identified.csv"
+        ident.write_text("node,start,end\nnode,1.0,2.0\nother,5.0,6.0\n")
+        truth = tmp_path / "truth.csv"
+        truth.write_text("node,start,end,kind\nnode,1,2,spike\n")
+        out = tmp_path / "out"
+        rc = main(["compare", "--identified", str(ident), "--truth", str(truth),
+                   "--output-dir", str(out)])
+        assert rc == 0
+        overlap = json.loads((out / "report.json").read_text())["label_overlap"]
+        assert [m["node"] for m in overlap["matched"]] == ["node"]
+        assert overlap["recall"] == 1.0
+        assert overlap["precision"] == 0.5
+
+    @pytest.mark.parametrize("row", [
+        "a,1", "a,x,2,scan", pytest.param("a" * 200_000 + ",1,2,scan", id="over-long-field"),
+    ])
     def test_malformed_truth(self, tmp_path, capsys, row):
         ident = tmp_path / "identified.csv"
         ident.write_text("node,start,end\na,1.0,2.0\n")

@@ -1,11 +1,16 @@
 import io
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from streamdeg.linkstream import LinkStream, UnknownNodeError, build_stream, normalize_degrees
-from streamdeg.trace_io import Triplet, parse_trace
+from streamdeg.linkstream import (
+    DegreeProfile, LinkStream, UnknownNodeError, build_stream, normalize_degrees,
+)
+from streamdeg.cli import main
+from streamdeg.trace_io import Triplet, Triplets, parse_trace
 
 # The worked reference stream used throughout: pair presence intervals
 # ab: [0.5,2) u [5.5,6.5) / ac: [3,4) / bc: [3.8,5.8), three nodes.
@@ -41,6 +46,61 @@ def brute_force_degree(stream: LinkStream, node: int, t: float) -> int:
                 count += 1
                 break
     return count
+
+
+def reference_profile(stream: LinkStream, node: int) -> DegreeProfile:
+    """The per-node sweep the blocked array sweep replaced: step sums keyed
+    by time in a dict, zero sums skipped, the trailing 0 dropped."""
+    deltas: dict[float, int] = {}
+    for key in stream.pairs_of(node):
+        for s, e in stream.links[key]:
+            deltas[s] = deltas.get(s, 0) + 1
+            deltas[e] = deltas.get(e, 0) - 1
+    breakpoints: list[float] = []
+    values: list[int] = []
+    level = 0
+    for t in sorted(deltas):
+        d = deltas[t]
+        if d == 0:
+            continue
+        level += d
+        breakpoints.append(t)
+        values.append(level)
+    if values and values[-1] == 0:
+        values.pop()
+    if not values:
+        return DegreeProfile(node, [], [])
+    return DegreeProfile(node, breakpoints, values)
+
+
+def assert_profiles_match_reference(stream: LinkStream, nodes=None) -> None:
+    for node in range(stream.num_nodes) if nodes is None else nodes:
+        got = stream.degree_profile(node)
+        want = reference_profile(stream, node)
+        assert got == want, node
+        assert all(type(t) is float for t in got.breakpoints)
+        assert all(type(k) is int for k in got.values)
+
+
+@st.composite
+def small_streams(draw):
+    """Streams on half-second times with delta 1, so one pair's window ends
+    where another's starts; some pairs only have windows that the builder
+    drops (t = 1e17, where t +- 0.5 rounds to t) and keep no intervals."""
+    n_nodes = draw(st.integers(2, 7))
+    rows = draw(st.lists(st.tuples(st.integers(0, 60), st.integers(0, n_nodes - 1),
+                                   st.integers(0, n_nodes - 2), st.booleans()), max_size=50))
+    triplets = []
+    for t, u, v, far in rows:
+        triplets.append(Triplet(1e17 if far else t / 2.0, u, v + (v >= u)))
+    names = [f"n{i}" for i in range(n_nodes)]
+    return build_stream(triplets, names, 1.0)
+
+
+victim_lists = st.lists(
+    st.lists(st.tuples(st.integers(0, 6), st.integers(-2, 62), st.integers(1, 20)), max_size=4),
+    max_size=5,
+)
 
 
 class TestBuildStream:
@@ -128,6 +188,68 @@ class TestDegreeProfile:
                 assert list(view.segments(0, t0, t1)) == windowed
 
 
+class TestProfileSweep:
+    """The blocked endpoint sweep against the per-node reference."""
+
+    @given(small_streams())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_reference(self, stream):
+        assert_profiles_match_reference(stream)
+
+    def test_endpoints_cancelling_across_pairs(self):
+        # a-b on [0, 1), a-c on [1, 2): the end and the start at 1 cancel
+        stream = LinkStream.from_pair_intervals(
+            ["a", "b", "c"], {("a", "b"): [(0.0, 1.0)], ("a", "c"): [(1.0, 2.0)]}
+        )
+        assert stream.degree_profile(0) == DegreeProfile(0, [0.0, 2.0], [1])
+        assert_profiles_match_reference(stream)
+
+    def test_pair_left_empty_by_the_builder(self):
+        stream = build_stream([Triplet(1e17, 0, 1), Triplet(3.0, 1, 2)], ["a", "b", "c"], 1.0)
+        assert stream.links[(0, 1)] == []
+        assert stream.degree_profile(0) == DegreeProfile(0, [], [])
+        assert_profiles_match_reference(stream)
+
+    def test_more_nodes_and_endpoints_than_one_block(self):
+        # a 70,000-node chain: pair (i, i+1) on [i, i+1), so every inner
+        # node's two windows meet and cancel, over several blocks
+        n = 70_000
+        i = np.arange(n - 1)
+        cols = Triplets(i + 0.5, i, i + 1)
+        stream = build_stream(cols, [f"n{k}" for k in range(n)], 1.0)
+        for node in (0, 1, 65_535, 65_536, n - 1):
+            assert_profiles_match_reference(stream, [node])
+        assert stream.degree_profile(0) == DegreeProfile(0, [0.0, 1.0], [1])
+        assert stream.degree_profile(500) == DegreeProfile(500, [499.0, 501.0], [1])
+        assert_profiles_match_reference(stream, range(0, n, 7))
+
+    def test_more_nodes_than_one_block_holds(self):
+        # mostly isolated nodes: the 65,536-node cap splits the blocks
+        n = 70_000
+        u = np.array([0, 65_535, 65_535, 65_536, 3])
+        v = np.array([n - 1, n - 1, 65_536, n - 2, 65_535])
+        cols = Triplets(np.full(len(u), 1.0), u, v)
+        stream = build_stream(cols, [f"n{k}" for k in range(n)], 1.0)
+        assert_profiles_match_reference(stream, [0, 1, 3, 65_535, 65_536, n - 2, n - 1])
+        assert stream.max_degree() == 3
+
+    @given(small_streams(), victim_lists)
+    @settings(max_examples=60, deadline=None)
+    def test_chained_removals_equal_a_fresh_stream(self, stream, removals):
+        for victims in removals:
+            stream.max_degree()  # every profile built, so the next one inherits
+            out = stream.remove_interactions(
+                [(node, (start / 2.0, (start + width) / 2.0)) for node, start, width in victims]
+            )
+            fresh = LinkStream(out.node_names, out.links, out.delta, out.t_begin, out.t_end)
+            assert list(out.links.items()) == list(fresh.links.items())
+            for node in range(out.num_nodes):
+                assert out.degree_profile(node) == fresh.degree_profile(node)
+            assert_profiles_match_reference(out)
+            assert out.total_link_seconds() == fresh.total_link_seconds()
+            stream = out
+
+
 class TestRemoval:
     def test_remove_node_b_everywhere(self):
         stream = ref_stream()
@@ -168,10 +290,17 @@ class TestRemoval:
             for t in rng.uniform(0, 50, size=200):
                 assert after.value_at(t) <= before.value_at(t)
 
-    def test_shared_pair_lists_for_untouched_pairs(self):
+    def test_untouched_pairs_equal_and_profiles_shared(self):
         stream = ref_stream()
+        stream.max_degree()  # builds every profile
         out = stream.remove_interactions([(1, (0.0, 1.0))])
-        assert out.links[(0, 2)] is stream.links[(0, 2)]
+        assert out.links[(0, 1)] == [(1.0, 2.0), (5.5, 6.5)]
+        assert out.links[(0, 2)] == stream.links[(0, 2)]
+        assert out.links[(1, 2)] == stream.links[(1, 2)]
+        # c keeps only untouched pairs, so its profile is the parent's object
+        assert out.degree_profile(2) is stream.degree_profile(2)
+        assert out.degree_profile(0) is not stream.degree_profile(0)
+        assert out.degree_profile(0) == reference_profile(out, 0)
 
     def test_adjacency_follows_deleted_pairs(self):
         rng = np.random.default_rng(5)
@@ -283,3 +412,135 @@ class TestBinaryCache:
         stream.save(a)
         stream.save(b)
         assert a.getvalue() == b.getvalue()
+
+
+def reference_save(stream: LinkStream, out) -> None:
+    """The record-by-record ``struct`` writer the array writer replaced."""
+    out.write(LinkStream.MAGIC)
+    out.write(struct.pack("<H", LinkStream.VERSION))
+    out.write(struct.pack("<ddd", stream.delta, stream.t_begin, stream.t_end))
+    out.write(struct.pack("<Q", stream.num_nodes))
+    for name in stream.node_names:
+        raw = name.encode("utf-8")
+        out.write(struct.pack("<H", len(raw)))
+        out.write(raw)
+    keys = sorted(stream.links)
+    out.write(struct.pack("<Q", len(keys)))
+    for key in keys:
+        ivs = stream.links[key]
+        out.write(struct.pack("<QQQ", key[0], key[1], len(ivs)))
+        for s, e in ivs:
+            out.write(struct.pack("<dd", s, e))
+
+
+def reference_load(src) -> tuple:
+    """The record-by-record ``struct`` reader the array reader replaced;
+    returns what a loaded stream exposes."""
+    if src.read(4) != LinkStream.MAGIC:
+        raise ValueError("not a link-stream cache file")
+    (version,) = struct.unpack("<H", src.read(2))
+    if version != LinkStream.VERSION:
+        raise ValueError(f"unsupported cache version {version}")
+    delta, t_begin, t_end = struct.unpack("<ddd", src.read(24))
+    (n_nodes,) = struct.unpack("<Q", src.read(8))
+    names = []
+    for _ in range(n_nodes):
+        (ln,) = struct.unpack("<H", src.read(2))
+        names.append(src.read(ln).decode("utf-8"))
+    (n_pairs,) = struct.unpack("<Q", src.read(8))
+    links = {}
+    for _ in range(n_pairs):
+        u, v, n_iv = struct.unpack("<QQQ", src.read(24))
+        ivs = []
+        for _ in range(n_iv):
+            ivs.append(struct.unpack("<dd", src.read(16)))
+        links[(u, v)] = ivs
+    return names, list(links.items()), delta, t_begin, t_end
+
+
+def exposed(stream: LinkStream) -> tuple:
+    return (stream.node_names, list(stream.links.items()), stream.delta,
+            stream.t_begin, stream.t_end)
+
+
+def saved(stream: LinkStream, writer=None) -> bytes:
+    buf = io.BytesIO()
+    (writer or LinkStream.save)(stream, buf)
+    return buf.getvalue()
+
+
+def load_outcome(loader, blob: bytes):
+    """What ``loader`` makes of ``blob``: its result, or "rejected"."""
+    try:
+        result = loader(io.BytesIO(blob))
+    except (struct.error, ValueError):
+        return "rejected"
+    return exposed(result) if isinstance(result, LinkStream) else result
+
+
+def small_cache_blob() -> bytes:
+    # a two-byte UTF-8 name, an empty pair and a pair with two intervals
+    stream = LinkStream(
+        ["a", "b\u00e9", "c"], {(0, 2): [(0.5, 2.0), (3.0, 4.0)], (0, 1): [], (1, 2): [(1.0, 1.5)]},
+        1.0, 0.5, 4.0,
+    )
+    return saved(stream)
+
+
+class TestArrayCache:
+    """The array cache reader and writer against the struct reference."""
+
+    @given(small_streams(), victim_lists)
+    @settings(max_examples=60, deadline=None)
+    def test_same_bytes_and_streams_as_reference(self, stream, removals):
+        for victims in [[]] + removals:
+            stream = stream.remove_interactions(
+                [(node, (start / 2.0, (start + width) / 2.0)) for node, start, width in victims]
+            )
+            blob = saved(stream)
+            assert blob == saved(stream, reference_save)
+            loaded = LinkStream.load(io.BytesIO(blob))
+            assert exposed(loaded) == reference_load(io.BytesIO(blob))
+            assert saved(loaded) == blob
+            assert_profiles_match_reference(loaded)
+
+    def test_every_cut_rejected_as_by_reference(self, tmp_path, capsys):
+        blob = small_cache_blob()
+        assert load_outcome(LinkStream.load, blob) == load_outcome(reference_load, blob)
+        cache = tmp_path / "cut.bin"
+        for cut in range(len(blob)):
+            assert load_outcome(LinkStream.load, blob[:cut]) == "rejected", cut
+            assert load_outcome(reference_load, blob[:cut]) == "rejected", cut
+            cache.write_bytes(blob[:cut])
+            rc = main(["identify", "--trace", str(cache), "--output-dir", str(tmp_path / "out")])
+            assert rc == 2, cut
+            assert "data error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("tail", [b"\x00", b"junk", b"\xff" * 8, b"\x00" * 24])
+    def test_trailing_bytes_ignored_as_by_reference(self, tail):
+        blob = small_cache_blob()
+        got = load_outcome(LinkStream.load, blob + tail)
+        assert got == load_outcome(reference_load, blob + tail)
+        assert got == load_outcome(LinkStream.load, blob)
+
+    @pytest.mark.parametrize("field", ["nodes", "pairs", "intervals"])
+    @pytest.mark.parametrize("count", [2**63 - 1, 2**63, 2**63 + 1, 2**64 - 1])
+    def test_huge_counts_rejected_without_allocating(self, tmp_path, capsys, field, count):
+        blob = small_cache_blob()
+        names_end = 4 + 2 + 24 + 8 + sum(2 + len(n.encode()) for n in ["a", "b\u00e9", "c"])
+        at = {"nodes": 4 + 2 + 24, "pairs": names_end, "intervals": names_end + 8 + 16}[field]
+        bad = blob[:at] + struct.pack("<Q", count) + blob[at + 8:]
+        assert load_outcome(reference_load, bad) == "rejected"
+        tracemalloc.start()
+        try:
+            assert load_outcome(LinkStream.load, bad) == "rejected"
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+        cache = tmp_path / "huge.bin"
+        cache.write_bytes(bad)
+        rc = main(["identify", "--trace", str(cache), "--output-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert "bad stream cache" in capsys.readouterr().err

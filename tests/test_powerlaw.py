@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from streamdeg.robust_stats import InsufficientSupportError, power_law_test
+from streamdeg.robust_stats import ALPHA_BOUNDS, ALPHA_XATOL, InsufficientSupportError, power_law_test
 
 
 def test_zipf_not_rejected():
@@ -12,6 +12,17 @@ def test_zipf_not_rejected():
     assert verdict.p_value >= 0.1
     assert verdict.alpha_hat == pytest.approx(2.5, abs=0.15)
     assert verdict.alpha_hat > 1.0
+    assert not verdict.alpha_at_bound
+
+
+def test_alpha_at_search_bound_flagged():
+    # nearly all mass at k_min, as in the regular-background traces: the
+    # optimizer stops within its tolerance of the upper bound, not on it
+    samples = np.array([1] * 100 + [2] * 300 + [3] * 600 + [4] * 5000 + [5] * 2)
+    verdict = power_law_test(samples, bootstrap_count=100, seed=0)
+    assert verdict.k_min == 4
+    assert 0 < ALPHA_BOUNDS[1] - verdict.alpha_hat <= ALPHA_XATOL
+    assert verdict.alpha_at_bound
 
 
 def test_geometric_tail_rejected():
