@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -49,6 +51,7 @@ from .trace_io import (
     TraceFormatError,
     generate_synthetic,
     parse_trace,
+    read_csv_records,
     read_ground_truth,
     scenario_from_dict,
     write_ground_truth,
@@ -92,15 +95,8 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--threads", type=int, help="accepted; sweep points always run in order")
 
 
-_CONFIG_KEYS = [
-    "delta", "tau", "class_ratio", "sigma_mult", "grubbs_alpha", "ks_alpha",
-    "two_sample_alpha", "zero_majority", "normalized", "seed", "ks_size_mode",
-    "rollback_fit", "threads",
-]
-
-
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    overrides = {k: getattr(args, k, None) for k in _CONFIG_KEYS}
+    overrides = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(RunConfig)}
     try:
         return load_config(getattr(args, "config", None), overrides)
     except FileNotFoundError as exc:
@@ -119,21 +115,20 @@ def _load_stream(path: str, cfg: RunConfig) -> LinkStream:
         raise DataError(f"trace path is not a file: {path}")
     with open(p, "rb") as fh:
         head = fh.read(4)
-    if head == LinkStream.MAGIC:
-        with open(p, "rb") as fh:
+        fh.seek(0)
+        if head == LinkStream.MAGIC:
             try:
                 stream = LinkStream.load(fh)
             except ValueError as exc:  # truncated, bad version, bad count, bad name
                 raise DataError(f"bad stream cache {path}: {exc}") from exc
-    else:
-        try:
-            with open(p, "rb") as fh:
+        else:
+            try:
                 triplets, meta = parse_trace(fh)
-        except TraceFormatError as exc:
-            raise DataError(f"malformed trace {path}: {exc}") from exc
-        except UnicodeDecodeError as exc:
-            raise DataError(f"trace {path} is not UTF-8 text: {exc}") from exc
-        stream = build_stream(triplets, meta.node_names, cfg.delta)
+            except TraceFormatError as exc:
+                raise DataError(f"malformed trace {path}: {exc}") from exc
+            except UnicodeDecodeError as exc:
+                raise DataError(f"trace {path} is not UTF-8 text: {exc}") from exc
+            stream = build_stream(triplets, meta.node_names, cfg.delta)
     if stream.num_nodes == 0:
         raise DataError(f"trace {path} has no interactions")
     return stream
@@ -176,33 +171,20 @@ def write_identified_csv(identified: IdentifiedSet, node_names, out) -> None:
 
 
 def read_identified_csv(path: Path) -> tuple[IdentifiedSet, list[str]]:
-    """Rows ``node,start,end`` as ``write_identified_csv`` writes them; a
-    first row whose first field is ``node`` is the header."""
-    names: list[str] = []
-    index: dict[str, int] = {}
-    entries: dict[int, list] = {}
+    """Rows ``node,start,end`` as ``write_identified_csv`` writes them, read
+    by ``read_csv_records``; nodes are indexed in order of first appearance."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        first = True
-        try:
-            for row in reader:
-                if not row:
-                    continue
-                if first and row[0] == "node":
-                    first = False
-                    continue
-                first = False
-                name, s, e = row
-                start, end = float(s), float(e)
-                if name not in index:
-                    index[name] = len(names)
-                    names.append(name)
-                entries.setdefault(index[name], []).append((start, end))
-        except UnicodeDecodeError:
-            raise
-        except (csv.Error, ValueError):  # a field count, a time, an over-long field
-            raise DataError(f"malformed identified set {path} at line {reader.line_num}")
-    return IdentifiedSet({n: iv.merge(ivs) for n, ivs in entries.items()}), names
+        text = fh.read()
+    entries: dict[str, list] = {}
+    try:
+        for line, (name, s, e) in read_csv_records(text, ("node", "start", "end")):
+            entries.setdefault(name, []).append((float(s), float(e)))
+    except TraceFormatError as exc:  # a field count, an over-long field
+        raise DataError(f"malformed identified set {path} at line {exc.line_no}") from None
+    except ValueError:  # a time
+        raise DataError(f"malformed identified set {path} at line {line}") from None
+    merged = [iv.merge(spans) for spans in entries.values()]
+    return IdentifiedSet(dict(enumerate(merged))), list(entries)
 
 
 # ---------------------------------------------------------------------------
@@ -423,6 +405,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_compare(args) -> int:
     cfg = _config_from_args(args)
+    if args.slack is not None and not 0 <= args.slack < math.inf:  # nan fails too
+        raise UsageError("--slack must be finite and at least 0")
     ident_path = Path(args.identified)
     truth_path = Path(args.truth)
     if not ident_path.is_file():

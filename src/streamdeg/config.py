@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,8 +30,8 @@ class RunConfig:
 
     def validate(self) -> None:
         for name in ("delta", "tau", "class_ratio", "sigma_mult"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:  # nan fails too
+                raise ValueError(f"{name} must be finite and positive")
         for name in ("grubbs_alpha", "ks_alpha", "two_sample_alpha", "zero_majority"):
             if not 0 < getattr(self, name) < 1:
                 raise ValueError(f"{name} must be in (0, 1)")

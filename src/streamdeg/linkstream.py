@@ -435,12 +435,20 @@ class LinkStream:
             cuts.setdefault(node, []).append(interval)
         cuts = {node: iv.merge(ivs) for node, ivs in cuts.items()}
 
-        affected: set[int] = set()
-        for node in cuts:
-            affected.update(self._pair_ids(node).tolist())
+        # only a pair with an interval that ends after the earliest cut start
+        # and starts before the latest cut end can lose anything
+        spans = [c for ivs in cuts.values() for c in ivs]
+        lo = min((a for a, _ in spans), default=math.inf)
+        hi = max((b for _, b in spans), default=-math.inf)
+        pairs = np.unique(np.concatenate(
+            [np.zeros(0, dtype=np.int64)] + [self._pair_ids(node) for node in cuts]))
+        counts = self._offsets[pairs + 1] - self._offsets[pairs]
+        runs = _ranges(self._offsets[pairs], counts)
+        hits = (self._ends[runs] > lo) & (self._starts[runs] < hi)
+        affected = pairs[np.unique(np.repeat(np.arange(len(pairs)), counts)[hits])]
         u, v = self._table.u, self._table.v
         trimmed: dict[int, list[iv.Interval]] = {}
-        for p in sorted(affected):
+        for p in affected.tolist():
             a, b = int(u[p]), int(v[p])
             old = self._intervals(p)
             new = iv.subtract(old, iv.merge(cuts.get(a, []) + cuts.get(b, [])))
@@ -489,14 +497,18 @@ class LinkStream:
         stop = int(math.ceil(self.t_end))
         n_seconds = max(stop - start, 0)
         acc = np.zeros(n_seconds)
-        # dead pairs hold no intervals, so this is pair order, then time order
-        for a, b in zip(self._starts.tolist(), self._ends.tolist()):
-            s0 = int(math.floor(a))
-            s1 = int(math.ceil(b))
-            for s in range(s0, s1):
-                ov = min(b, s + 1.0) - max(a, float(s))
-                if ov > 0:
-                    acc[s - start] += 2.0 * ov
+        # one (interval, second) pair per second an interval meets, in pair
+        # order, then time order, then second order (dead pairs hold no
+        # intervals), added one by one by np.add.at; seconds count from
+        # ``start`` in whole floats, exact where int64 seconds could overflow
+        first = np.floor(self._starts)
+        counts = (np.ceil(self._ends) - first).astype(np.int64)
+        rel = _ranges((first - start).astype(np.int64), counts)
+        seconds = rel + float(start)
+        at = np.repeat(np.arange(len(first)), counts)
+        ov = np.minimum(self._ends[at], seconds + 1.0) - np.maximum(self._starts[at], seconds)
+        keep = ov > 0
+        np.add.at(acc, rel[keep], 2.0 * ov[keep])
         self._series = MeanDegreeSeries(start, acc / self.num_nodes)
         return self._series
 

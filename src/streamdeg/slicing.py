@@ -25,7 +25,7 @@ from typing import IO, Iterable, Sequence
 import numpy as np
 
 from .linkstream import LinkStream, NormalizedDegrees, normalize_degrees
-from .robust_stats import ks_two_sample
+from .robust_stats import _weighted_cdf, two_sample_coefficient
 
 
 class SchemeRangeError(ValueError):
@@ -85,11 +85,6 @@ class DegreeClass:
     def __contains__(self, k) -> bool:
         return self.k_lo <= k <= self.k_hi
 
-    def label(self) -> str:
-        if self.k_lo == self.k_hi:
-            return f"{{{self.k_lo}}}"
-        return f"{{{self.k_lo}..{self.k_hi}}}"
-
 
 @dataclass
 class DegreeClassScheme:
@@ -148,9 +143,6 @@ class NormalizedClass:
     index: int
     lo: float
     hi: float
-
-    def label(self) -> str:
-        return f"[{self.lo:.6g},{self.hi:.6g})"
 
 
 @dataclass
@@ -429,12 +421,6 @@ class SimilarityReport:
         return float((self.ratios > 1.0).mean())
 
 
-def _distribution_arrays(measures: dict[float, float]) -> tuple[np.ndarray, np.ndarray]:
-    values = np.array(sorted(measures))
-    weights = np.array([measures[v] for v in values])
-    return values, weights
-
-
 def ks_similarity_report(
     per_slice: Sequence[dict[float, float]],
     alpha: float = 0.1,
@@ -446,27 +432,44 @@ def ks_similarity_report(
     Sample sizes enter only the critical value: ``support-extent`` uses each
     slice's maximum degree, ``observation-count`` the active measure in units
     of delta.  Slices with no active couples are skipped and reported.
+
+    Each active slice's CDF is built once and read off at every slice's
+    support.  ``gap[a, b]`` is the largest CDF gap over slice a's support, and
+    a pair's KS distance over its merged support, as ``ks_two_sample`` takes
+    it, is ``max(gap[a, b], gap[b, a])``.
     """
-    active = [(i, m) for i, m in enumerate(per_slice) if m]
+    active = np.array([i for i, m in enumerate(per_slice) if m], dtype=np.int64)
     skipped = [i for i, m in enumerate(per_slice) if not m]
-    dists = []
-    sizes = []
-    for i, m in active:
-        values, weights = _distribution_arrays(m)
-        dists.append((values, weights))
-        if size_mode == "support-extent":
-            # normalized supports can sit entirely below 1; a size under one
-            # observation is meaningless for the critical value
-            sizes.append(max(1.0, float(values.max())))
-        elif size_mode == "observation-count":
-            sizes.append(max(1.0, round(sum(m.values()) / delta)))
-        else:
-            raise ValueError(f"unknown size mode {size_mode!r}")
-    ratios = []
-    pairs = []
-    for a in range(len(active)):
-        for b in range(a + 1, len(active)):
-            d, c = ks_two_sample(dists[a], dists[b], sizes[a], sizes[b], alpha)
-            ratios.append(d / c)
-            pairs.append((active[a][0], active[b][0]))
-    return SimilarityReport(np.array(ratios), pairs, skipped, alpha)
+    keys = [sorted(per_slice[i]) for i in active]
+    supports = [np.array(k, dtype=float) for k in keys]
+    if size_mode == "support-extent":
+        # normalized supports can sit entirely below 1; a size under one
+        # observation is meaningless for the critical value
+        sizes = np.array([max(1.0, float(s.max())) for s in supports], dtype=float)
+    elif size_mode == "observation-count":
+        sizes = np.array([max(1.0, round(sum(per_slice[i].values()) / delta)) for i in active],
+                         dtype=float)
+    else:
+        raise ValueError(f"unknown size mode {size_mode!r}")
+
+    # slice b's support as ranks in the union plus b * len(union): one ascending
+    # array, in which slice b's CDF at x is cdfs[b + the position after x]
+    union = np.unique(np.concatenate([np.zeros(0)] + supports))
+    ranks = [np.searchsorted(union, s) for s in supports]
+    flat = np.concatenate([np.zeros(0, dtype=np.int64)] + [
+        b * len(union) + r for b, r in enumerate(ranks)])
+    cdfs = np.concatenate([np.zeros(0)] + [
+        _weighted_cdf(np.array([per_slice[i][k] for k in ks], dtype=float))
+        for i, ks in zip(active, keys)])
+    rows = np.arange(len(active))[:, None]
+    gap = np.zeros((len(active), len(active)))
+    for a, r in enumerate(ranks):
+        at_support = cdfs[np.searchsorted(flat, rows * len(union) + r, side="right") + rows]
+        gap[a] = np.abs(at_support - at_support[a]).max(axis=1)
+
+    a, b = np.triu_indices(len(active), 1)
+    n, m = sizes[a], sizes[b]
+    ratios = np.maximum(gap[a, b], gap[b, a]) / (
+        two_sample_coefficient(alpha) * np.sqrt((n + m) / (n * m)))
+    pairs = list(zip(active[a].tolist(), active[b].tolist()))
+    return SimilarityReport(ratios, pairs, skipped, alpha)

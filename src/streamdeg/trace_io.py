@@ -252,44 +252,44 @@ def write_ground_truth(truth: GroundTruth, out: io.IOBase) -> None:
         writer.writerow([e.node, format_time(e.start), format_time(e.end), e.kind])
 
 
-def read_ground_truth(source: io.IOBase | str) -> GroundTruth:
-    """Parse ground-truth CSV rows ``node,start,end,kind``; a first row
-    whose first field is ``node`` is the header.
+def read_csv_records(text: str, fields: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
+    """``(line, row)`` for each CSV row of ``text``, ``line`` 1-based; skips
+    blank rows and a first row whose first field is ``fields[0]`` (the header).
 
-    A row with another field count, a time that is not a number or an
-    interval that is not well-formed raises ``TraceFormatError`` with its
-    1-based line number.
+    A row without ``len(fields)`` fields, or one the csv module rejects (e.g.
+    a field over its size limit), raises ``TraceFormatError`` at its line.
+    """
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        for n, row in enumerate(filter(None, reader)):
+            if n == 0 and row[0] == fields[0]:
+                continue
+            if len(row) != len(fields):
+                raise TraceFormatError(
+                    reader.line_num, f"expected '{','.join(fields)}', got {len(row)} fields"
+                )
+            yield reader.line_num, row
+    except csv.Error as exc:
+        raise TraceFormatError(reader.line_num, str(exc)) from None
+
+
+def read_ground_truth(source: io.IOBase | str) -> GroundTruth:
+    """Parse ground-truth CSV rows ``node,start,end,kind`` by ``read_csv_records``;
+    a time that is not a number or an interval that is not well-formed also
+    raises ``TraceFormatError`` at its line.
     """
     text = source if isinstance(source, str) else source.read()
     if isinstance(text, bytes):
         text = text.decode("utf-8")
-    reader = csv.reader(io.StringIO(text))
     entries = []
-    first = True
-    try:
-        for row in reader:
-            if not row:
-                continue
-            if first and row[0] == "node":
-                first = False
-                continue  # the header
-            first = False
-            if len(row) != 4:
-                raise TraceFormatError(
-                    reader.line_num, f"expected 'node,start,end,kind', got {len(row)} fields"
-                )
-            node, start, end, kind = row
-            try:
-                entry = TruthEntry(node, float(start), float(end), kind)
-            except ValueError:
-                raise TraceFormatError(
-                    reader.line_num, f"cannot parse times {start!r}, {end!r}"
-                ) from None
-            if not entry.start < entry.end:
-                raise TraceFormatError(reader.line_num, f"interval not well-formed: {start}, {end}")
-            entries.append(entry)
-    except csv.Error as exc:  # e.g. a field over the csv module's size limit
-        raise TraceFormatError(reader.line_num, str(exc)) from None
+    for line, (node, start, end, kind) in read_csv_records(text, ("node", "start", "end", "kind")):
+        try:
+            entry = TruthEntry(node, float(start), float(end), kind)
+        except ValueError:
+            raise TraceFormatError(line, f"cannot parse times {start!r}, {end!r}") from None
+        if not entry.start < entry.end:
+            raise TraceFormatError(line, f"interval not well-formed: {start}, {end}")
+        entries.append(entry)
     return GroundTruth(entries)
 
 
@@ -467,28 +467,20 @@ def generate_synthetic(spec: ScenarioSpec, seed: int) -> tuple[list[Triplet], Tr
     truth_entries: list[TruthEntry] = []
     for inj in spec.injections:
         w = inj.window
-        if isinstance(inj, ScanInjection):
-            src = intern(inj.source)
+        if isinstance(inj, (ScanInjection, FanInInjection)):
+            scan = isinstance(inj, ScanInjection)
+            name, count, kind, tag = ((inj.source, inj.targets, "scan", "t") if scan
+                                      else (inj.dest, inj.sources, "fanin", "s"))
+            hub = intern(name)
             centers = _second_centers(w) if spec.background_model == "regular" else None
-            for j in range(inj.targets):
-                tgt = intern(f"{inj.source}.t{j}")
+            for j in range(count):
+                fresh = intern(f"{name}.{tag}{j}")
                 if centers:
                     t = centers[int(rng.integers(0, len(centers)))]
                 else:
                     t = float(w[0] + rng.random() * (w[1] - w[0]))
-                records.append((t, src, tgt))
-            truth_entries.append(TruthEntry(inj.source, w[0], w[1], "scan"))
-        elif isinstance(inj, FanInInjection):
-            dst = intern(inj.dest)
-            centers = _second_centers(w) if spec.background_model == "regular" else None
-            for j in range(inj.sources):
-                src = intern(f"{inj.dest}.s{j}")
-                if centers:
-                    t = centers[int(rng.integers(0, len(centers)))]
-                else:
-                    t = float(w[0] + rng.random() * (w[1] - w[0]))
-                records.append((t, src, dst))
-            truth_entries.append(TruthEntry(inj.dest, w[0], w[1], "fanin"))
+                records.append((t, hub, fresh) if scan else (t, fresh, hub))
+            truth_entries.append(TruthEntry(name, w[0], w[1], kind))
         else:
             node = intern(inj.node)
             peers = [intern(f"{inj.node}.p{j}") for j in range(inj.level)]

@@ -170,6 +170,28 @@ class TestExitCodes:
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["config"]["tau"] == 4.0
 
+    @pytest.mark.parametrize("name,flag,value", [
+        ("delta", "--delta", "nan"), ("tau", "--tau", "nan"), ("tau", "--tau", "inf"),
+        ("class_ratio", "--r", "-inf"), ("sigma_mult", "--sigma-mult", "nan"),
+    ])
+    @pytest.mark.parametrize("source", ["flag", "environment", "config file"])
+    def test_usage_error_non_finite_config_value(self, tmp_path, capsys, monkeypatch,
+                                                 source, name, flag, value):
+        # checked before the trace is opened, so the trace need not exist
+        argv = ["analyze", "--trace", str(tmp_path / "absent.txt"),
+                "--output-dir", str(tmp_path / "out")]
+        if source == "flag":
+            argv.append(f"{flag}={value}")
+        elif source == "environment":
+            monkeypatch.setenv(f"STREAMDEG_{name.upper()}", value)
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({name: float(value)}))  # NaN, Infinity, -Infinity
+            argv += ["--config", str(cfg)]
+        assert main(argv) == 1
+        assert f"{name} must be finite and positive" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_usage_error_bootstrap_count_too_small(self, synth_dir, tmp_path, capsys):
         rc = main(["analyze", "--trace", str(synth_dir / "trace.txt"), "--power-law",
                    "--bootstrap-count", "10", "--output-dir", str(tmp_path / "out")])
@@ -404,6 +426,15 @@ class TestCompare:
         assert overlap["precision"] == 1.0
         assert report["slack"] == 1.0  # defaults to delta
 
+    @pytest.mark.parametrize("slack", ["-1", "nan", "inf"])
+    def test_usage_error_bad_slack(self, tmp_path, capsys, slack):
+        rc = main(["compare", "--identified", str(tmp_path / "x.csv"),
+                   "--truth", str(tmp_path / "y.csv"), f"--slack={slack}",
+                   "--output-dir", str(tmp_path / "out")])
+        assert rc == 1
+        assert "--slack must be finite and at least 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_files(self, tmp_path):
         rc = main(["compare", "--identified", str(tmp_path / "x.csv"),
                    "--truth", str(tmp_path / "y.csv"), "--output-dir", str(tmp_path)])
@@ -477,6 +508,33 @@ class TestCompare:
         assert rc == 2
         assert "line 2" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("row", [
+        "a,1", "a,x,2", pytest.param("a" * 200_000 + ",1,2", id="over-long-field"),
+    ])
+    def test_malformed_identified(self, tmp_path, capsys, row):
+        ident = tmp_path / "identified.csv"
+        ident.write_text(f"node,start,end\n{row}\n")
+        truth = tmp_path / "truth.csv"
+        truth.write_text("node,start,end,kind\na,1,2,spike\n")
+        rc = main(["compare", "--identified", str(ident), "--truth", str(truth),
+                   "--output-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert f"malformed identified set {ident} at line 2" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_header_only_identified(self, tmp_path):
+        ident = tmp_path / "identified.csv"
+        ident.write_text("node,start,end\n")
+        truth = tmp_path / "truth.csv"
+        truth.write_text("node,start,end,kind\na,1,2,spike\n")
+        out = tmp_path / "out"
+        rc = main(["compare", "--identified", str(ident), "--truth", str(truth),
+                   "--output-dir", str(out)])
+        assert rc == 0
+        overlap = json.loads((out / "report.json").read_text())["label_overlap"]
+        assert overlap["identified_nodes"] == []
+        assert overlap["recall"] == 0.0
 
 
 # Modules that cost most of a fresh import and that identify never calls.

@@ -52,6 +52,9 @@ def test_unknown_config_key_rejected(tmp_path):
     [
         ("tau", -1.0),
         ("delta", 0.0),
+        ("delta", float("nan")),
+        ("tau", float("inf")),
+        ("sigma_mult", float("nan")),
         ("grubbs_alpha", 1.5),
         ("ks_size_mode", "bogus"),
         ("rollback_fit", "sometimes"),

@@ -1,14 +1,17 @@
 import io
+import math
 import struct
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from streamdeg.linkstream import (
     DegreeProfile, LinkStream, UnknownNodeError, build_stream, normalize_degrees,
 )
+from streamdeg import intervals as iv
 from streamdeg.cli import main
 from streamdeg.trace_io import Triplet, Triplets, parse_trace
 
@@ -96,6 +99,28 @@ def small_streams(draw):
     names = [f"n{i}" for i in range(n_nodes)]
     return build_stream(triplets, names, 1.0)
 
+
+def pairs_reaching(stream: LinkStream, cuts) -> list[list[tuple[float, float]]]:
+    """Interval lists, in pair order, of the pairs of a cut node that hold an
+    interval ending after the earliest cut start and starting before the
+    latest cut end: the pairs a removal has to trim."""
+    nodes = {node for node, _ in cuts}
+    lo = min((a for _, (a, b) in cuts if b > a), default=math.inf)
+    hi = max((b for _, (a, b) in cuts if b > a), default=-math.inf)
+    return [ivs for (a, b), ivs in stream.links.items()
+            if {a, b} & nodes and any(e > lo and s < hi for s, e in ivs)]
+
+
+# Node 0's pairs against the cut window [4, 6): n1 on [3, 4) ends where it
+# starts, n2 on [4.5, 5.5) lies inside, n3 on [6, 7) starts where it ends,
+# n4 on [3, 7) spans it and n5 on [1, 2) and [8, 9) has intervals on both
+# sides only.  n1-n2 on [4.5, 5.5) is not a pair of node 0.
+BANDED_STREAM = build_stream(
+    [Triplet(t, 0, v) for v, ts in [(1, [3.5]), (2, [5.0]), (3, [6.5]),
+                                    (4, [3.5, 4.5, 5.5, 6.5]), (5, [1.5, 8.5])] for t in ts]
+    + [Triplet(5.0, 1, 2)],
+    [f"n{i}" for i in range(6)], 1.0,
+)
 
 victim_lists = st.lists(
     st.lists(st.tuples(st.integers(0, 6), st.integers(-2, 62), st.integers(1, 20)), max_size=4),
@@ -234,13 +259,15 @@ class TestProfileSweep:
         assert stream.max_degree() == 3
 
     @given(small_streams(), victim_lists)
+    @example(BANDED_STREAM, [[(0, 8, 4)], [(0, 8, 4), (3, 14, 2)], [(1, 0, 30)]])
     @settings(max_examples=60, deadline=None)
     def test_chained_removals_equal_a_fresh_stream(self, stream, removals):
         for victims in removals:
             stream.max_degree()  # every profile built, so the next one inherits
-            out = stream.remove_interactions(
-                [(node, (start / 2.0, (start + width) / 2.0)) for node, start, width in victims]
-            )
+            cuts = [(node, (start / 2.0, (start + width) / 2.0)) for node, start, width in victims]
+            with mock.patch.object(iv, "subtract", wraps=iv.subtract) as subtract:
+                out = stream.remove_interactions(cuts)
+            assert [call.args[0] for call in subtract.call_args_list] == pairs_reaching(stream, cuts)
             fresh = LinkStream(out.node_names, out.links, out.delta, out.t_begin, out.t_end)
             assert list(out.links.items()) == list(fresh.links.items())
             for node in range(out.num_nodes):
@@ -315,7 +342,56 @@ class TestRemoval:
         assert len(streams[-1].links) < len(stream.links)
 
 
+def reference_mean_degree(stream: LinkStream) -> tuple[int, np.ndarray]:
+    """The per-second loop the array pass replaced: each interval's overlap
+    with every second it meets, added in pair order, then time order."""
+    start = int(math.floor(stream.t_begin))
+    acc = np.zeros(max(int(math.ceil(stream.t_end)) - start, 0))
+    for ivs in stream.links.values():
+        for a, b in ivs:
+            for s in range(int(math.floor(a)), int(math.ceil(b))):
+                ov = min(b, s + 1.0) - max(a, float(s))
+                if ov > 0:
+                    acc[s - start] += 2.0 * ov
+    return start, acc / stream.num_nodes
+
+
+@st.composite
+def timed_streams(draw):
+    """Streams whose windows start and end on whole seconds (delta 1 on
+    half-second times), on thirds of a second, or anywhere (delta 0.3)."""
+    n_nodes = draw(st.integers(2, 7))
+    scale, delta = draw(st.sampled_from([(2.0, 1.0), (3.0, 2.0), (7.0, 0.3)]))
+    rows = draw(st.lists(st.tuples(st.integers(-20, 90), st.integers(0, n_nodes - 1),
+                                   st.integers(0, n_nodes - 2)), min_size=1, max_size=50))
+    triplets = [Triplet(t / scale, u, v + (v >= u)) for t, u, v in rows]
+    return build_stream(triplets, [f"n{i}" for i in range(n_nodes)], delta)
+
+
 class TestMeanDegree:
+    @given(timed_streams(), victim_lists)
+    @settings(max_examples=80, deadline=None)
+    def test_matches_per_second_loop_on_derived_streams(self, stream, removals):
+        for victims in [[]] + removals:
+            stream = stream.remove_interactions(
+                [(node, (start / 2.0, (start + width) / 2.0)) for node, start, width in victims]
+            )
+            start, values = reference_mean_degree(stream)
+            series = stream.mean_degree_per_second()
+            assert series.start_second == start
+            assert series.values.tobytes() == values.tobytes()
+
+    @pytest.mark.parametrize("origin", [0.0, 1e19, -1e19])
+    def test_matches_per_second_loop_beyond_int64_seconds(self, origin):
+        # 2048 apart is one float step at 1e19, so ``s + 1.0`` rounds there
+        pairs = {("a", "b"): [(origin, origin + 4096.0)],
+                 ("b", "c"): [(origin + 2048.0, origin + 8192.0)]}
+        stream = LinkStream.from_pair_intervals(["a", "b", "c"], pairs)
+        start, values = reference_mean_degree(stream)
+        series = stream.mean_degree_per_second()
+        assert series.start_second == start
+        assert series.values.tobytes() == values.tobytes()
+
     def test_single_link_single_second(self):
         stream = LinkStream.from_pair_intervals(["a", "b"], {("a", "b"): [(0.0, 1.0)]})
         series = stream.mean_degree_per_second()

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from streamdeg.linkstream import LinkStream, build_stream
 from streamdeg.slicing import (
@@ -16,6 +16,7 @@ from streamdeg.slicing import (
     ks_similarity_report,
     slice_value_measures,
 )
+from streamdeg.robust_stats import ks_two_sample
 from streamdeg.trace_io import ScenarioSpec, ScanInjection, generate_synthetic
 
 from test_linkstream import REF_PAIRS, random_stream, ref_stream
@@ -194,6 +195,51 @@ class TestFractionMatrix:
         assert meta["ratio"] == 0.1
         assert meta["grid"]["tau"] == 2.0
 
+
+def reference_similarity(per_slice, alpha, size_mode, delta):
+    """The per-pair computation the one-table report replaced: one
+    ``ks_two_sample`` call per unordered pair of active slices."""
+    active = [i for i, m in enumerate(per_slice) if m]
+    dists = [(np.array(sorted(per_slice[i])), [per_slice[i][v] for v in sorted(per_slice[i])])
+             for i in active]
+    if size_mode == "support-extent":
+        sizes = [max(1.0, float(values.max())) for values, _ in dists]
+    else:
+        sizes = [max(1.0, round(sum(per_slice[i].values()) / delta)) for i in active]
+    ratios, pairs = [], []
+    for a in range(len(active)):
+        for b in range(a + 1, len(active)):
+            d, c = ks_two_sample(dists[a], dists[b], sizes[a], sizes[b], alpha)
+            ratios.append(d / c)
+            pairs.append((active[a], active[b]))
+    return np.array(ratios), pairs, [i for i, m in enumerate(per_slice) if not m]
+
+
+# integer degrees, normalized degrees (floats, some below 1) and both mixed
+similarity_keys = st.one_of(
+    st.integers(1, 8), st.sampled_from([0.25, 0.8, 1.0 / 3.0, 1.5, 2.5, 7.75]),
+    st.floats(0.01, 50.0),
+)
+slice_measures = st.lists(
+    st.dictionaries(similarity_keys, st.floats(1e-3, 1e3), max_size=6), max_size=8
+)
+
+
+class TestSimilarityReport:
+    @given(slice_measures, st.sampled_from(["support-extent", "observation-count"]),
+           st.sampled_from([0.1, 0.05]), st.sampled_from([1.0, 0.3]))
+    @example([{1: 2.0}, {}, {5: 1.0}, {0.5: 1.0, 9.0: 3.0}, {2.0: 1.0, 3.0: 1.0}],
+             "support-extent", 0.1, 1.0)
+    @example([{1: 1.0, 4: 1.0}, {2: 1.0, 3: 1.0}, {}], "observation-count", 0.1, 1.0)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_pair_two_sample(self, per_slice, size_mode, alpha, delta):
+        want_ratios, want_pairs, want_skipped = reference_similarity(
+            per_slice, alpha, size_mode, delta)
+        rep = ks_similarity_report(per_slice, alpha, size_mode, delta)
+        assert rep.ratios.dtype == np.float64
+        assert rep.ratios.tobytes() == want_ratios.tobytes()
+        assert rep.pairs == want_pairs
+        assert rep.skipped_slices == want_skipped
 
 class TestSimilarityReport:
     def test_identical_slices_ratio_zero(self):

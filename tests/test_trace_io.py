@@ -14,6 +14,7 @@ from streamdeg.trace_io import (
     TruthEntry,
     generate_synthetic,
     parse_trace,
+    read_csv_records,
     read_ground_truth,
     scenario_from_dict,
     write_ground_truth,
@@ -129,7 +130,37 @@ def test_ground_truth_bad_row_reports_line(row):
     assert exc.value.line_no == 3
 
 
+def test_csv_records_skip_blank_rows_and_only_a_first_header():
+    # a quoted field may hold a line break; a record's line is its last
+    text = '\n\nnode,start,end\nnode,1,2\n\n"a\nb",3,4\n'
+    assert list(read_csv_records(text, ("node", "start", "end"))) == [
+        (4, ["node", "1", "2"]), (7, ["a\nb", "3", "4"]),
+    ]
+    with pytest.raises(TraceFormatError, match="line 2: expected 'node,start,end', got 2"):
+        list(read_csv_records("a,1,2\na,1\n", ("node", "start", "end")))
+    with pytest.raises(TraceFormatError, match="line 1: field larger than field limit"):
+        list(read_csv_records("a" * 200_000 + ",1,2\n", ("node", "start", "end")))
+
+
 class TestSynthetic:
+    @pytest.mark.parametrize("model", ["regular", "poisson"])
+    def test_scan_and_fanin_orientation(self, model):
+        # a scan's hub contacts its fresh targets, a fan-in's fresh sources its hub
+        spec = ScenarioSpec(
+            duration=10, background_nodes=4, background_degree=2, background_model=model,
+            injections=[ScanInjection("hub", 3, (2.0, 4.0)), FanInInjection("sink", 3, (5.0, 7.0))],
+        )
+        triplets, meta, truth = generate_synthetic(spec, seed=2)
+        names = meta.node_names
+        rows = [(t, names[u], names[v]) for t, u, v in triplets if not names[u].startswith("bg")]
+        scan = [r for r in rows if 2.0 <= r[0] < 4.0]
+        fanin = [r for r in rows if 5.0 <= r[0] < 7.0]
+        assert len(scan) == len(fanin) == 3 == len(rows) / 2
+        assert {(u, v) for _, u, v in scan} == {("hub", f"hub.t{j}") for j in range(3)}
+        assert {(u, v) for _, u, v in fanin} == {(f"sink.s{j}", "sink") for j in range(3)}
+        assert truth.entries == [TruthEntry("hub", 2.0, 4.0, "scan"),
+                                 TruthEntry("sink", 5.0, 7.0, "fanin")]
+
     def test_deterministic(self):
         spec = ScenarioSpec(duration=20, background_nodes=10, background_degree=2)
         a = generate_synthetic(spec, seed=7)
