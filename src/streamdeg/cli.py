@@ -16,6 +16,8 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import intervals as iv
 from .config import ENV_PREFIX, RunConfig, load_config
 from .linkstream import LinkStream, build_stream
@@ -147,20 +149,18 @@ def _grid_for(stream: LinkStream, cfg: RunConfig) -> TimeSliceGrid:
 
 
 def _pipeline_params(cfg: RunConfig) -> PipelineParams:
-    return PipelineParams(
-        grubbs_alpha=cfg.grubbs_alpha,
-        ks_alpha=cfg.ks_alpha,
-        zero_majority=cfg.zero_majority,
-        sigma_mult=cfg.sigma_mult,
-        rollback_fit=cfg.rollback_fit,
-        normalized=cfg.normalized,
-    )
+    return PipelineParams(**{f.name: getattr(cfg, f.name) for f in dataclasses.fields(PipelineParams)})
 
 
 def _outdir(args) -> Path:
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
+
+
+def _write_report(out: Path, cfg: RunConfig, blocks: dict) -> None:
+    with open(out / "report.json", "w", encoding="utf-8") as fh:
+        write_report(build_report(cfg.to_dict(), blocks), fh)
 
 
 def write_identified_csv(identified: IdentifiedSet, node_names, out) -> None:
@@ -208,28 +208,20 @@ def cmd_synth(args) -> int:
         write_trace(triplets, meta.node_names, fh)
     with open(out / "truth.csv", "w", encoding="utf-8", newline="") as fh:
         write_ground_truth(truth, fh)
-    report = build_report(
-        cfg.to_dict(),
-        {
-            "synth": {
-                "triplet_count": meta.triplet_count,
-                "node_count": meta.node_count,
-                "t_min": meta.t_min,
-                "t_max": meta.t_max,
-                "truth_entries": len(truth.entries),
-            }
-        },
-    )
-    with open(out / "report.json", "w", encoding="utf-8") as fh:
-        write_report(report, fh)
+    _write_report(out, cfg, {
+        "synth": {
+            "triplet_count": meta.triplet_count,
+            "node_count": meta.node_count,
+            "t_min": meta.t_min,
+            "t_max": meta.t_max,
+            "truth_entries": len(truth.entries),
+        }
+    })
     print(f"wrote {meta.triplet_count} triplets, {meta.node_count} nodes -> {out / 'trace.txt'}")
     return EXIT_OK
 
 
 def _analysis_blocks(stream, grid, scheme, labels, events):
-    label_counts = {"AN": 0, "A": 0, "R": 0}
-    for lab in labels:
-        label_counts[lab.verdict] += 1
     return {
         "stream": {
             "nodes": stream.num_nodes,
@@ -240,7 +232,7 @@ def _analysis_blocks(stream, grid, scheme, labels, events):
         },
         "grid": {"origin": grid.origin, "tau": grid.tau, "slices": grid.count},
         "scheme": {"ratio": scheme.ratio, "classes": len(scheme)},
-        "labels": label_counts,
+        "labels": class_count_summary(labels),
         "events": {"detected": len(events)},
     }
 
@@ -252,7 +244,8 @@ def cmd_analyze(args) -> int:
     stream = _load_stream(args.trace, cfg)
     grid = _grid_for(stream, cfg)
     scheme, view = build_scheme(stream, cfg.class_ratio, cfg.normalized)
-    matrix = fraction_matrix(stream, grid, scheme, view)
+    measures = slice_value_measures(stream, grid, view)
+    matrix = fraction_matrix(stream, grid, scheme, view, measures)
     labels = classify_classes(matrix, cfg.grubbs_alpha, cfg.ks_alpha, cfg.zero_majority)
     events = detect_events(matrix, labels, cfg.sigma_mult)
 
@@ -272,7 +265,6 @@ def cmd_analyze(args) -> int:
 
     blocks = _analysis_blocks(stream, grid, scheme, labels, events)
     if args.ks_report:
-        measures = slice_value_measures(stream, grid, view)
         sim = ks_similarity_report(measures, cfg.two_sample_alpha, cfg.ks_size_mode, cfg.delta)
         with open(out / "ks_ratios.csv", "w", encoding="utf-8") as fh:
             fh.write("slice_a,slice_b,ratio\n")
@@ -284,32 +276,25 @@ def cmd_analyze(args) -> int:
             "skipped_slices": sim.skipped_slices,
         }
     if args.power_law:
-        measures = slice_value_measures(stream, grid, None)
+        raw_measures = measures if view is None else slice_value_measures(stream, grid)
         counts: dict[int, float] = {}
-        for acc in measures:
+        for acc in raw_measures:
             for k, m in acc.items():
                 counts[int(k)] = counts.get(int(k), 0.0) + m
-        samples = []
-        for k in sorted(counts):
-            # couple-time measure converted to counts, one observation per delta
-            samples.extend([k] * max(1, round(counts[k] / cfg.delta)))
+        degrees = sorted(counts)
+        # couple-time measure converted to counts, one observation per delta
+        samples = np.repeat(degrees, [max(1, round(counts[k] / cfg.delta)) for k in degrees])
         try:
             verdict = power_law_test(
                 samples, bootstrap_count=args.bootstrap_count,
                 significance=cfg.ks_alpha, seed=cfg.seed,
             )
             blocks["power_law"] = {
-                "alpha_hat": verdict.alpha_hat,
-                "k_min": verdict.k_min,
-                "p_value": verdict.p_value,
-                "rejected": verdict.rejected,
-                "alpha_at_bound": verdict.alpha_at_bound,
+                k: v for k, v in dataclasses.asdict(verdict).items() if k != "ks_stat"
             }
         except InsufficientSupportError as exc:
             blocks["power_law"] = {"error": str(exc)}
-    report = build_report(cfg.to_dict(), blocks)
-    with open(out / "report.json", "w", encoding="utf-8") as fh:
-        write_report(report, fh)
+    _write_report(out, cfg, blocks)
     print(f"{grid.count} slices, {len(scheme)} classes, {len(events)} events detected")
     return EXIT_OK
 
@@ -345,13 +330,11 @@ def cmd_identify(args) -> int:
             "identified_measure": result.identified_set.measure,
             "identified_nodes": sorted(names[n] for n in result.identified_set.nodes()),
             "k_id": smallest_identifiable_degree(result),
-            "class_counts": class_count_summary(result),
+            "class_counts": class_count_summary(result.initial.labels),
             "residual_under_initial_labels": result.residual_under_initial_labels,
         }
     }
-    report = build_report(cfg.to_dict(), blocks)
-    with open(out / "report.json", "w", encoding="utf-8") as fh:
-        write_report(report, fh)
+    _write_report(out, cfg, blocks)
     print(
         f"detected {len(result.detected_events)}, identified {len(result.identified_events)}, "
         f"removed {result.removed_share:.2%} of traffic"
@@ -368,10 +351,7 @@ def cmd_validate(args) -> int:
         write_series_csv(report_block.before.series, fh)
     with open(out / "series_after.csv", "w", encoding="utf-8", newline="") as fh:
         write_series_csv(report_block.after.series, fh)
-    blocks = {"validation": report_block.to_dict()}
-    report = build_report(cfg.to_dict(), blocks)
-    with open(out / "report.json", "w", encoding="utf-8") as fh:
-        write_report(report, fh)
+    _write_report(out, cfg, {"validation": report_block.to_dict()})
     print(
         f"outlying seconds {report_block.before.outlying_seconds} -> "
         f"{report_block.after.outlying_seconds}, mean change "
@@ -396,9 +376,7 @@ def cmd_sweep(args) -> int:
     out = _outdir(args)
     with open(out / "sweep.csv", "w", encoding="utf-8", newline="") as fh:
         report.write_csv(fh)
-    full = build_report(cfg.to_dict(), {"sweep": report.to_dict(include_runtime=False)})
-    with open(out / "report.json", "w", encoding="utf-8") as fh:
-        write_report(full, fh)
+    _write_report(out, cfg, {"sweep": report.to_dict(include_runtime=False)})
     print(f"swept {args.axis} over {len(values)} values")
     return EXIT_OK
 
@@ -427,9 +405,7 @@ def cmd_compare(args) -> int:
     slack = args.slack if args.slack is not None else cfg.delta
     overlap = label_overlap(identified, names, truth, slack)
     out = _outdir(args)
-    report = build_report(cfg.to_dict(), {"label_overlap": overlap.to_dict(), "slack": slack})
-    with open(out / "report.json", "w", encoding="utf-8") as fh:
-        write_report(report, fh)
+    _write_report(out, cfg, {"label_overlap": overlap.to_dict(), "slack": slack})
     print(f"precision {overlap.precision:.3f}, recall {overlap.recall:.3f}")
     return EXIT_OK
 

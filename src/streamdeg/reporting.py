@@ -11,12 +11,13 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import IO, Sequence
 
 from . import intervals as iv
 from .linkstream import LinkStream, MeanDegreeSeries
 from .pipeline import (
+    ClassLabel,
     IdentificationResult,
     IdentifiedSet,
     PipelineParams,
@@ -157,22 +158,7 @@ class OverlapReport:
     flagged_empty: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "precision": self.precision,
-            "recall": self.recall,
-            "per_kind_recall": self.per_kind_recall,
-            "matched": [
-                {
-                    "node": m.node,
-                    "kind": m.kind,
-                    "identified_covered": m.identified_covered,
-                    "truth_covered": m.truth_covered,
-                }
-                for m in self.matched
-            ],
-            "identified_nodes": self.identified_nodes,
-            "flagged_empty": self.flagged_empty,
-        }
+        return asdict(self)
 
 
 def label_overlap(
@@ -277,20 +263,11 @@ class SweepReport:
             writer.writerow(row)
 
     def to_dict(self, include_runtime: bool = True) -> dict:
-        points = []
-        for p in self.points:
-            item = {
-                "value": p.value,
-                "jaccard_vs_reference": p.jaccard_vs_reference,
-                "identified_measure": p.identified_measure,
-                "class_counts": p.class_counts,
-                "k_id": p.k_id,
-                "error": p.error,
-            }
-            if include_runtime:
-                item["runtime_s"] = p.runtime_s
-            points.append(item)
-        return {"axis": self.axis, "reference": self.reference, "points": points}
+        out = asdict(self)
+        if not include_runtime:
+            for item in out["points"]:
+                del item["runtime_s"]
+        return out
 
 
 def smallest_identifiable_degree(result: IdentificationResult) -> float | None:
@@ -304,9 +281,9 @@ def smallest_identifiable_degree(result: IdentificationResult) -> float | None:
     return min(lows) if lows else None
 
 
-def class_count_summary(result: IdentificationResult) -> dict[str, int]:
+def class_count_summary(labels: Sequence[ClassLabel]) -> dict[str, int]:
     counts = {"AN": 0, "A": 0, "R": 0}
-    for label in result.initial.labels:
+    for label in labels:
         counts[label.verdict] += 1
     return counts
 
@@ -371,7 +348,7 @@ def sweep(
                 value,
                 jac,
                 res.identified_set.measure,
-                class_count_summary(res),
+                class_count_summary(res.initial.labels),
                 smallest_identifiable_degree(res),
                 elapsed,
             )

@@ -223,11 +223,18 @@ def three_sigma_outliers(
 # ---------------------------------------------------------------------------
 
 
-# Search interval of the zeta MLE, and the optimizer's tolerance on alpha
-# (scipy's default for the bounded method).  An estimate within the tolerance
-# of either bound is the bound, not a fit.
+# Search interval of the zeta MLE.  An estimate within ALPHA_XATOL of either
+# bound is the bound, not a fit.  The golden-section search makes a fixed
+# GOLDEN_STEPS steps, each shrinking the bracket by 0.618: 40 take the
+# 18.99-wide interval below 1e-7, far inside the tolerance, and with no
+# data-dependent stop an estimate's bits do not depend on its batch.
 ALPHA_BOUNDS = (1.01, 20.0)
 ALPHA_XATOL = 1e-5
+GOLDEN_STEPS = 40
+# Most (candidate, value) cells one KS pass of the batched fit holds.
+KS_CELLS = 1 << 18
+
+Table = tuple[np.ndarray, np.ndarray]  # sorted distinct values, their counts
 
 
 @dataclass
@@ -240,51 +247,78 @@ class PowerLawVerdict:
     alpha_at_bound: bool
 
 
-def _discrete_mle_alpha(n: int, log_sum: float, k_min: int) -> float:
-    """Maximize the zeta likelihood of P(k) = k^-a / zeta(a, k_min)."""
-    from scipy import optimize  # costly to import; only the power-law fit needs it
+def _mle_alpha(n: np.ndarray, log_sum: np.ndarray, k_min: np.ndarray) -> np.ndarray:
+    """Maximize the zeta likelihood of P(k) = k^-a / zeta(a, k_min) for every
+    candidate at once: one golden-section search over ALPHA_BOUNDS for the
+    minimizer of n*log(zeta(a, k_min)) + a*log_sum, which is convex in a."""
 
-    def neg_ll(a: float) -> float:
-        return n * math.log(special.zeta(a, k_min)) + a * log_sum
+    def neg_ll(a: np.ndarray) -> np.ndarray:
+        return n * np.log(special.zeta(a, k_min)) + a * log_sum
 
-    res = optimize.minimize_scalar(
-        neg_ll, bounds=ALPHA_BOUNDS, method="bounded", options={"xatol": ALPHA_XATOL}
-    )
-    return float(res.x)
+    g = (math.sqrt(5.0) - 1.0) / 2.0
+    lo, hi = np.full(len(n), ALPHA_BOUNDS[0]), np.full(len(n), ALPHA_BOUNDS[1])
+    x1, x2 = hi - g * (hi - lo), lo + g * (hi - lo)
+    f1, f2 = neg_ll(x1), neg_ll(x2)
+    for _ in range(GOLDEN_STEPS):
+        left = f1 < f2  # the minimum lies in [lo, x2], else in [x1, hi]
+        lo, hi = np.where(left, lo, x1), np.where(left, x2, hi)
+        x = np.where(left, hi - g * (hi - lo), lo + g * (hi - lo))
+        f = neg_ll(x)
+        x1, x2 = np.where(left, x, x2), np.where(left, x1, x)
+        f1, f2 = np.where(left, f, f2), np.where(left, f1, f)
+    return (lo + hi) / 2.0
 
 
-def _fit_powerlaw(samples: np.ndarray) -> tuple[float, int, float]:
-    """Scan k_min candidates (keeping >= 10% of mass), pick the KS minimizer."""
-    n = len(samples)
-    values, counts = np.unique(samples, return_counts=True)
-    # suffix aggregates make every candidate fit O(distinct values)
-    tail_n = np.cumsum(counts[::-1])[::-1]
-    tail_logsum = np.cumsum((counts * np.log(values))[::-1])[::-1]
-    keep = tail_n >= max(0.1 * n, 2)
-    best = None
-    for pos in np.flatnonzero(keep):
-        if len(values) - pos < 2:
-            continue  # fewer than 2 distinct values above this k_min
-        k_min = int(values[pos])
-        alpha = _discrete_mle_alpha(int(tail_n[pos]), float(tail_logsum[pos]), k_min)
-        vv = values[pos:]
-        emp_cdf = np.cumsum(counts[pos:]) / tail_n[pos]
-        z = special.zeta(alpha, k_min)
-        model_cdf = 1.0 - special.zeta(alpha, vv + 1) / z
-        ks = float(np.abs(emp_cdf - model_cdf).max())
-        if best is None or ks < best[2]:
-            best = (alpha, k_min, ks)
-    if best is None:
-        raise InsufficientSupportError(
-            "need at least 2 distinct values above k_min to fit a power law"
-        )
-    return best
+def _fit_powerlaw(tables: Sequence[Table]) -> list[tuple[float, int, float] | None]:
+    """Fit each (values, counts) table: the k_min candidate with the
+    smallest KS distance (the first on a tie), as (alpha, k_min, ks), or None
+    when the table has no candidate.
+
+    A candidate keeps at least 10% of its table's mass (and 2 samples) and
+    has 2 distinct values at or above it.  The candidates of all tables
+    are solved in one batch, and their KS distances are taken over flat
+    (candidate, value >= k_min) cells, KS_CELLS at a time.
+    """
+    values = np.concatenate([v for v, _ in tables])
+    cum = np.concatenate([np.cumsum(c) for _, c in tables])
+    table_end = np.cumsum([len(v) for v, _ in tables])
+    cands, bounds = [], [0]
+    for (vals, counts), end in zip(tables, table_end):
+        # suffix aggregates give every candidate's sums at once; tail_n falls
+        # with the position, so the candidates are a prefix
+        tail_n = np.cumsum(counts[::-1])[::-1]
+        tail_logsum = np.cumsum((counts * np.log(vals))[::-1])[::-1]
+        m = min(int(np.count_nonzero(tail_n >= max(0.1 * tail_n[0], 2))), len(vals) - 1)
+        cands.append((end - len(vals) + np.arange(m), tail_n[:m], tail_logsum[:m]))
+        bounds.append(bounds[-1] + m)
+    start, n, log_sum = (np.concatenate(c) for c in zip(*cands))
+    stop = np.repeat(table_end, np.diff(bounds))
+    k_min = values[start]
+    alpha = _mle_alpha(n, log_sum, k_min)
+    z = special.zeta(alpha, k_min)
+    before = cum[stop - 1] - n  # samples of the candidate's table below k_min
+    length = stop - start
+    step = max(1, KS_CELLS // int(length.max(initial=1)))  # candidates per pass
+    ks = np.empty(len(alpha))
+    for a in range(0, len(alpha), step):
+        lens = length[a:a + step]
+        owner = np.repeat(np.arange(a, a + len(lens)), lens)
+        head = np.cumsum(lens) - lens  # each candidate's first cell
+        cell = np.arange(len(owner)) + np.repeat(start[a:a + step] - head, lens)
+        emp_cdf = (cum[cell] - before[owner]) / n[owner]
+        model_cdf = 1.0 - special.zeta(alpha[owner], values[cell] + 1) / z[owner]
+        ks[a:a + step] = np.maximum.reduceat(np.abs(emp_cdf - model_cdf), head)
+    best = [lo + int(np.argmin(ks[lo:hi])) if lo < hi else None for lo, hi in zip(bounds, bounds[1:])]
+    return [None if i is None else (float(alpha[i]), int(k_min[i]), float(ks[i])) for i in best]
 
 
 class _PowerLawSampler:
     """Inverse-CDF sampler with a precomputed table; continuous tail fallback."""
 
     CAP = 100_000
+    # largest float64 an int64 holds: the tail fallback's ceiling, reached only
+    # where (1 - u)**(-1/(alpha - 1)) overflows, at alpha below about 1.84
+    TOP = 2.0**63 - 1024
 
     def __init__(self, alpha: float, k_min: int):
         self.alpha = alpha
@@ -300,15 +334,41 @@ class _PowerLawSampler:
 
     def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
         u = rng.random(size)
-        out = self.ks[np.minimum(np.searchsorted(self.cdf, u, side="right"), len(self.ks) - 1)]
+        # k_min is the likeliest draw; search the table only for the others
+        idx = np.zeros(size, dtype=np.intp)
+        past = u >= self.cdf[0]
+        idx[past] = np.searchsorted(self.cdf, u[past], side="right")
+        out = self.ks[np.minimum(idx, len(self.ks) - 1)]
         overflow = u > self.cdf[-1]
         if overflow.any():
-            tail = np.floor(
-                (self.k_min - 0.5) * (1.0 - u[overflow]) ** (-1.0 / (self.alpha - 1.0)) + 0.5
-            )
-            out = out.copy()
-            out[overflow] = tail.astype(np.int64)
+            with np.errstate(over="ignore"):  # an infinite draw is capped at TOP
+                tail = np.floor(
+                    (self.k_min - 0.5) * (1.0 - u[overflow]) ** (-1.0 / (self.alpha - 1.0)) + 0.5
+                )
+            out[overflow] = np.minimum(tail, self.TOP).astype(np.int64)  # out is a fresh copy
         return out
+
+
+def _bootstrap_tables(
+    samples: np.ndarray, alpha: float, k_min: int, count: int, seed: int
+) -> list[Table]:
+    """(values, counts) of each bootstrap replicate of ``power_law_test``;
+    replicate ``rep`` draws from ``default_rng([seed, rep])``."""
+    n = len(samples)
+    body = samples[samples < k_min]
+    p_tail = 1.0 - len(body) / n
+    sampler = _PowerLawSampler(alpha, k_min)
+    tables = []
+    for rep in range(count):
+        rng = np.random.default_rng([seed, rep])
+        n_tail = int(np.count_nonzero(rng.random(n) < p_tail))
+        parts = []
+        if n_tail:
+            parts.append(sampler.draw(rng, n_tail))
+        if n - n_tail:
+            parts.append(rng.choice(body, size=n - n_tail, replace=True))
+        tables.append(np.unique(np.concatenate(parts), return_counts=True))
+    return tables
 
 
 def power_law_test(
@@ -328,30 +388,12 @@ def power_law_test(
     samples = np.asarray(samples, dtype=np.int64)
     if (samples < 1).any():
         raise ValueError("power-law support starts at 1")
-    if len(np.unique(samples)) < 3:
+    table = np.unique(samples, return_counts=True)
+    if len(table[0]) < 3:
         raise InsufficientSupportError("need at least 3 distinct values")
-    alpha_hat, k_min, ks_data = _fit_powerlaw(samples)
-    n = len(samples)
-    body = samples[samples < k_min]
-    p_tail = 1.0 - len(body) / n
-    sampler = _PowerLawSampler(alpha_hat, k_min)
-    exceed = 0
-    for rep in range(bootstrap_count):
-        rng = np.random.default_rng([seed, rep])
-        take_tail = rng.random(n) < p_tail
-        n_tail = int(take_tail.sum())
-        parts = []
-        if n_tail:
-            parts.append(sampler.draw(rng, n_tail))
-        if n - n_tail:
-            parts.append(rng.choice(body, size=n - n_tail, replace=True))
-        synth = np.concatenate(parts)
-        try:
-            _, _, ks_rep = _fit_powerlaw(synth)
-        except InsufficientSupportError:
-            continue
-        if ks_rep >= ks_data:
-            exceed += 1
-    p_value = exceed / bootstrap_count
+    # with 3 distinct values, the smallest is always a candidate
+    alpha_hat, k_min, ks_data = _fit_powerlaw([table])[0]
+    fits = _fit_powerlaw(_bootstrap_tables(samples, alpha_hat, k_min, bootstrap_count, seed))
+    p_value = sum(1 for fit in fits if fit is not None and fit[2] >= ks_data) / bootstrap_count
     at_bound = min(abs(alpha_hat - b) for b in ALPHA_BOUNDS) <= ALPHA_XATOL
     return PowerLawVerdict(alpha_hat, k_min, ks_data, p_value, p_value < significance, at_bound)

@@ -354,14 +354,18 @@ def fraction_matrix(
     grid: TimeSliceGrid,
     scheme: DegreeClassScheme | NormalizedClassScheme,
     normalized: NormalizedDegrees | None = None,
+    measures: list[dict[float, float]] | None = None,
 ) -> FractionMatrix:
-    """Exact fraction matrix from degree-profile segments clipped to slices."""
+    """Exact fraction matrix from degree-profile segments clipped to slices,
+    or from ``measures``, the ``slice_value_measures`` of the same view."""
     if stream.num_nodes == 0:
         raise ValueError("fraction matrix undefined for an empty node set")
     matrix = FractionMatrix(
         grid, scheme, np.zeros((grid.count, len(scheme))), np.zeros(grid.count), stream.num_nodes
     )
-    _fill_rows(matrix, slice_value_measures(stream, grid, normalized), range(grid.count))
+    if measures is None:
+        measures = slice_value_measures(stream, grid, normalized)
+    _fill_rows(matrix, measures, range(grid.count))
     return matrix
 
 

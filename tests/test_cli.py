@@ -537,21 +537,19 @@ class TestCompare:
         assert overlap["recall"] == 0.0
 
 
-# Modules that cost most of a fresh import and that identify never calls.
+# Modules that cost most of a fresh import and that identify and analyze never call.
 HEAVY_MODULES = ("scipy.stats", "scipy.optimize", "networkx")
 
 
-def test_identify_imports_no_heavy_modules(tmp_path):
-    # a fresh interpreter: this test process has long since imported them all
-    trace = tmp_path / "steady.txt"
-    write_steady_trace(trace, 60)
+def heavy_modules_in_fresh_run(args: list[str]) -> list[str]:
+    """Run the CLI in a fresh interpreter (this test process has long since
+    imported them all); returns the import line and the exit line."""
     script = textwrap.dedent(f"""
         import sys
         import streamdeg.cli
         heavy = {HEAVY_MODULES!r}
         print(sorted(m for m in heavy if m in sys.modules))
-        rc = streamdeg.cli.main(["identify", "--trace", {str(trace)!r},
-                                 "--output-dir", {str(tmp_path / "out")!r}])
+        rc = streamdeg.cli.main({args!r})
         print(rc, sorted(m for m in heavy if m in sys.modules))
     """)
     src = str(Path(streamdeg.__file__).resolve().parent.parent)
@@ -561,5 +559,19 @@ def test_identify_imports_no_heavy_modules(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert lines[0] == "[]"
-    assert lines[-1] == "0 []"
+    return [lines[0], lines[-1]]
+
+
+def test_identify_imports_no_heavy_modules(tmp_path):
+    trace = tmp_path / "steady.txt"
+    write_steady_trace(trace, 60)
+    args = ["identify", "--trace", str(trace), "--output-dir", str(tmp_path / "out")]
+    assert heavy_modules_in_fresh_run(args) == ["[]", "0 []"]
+
+
+def test_analyze_power_law_imports_no_heavy_modules(synth_dir, tmp_path):
+    out = tmp_path / "pl"
+    args = ["analyze", "--trace", str(synth_dir / "trace.txt"), "--power-law",
+            "--bootstrap-count", "100", "--output-dir", str(out)]
+    assert heavy_modules_in_fresh_run(args) == ["[]", "0 []"]
+    assert "alpha_hat" in json.loads((out / "report.json").read_text())["power_law"]

@@ -1,7 +1,70 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy import special
 
-from streamdeg.robust_stats import ALPHA_BOUNDS, ALPHA_XATOL, InsufficientSupportError, power_law_test
+from streamdeg.robust_stats import (
+    ALPHA_BOUNDS,
+    ALPHA_XATOL,
+    InsufficientSupportError,
+    _bootstrap_tables,
+    _fit_powerlaw,
+    _mle_alpha,
+    _PowerLawSampler,
+    power_law_test,
+)
+
+
+def reference_alpha(n: int, log_sum: float, k_min: int) -> float:
+    """One bounded Brent search per candidate, to a tolerance of ALPHA_XATOL."""
+    from scipy import optimize
+
+    def neg_ll(a: float) -> float:
+        return n * math.log(special.zeta(a, k_min)) + a * log_sum
+
+    res = optimize.minimize_scalar(
+        neg_ll, bounds=ALPHA_BOUNDS, method="bounded", options={"xatol": ALPHA_XATOL}
+    )
+    return float(res.x)
+
+
+def reference_fit(values: np.ndarray, counts: np.ndarray) -> tuple[float, int, float] | None:
+    """The k_min scan one candidate at a time, each with its own search."""
+    tail_n = np.cumsum(counts[::-1])[::-1]
+    tail_logsum = np.cumsum((counts * np.log(values))[::-1])[::-1]
+    best = None
+    for pos in np.flatnonzero(tail_n >= max(0.1 * tail_n[0], 2)):
+        if len(values) - pos < 2:
+            continue
+        k_min = int(values[pos])
+        alpha = reference_alpha(int(tail_n[pos]), float(tail_logsum[pos]), k_min)
+        emp_cdf = np.cumsum(counts[pos:]) / tail_n[pos]
+        model_cdf = 1.0 - special.zeta(alpha, values[pos:] + 1) / special.zeta(alpha, k_min)
+        ks = float(np.abs(emp_cdf - model_cdf).max())
+        if best is None or ks < best[2]:
+            best = (alpha, k_min, ks)
+    return best
+
+
+def c10_samples() -> list[np.ndarray]:
+    """Criterion 10's 20 samples: 10 zipf(2.5), then 10 geometric(0.05)."""
+    zipf = [np.random.default_rng(seed).zipf(2.5, 10_000) for seed in range(10)]
+    geom = [np.random.default_rng(1000 + seed).geometric(0.05, 10_000) for seed in range(10)]
+    return zipf + geom
+
+
+def assert_fits_match(tables) -> None:
+    got = _fit_powerlaw(tables)
+    for table, fit in zip(tables, got):
+        want = reference_fit(*table)
+        assert (fit is None) == (want is None)
+        if want is not None:
+            assert fit[1] == want[1]
+            assert abs(fit[0] - want[0]) <= ALPHA_XATOL
 
 
 def test_zipf_not_rejected():
@@ -70,10 +133,6 @@ def test_self_calibration():
 
 @pytest.mark.parametrize("alpha,k_min", [(20.0, 4), (2.5, 1), (1.5, 10)])
 def test_sampler_table_cut_draws_the_same(alpha, k_min):
-    from scipy import special
-
-    from streamdeg.robust_stats import _PowerLawSampler
-
     sampler = _PowerLawSampler(alpha, k_min)
     cap = _PowerLawSampler.CAP
     ks = np.arange(k_min, k_min + cap)
@@ -96,3 +155,51 @@ def test_sampler_table_cut_draws_the_same(alpha, k_min):
         got = sampler.draw(np.random.default_rng(seed), 5000)
         want = full_table_draw(np.random.default_rng(seed), 5000)
         np.testing.assert_array_equal(got, want)
+
+
+def test_batched_fit_matches_reference_on_c10_samples():
+    assert_fits_match([np.unique(x, return_counts=True) for x in c10_samples()])
+
+
+@pytest.mark.parametrize("which", [0, 10], ids=["zipf", "geometric"])
+def test_batched_fit_matches_reference_on_replicates(which):
+    samples = c10_samples()[which]
+    alpha, k_min, _ = _fit_powerlaw([np.unique(samples, return_counts=True)])[0]
+    assert_fits_match(_bootstrap_tables(samples, alpha, k_min, 250, seed=0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 12) | st.integers(1, 3000), min_size=10, max_size=300))
+def test_batched_alpha_matches_reference_at_its_k_min(samples):
+    values, counts = np.unique(np.array(samples, dtype=np.int64), return_counts=True)
+    want = reference_fit(values, counts)
+    assume(want is not None)
+    alpha, k_min, _ = want
+    tail = values >= k_min
+    got = _mle_alpha(
+        np.array([counts[tail].sum()]),
+        np.array([(counts[tail] * np.log(values[tail])).sum()]),
+        np.array([k_min]),
+    )
+    assert abs(got[0] - alpha) <= ALPHA_XATOL
+
+
+@pytest.mark.parametrize("alpha", [1.01, 1.5])
+def test_sampler_tail_fallback_stays_finite(alpha):
+    # (1 - u)**(-1/(alpha - 1)) passes 2**63 at small alpha; such draws are
+    # capped, and every other draw keeps the uncapped formula's bits
+    sampler = _PowerLawSampler(alpha, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = sampler.draw(np.random.default_rng(0), 200_000)
+    assert got.dtype == np.int64
+    assert (got >= 1).all()
+    u = np.random.default_rng(0).random(200_000)
+    tail = u > sampler.cdf[-1]
+    with np.errstate(over="ignore"):
+        want = np.floor(0.5 * (1.0 - u[tail]) ** (-1.0 / (alpha - 1.0)) + 0.5)
+    held = want < 2.0**63
+    np.testing.assert_array_equal(got[tail][held], want[held])
+    assert (got[tail][~held] == _PowerLawSampler.TOP).all()
+    if alpha == 1.01:
+        assert (~held).sum() > 100_000
