@@ -50,7 +50,7 @@ def main() -> None:
     grid = TimeSliceGrid.covering(stream.t_begin, stream.t_end, args.tau)
     scheme = build_class_scheme(stream.max_degree(), args.ratio)
     print(f"grid: {grid.count} slices of {args.tau} s; {len(scheme)} degree classes "
-          f"up to k={scheme.k_max}")
+          f"up to k={stream.max_degree()}")
 
     result = run_identification(stream, grid, scheme, PipelineParams())
     counts = {"AN": 0, "A": 0, "R": 0}

@@ -41,7 +41,7 @@ from .robust_stats import (
     three_sigma_outliers,
 )
 from .slicing import (
-    DegreeClassScheme,
+    ClassScheme,
     FractionMatrix,
     TimeSliceGrid,
     build_class_scheme,

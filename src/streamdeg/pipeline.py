@@ -32,9 +32,8 @@ from .linkstream import LinkStream, NormalizedDegrees, normalize_degrees
 from .robust_stats import NormalFit, fit_homogeneous, three_sigma_outliers
 from .slicing import (
     ActiveNodes,
-    DegreeClassScheme,
+    ClassScheme,
     FractionMatrix,
-    NormalizedClassScheme,
     TimeSliceGrid,
     fraction_matrix,
     rows_reached,
@@ -161,7 +160,7 @@ def identify_event(
     stream: LinkStream,
     event: Event,
     grid: TimeSliceGrid,
-    scheme: DegreeClassScheme | NormalizedClassScheme,
+    scheme: ClassScheme,
     labels: Sequence[ClassLabel] | None = None,
     normalized: NormalizedDegrees | None = None,
     active: ActiveNodes | None = None,
@@ -180,7 +179,7 @@ def identify_event(
                 "only A-class events are directly identifiable"
             )
     lo, hi = grid.bounds(event.slice_index)
-    k_lo, k_hi = scheme.bounds_of(event.class_index)
+    k_lo, k_hi = scheme.edges[event.class_index - 1:event.class_index + 1].tolist()
     view = stream if normalized is None else normalized
     nodes = range(stream.num_nodes)
     if active is not None:
@@ -188,7 +187,7 @@ def identify_event(
     entries: dict[int, list[iv.Interval]] = {}
     for node in nodes:
         in_class = iv.merge(
-            [(a, b) for a, b, x in view.segments(node, lo, hi) if k_lo <= x <= k_hi]
+            [(a, b) for a, b, x in view.segments(node, lo, hi) if k_lo <= x < k_hi]
         )
         clipped = iv.clip(in_class, lo, hi)
         if clipped:
@@ -274,7 +273,7 @@ def _event_order(event: Event) -> tuple[int, float, int]:
 def run_identification(
     stream: LinkStream,
     grid: TimeSliceGrid,
-    scheme: DegreeClassScheme | NormalizedClassScheme,
+    scheme: ClassScheme,
     params: PipelineParams | None = None,
 ) -> IdentificationResult:
     """Detect events, then iteratively remove A-class events with rollback.

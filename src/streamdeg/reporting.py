@@ -273,11 +273,9 @@ class SweepReport:
 def smallest_identifiable_degree(result: IdentificationResult) -> float | None:
     """Lower edge of the lowest A-labelled class: below it, events can be
     detected but never directly identified."""
-    lows = [
-        result.initial.matrix.scheme.bounds_of(label.class_index)[0]
-        for label in result.initial.labels
-        if label.verdict == "A"
-    ]
+    edges = result.initial.matrix.scheme.edges
+    lows = [float(edges[label.class_index - 1]) for label in result.initial.labels
+            if label.verdict == "A"]
     return min(lows) if lows else None
 
 

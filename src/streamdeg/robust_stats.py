@@ -323,14 +323,20 @@ class _PowerLawSampler:
     def __init__(self, alpha: float, k_min: int):
         self.alpha = alpha
         self.k_min = k_min
-        ks = np.arange(k_min, k_min + self.CAP)
         z = special.zeta(alpha, k_min)
-        cdf = 1.0 - special.zeta(alpha, ks + 1) / z
-        # draws are below 1, so none lands past the first entry that reaches 1
+        # draws are below 1, so none lands past the first entry that reaches 1;
+        # the table grows in doubling chunks until one does, or up to CAP
+        chunks = [np.zeros(0)]
+        size = 0
+        while size < self.CAP and not (chunks[-1] == 1.0).any():
+            step = min(max(size, 32), self.CAP - size)
+            chunks.append(1.0 - special.zeta(alpha, np.arange(k_min + size, k_min + size + step) + 1) / z)
+            size += step
+        cdf = np.concatenate(chunks)
         full = np.flatnonzero(cdf == 1.0)
         stop = int(full[0]) + 1 if full.size else self.CAP
         self.cdf = cdf[:stop]
-        self.ks = ks[:stop]
+        self.ks = np.arange(k_min, k_min + stop)
 
     def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
         u = rng.random(size)

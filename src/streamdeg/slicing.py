@@ -1,9 +1,10 @@
 """Time slices, logarithmic degree classes and the fraction matrix.
 
-The analysis window is cut into consecutive slices of duration tau.  Integer
-degrees are grouped into classes by the bucket rule ``b(k) = floor(log10(k)/r)``
-with the non-empty buckets renumbered consecutively from 1; with r = 0.1 this
-yields {1}, {2}, {3}, {4,5}, ... and the class widths grow geometrically.
+The analysis window is cut into consecutive slices of duration tau.  Degrees
+are grouped into half-open classes [10**(b*r), 10**((b+1)*r)) of the lattice
+bucket b, numbered consecutively from 1.  For integer degrees the empty
+buckets are dropped; with r = 0.1 this yields {1}, {2}, {3}, {4,5}, ... and
+the class widths grow geometrically.
 
 The fraction matrix holds, for slice i and class j, the measure share of
 (time, node) couples whose degree lies in the class:
@@ -18,9 +19,8 @@ from __future__ import annotations
 import csv
 import json
 import math
-from bisect import bisect_right
-from dataclasses import dataclass, field
-from typing import IO, Iterable, Sequence
+from dataclasses import dataclass
+from typing import IO, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -71,131 +71,103 @@ def _boundary(bucket: int, ratio: float) -> float:
     return x
 
 
-def _bucket_lo(bucket: int, ratio: float) -> int:
-    x = _boundary(bucket, ratio)
-    return int(x) if x == int(x) else int(math.ceil(x))
+def _bucket(x: float, ratio: float) -> int:
+    """Lattice bucket b of ``x`` > 0: _boundary(b) <= x < _boundary(b + 1)."""
+    b = math.floor(math.log10(x) / ratio)
+    while _boundary(b, ratio) > x:
+        b -= 1
+    while _boundary(b + 1, ratio) <= x:
+        b += 1
+    return b
 
 
-@dataclass(frozen=True)
-class DegreeClass:
+def _lattice(lo: float, hi: float, ratio: float) -> np.ndarray:
+    """Lattice edges from the bucket of ``lo`` to the top of the bucket of ``hi``."""
+    if ratio <= 0:
+        raise ValueError("r must be positive")
+    return np.array([_boundary(b, ratio) for b in range(_bucket(lo, ratio), _bucket(hi, ratio) + 2)])
+
+
+class SchemeClass(NamedTuple):
+    """Bounds of one class as reports show them: the first and last integer
+    of a raw class, the lower and upper edge of a normalized one."""
+
     index: int
-    k_lo: int
-    k_hi: int
-
-    def __contains__(self, k) -> bool:
-        return self.k_lo <= k <= self.k_hi
+    k_lo: float
+    k_hi: float
 
 
-@dataclass
-class DegreeClassScheme:
-    """Partition of {1..k_max} into consecutively indexed log-width classes."""
+@dataclass(eq=False)
+class ClassScheme:
+    """Degree classes on the logarithmic lattice 10**(b * ratio).
+
+    Class j >= 1 holds the degrees in [edges[j - 1], edges[j]) and class 0
+    holds degree 0.  Raw schemes (``integer``) have integer edges, empty
+    buckets collapsed; normalized schemes have one class per bucket.
+    """
 
     ratio: float
-    k_max: int
-    classes: list[DegreeClass]
-    _los: list[int] = field(default_factory=list, repr=False)
+    edges: np.ndarray
+    integer: bool
 
-    def __post_init__(self) -> None:
-        self._los = [c.k_lo for c in self.classes]
-
-    def class_of(self, k: int) -> int:
-        """1-based class index for degree k; 0 means degree zero."""
-        if k == 0:
-            return 0
-        if k < 0 or k > self.k_max:
-            raise SchemeRangeError(f"degree {k} outside scheme range 1..{self.k_max}")
-        return bisect_right(self._los, k)
+    def class_of(self, x):
+        """Class index of each degree in ``x`` (an int for a scalar): 0 for
+        degree 0, SchemeRangeError for any other degree outside the edges."""
+        values = np.asarray(x, dtype=float)
+        idx = np.searchsorted(self.edges, values, side="right")
+        bad = (idx == len(self.edges)) | ((idx == 0) & (values != 0))
+        if bad.any():
+            raise SchemeRangeError(
+                f"degree {values[bad].flat[0]} outside scheme range "
+                f"[{self.edges[0]}, {self.edges[-1]})"
+            )
+        return int(idx) if idx.ndim == 0 else idx
 
     def __len__(self) -> int:
-        return len(self.classes)
+        return len(self.edges) - 1
 
-    def bounds_of(self, index: int) -> tuple[float, float]:
-        c = self.classes[index - 1]
-        return float(c.k_lo), float(c.k_hi)
+    @property
+    def classes(self) -> list[SchemeClass]:
+        lo, hi = self.edges[:-1].tolist(), self.edges[1:].tolist()
+        if self.integer:
+            lo, hi = [int(a) for a in lo], [int(b) - 1 for b in hi]
+        return [SchemeClass(j, a, b) for j, (a, b) in enumerate(zip(lo, hi), 1)]
 
 
-def build_class_scheme(k_max: int, r: float) -> DegreeClassScheme:
+def build_class_scheme(k_max: int, r: float) -> ClassScheme:
     """Degree classes for 1..k_max with logarithmic width ``r``.
 
     Bucket b covers integers in [10**(b*r), 10**((b+1)*r)); empty buckets are
-    collapsed and the remaining ones renumbered from 1.  The last class is
-    clipped at k_max.
+    collapsed and the last class is clipped at k_max.
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
-    if r <= 0:
-        raise ValueError("r must be positive")
-    classes: list[DegreeClass] = []
-    b = 0
-    while True:
-        lo = _bucket_lo(b, r)
-        if lo > k_max:
-            break
-        hi = min(_bucket_lo(b + 1, r) - 1, k_max)
-        if lo <= hi:
-            classes.append(DegreeClass(len(classes) + 1, lo, hi))
-        b += 1
-    return DegreeClassScheme(r, k_max, classes)
+    return ClassScheme(r, np.unique(np.minimum(np.ceil(_lattice(1, k_max, r)), k_max + 1)), True)
 
 
-@dataclass(frozen=True)
-class NormalizedClass:
-    index: int
-    lo: float
-    hi: float
-
-
-@dataclass
-class NormalizedClassScheme:
-    """Pure logarithmic bins of width r over positive normalized degrees.
-
-    Normalized degrees are real-valued, so no integer collapsing happens; the
-    bins simply span the observed value range.
-    """
-
-    ratio: float
-    bucket_lo: int
-    classes: list[NormalizedClass]
-
-    def class_of(self, x: float) -> int:
-        if x <= 0:
-            return 0
-        b = int(math.floor(math.log10(x) / self.ratio + 1e-12))
-        idx = b - self.bucket_lo + 1
-        if idx < 1 or idx > len(self.classes):
-            raise SchemeRangeError(f"normalized value {x} outside scheme range")
-        return idx
-
-    def __len__(self) -> int:
-        return len(self.classes)
-
-    def bounds_of(self, index: int) -> tuple[float, float]:
-        c = self.classes[index - 1]
-        return c.lo, c.hi
-
-
-def build_normalized_scheme(max_value: float, r: float, min_value: float = 1e-12) -> NormalizedClassScheme:
-    if max_value <= 0:
-        return NormalizedClassScheme(r, 0, [NormalizedClass(1, 0.0, 1.0)])
-    b_lo = int(math.floor(math.log10(min_value) / r + 1e-12))
-    b_hi = int(math.floor(math.log10(max_value) / r + 1e-12))
-    classes = [
-        NormalizedClass(i + 1, 10.0 ** ((b_lo + i) * r), 10.0 ** ((b_lo + i + 1) * r))
-        for i in range(b_hi - b_lo + 1)
-    ]
-    return NormalizedClassScheme(r, b_lo, classes)
+def build_normalized_scheme(max_value: float, r: float, min_value: float = 1e-12) -> ClassScheme:
+    """One class per lattice bucket, from the bucket of ``min_value``, the
+    smallest positive degree, to the bucket of ``max_value``."""
+    return ClassScheme(r, _lattice(min_value, max(max_value, min_value), r), False)
 
 
 def build_scheme(
     stream: LinkStream, r: float, normalized: bool
-) -> tuple[DegreeClassScheme | NormalizedClassScheme, NormalizedDegrees | None]:
+) -> tuple[ClassScheme, NormalizedDegrees | None]:
     """Class scheme covering every degree of ``stream``, plus the degree view
     it was built over: None for raw degrees, else the per-second normalized
-    view."""
+    view.
+
+    Normalized classes start at the bucket of 1 / max_s mean(s): a positive
+    degree is at least 1, and removals keep the series frozen, so no stream
+    derived from ``stream`` has a positive degree below it.
+    """
     if not normalized:
         return build_class_scheme(max(stream.max_degree(), 1), r), None
-    view = normalize_degrees(stream, stream.mean_degree_per_second())
-    return build_normalized_scheme(max(view.max_value(), 1e-9), r), view
+    series = stream.mean_degree_per_second()
+    top = float(series.values.max()) if len(series.values) else 0.0
+    view = normalize_degrees(stream, series)
+    return build_normalized_scheme(view.max_value(), r, 1.0 / top if top > 0 else 1.0), view
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +272,7 @@ class FractionMatrix:
     """Per-slice, per-class measure fractions plus the zero-degree column."""
 
     grid: TimeSliceGrid
-    scheme: DegreeClassScheme | NormalizedClassScheme
+    scheme: ClassScheme
     fractions: np.ndarray  # (count, n_classes), class j at column j-1
     zero: np.ndarray  # (count,)
     node_count: int
@@ -329,14 +301,8 @@ class FractionMatrix:
                 writer.writerow([i, j, repr(float(self.fractions[i, j - 1]))])
 
     def sidecar(self) -> dict:
-        if isinstance(self.scheme, DegreeClassScheme):
-            classes = [
-                {"index": c.index, "k_lo": c.k_lo, "k_hi": c.k_hi} for c in self.scheme.classes
-            ]
-        else:
-            classes = [
-                {"index": c.index, "lo": c.lo, "hi": c.hi} for c in self.scheme.classes
-            ]
+        lo, hi = ("k_lo", "k_hi") if self.scheme.integer else ("lo", "hi")
+        classes = [{"index": c.index, lo: c.k_lo, hi: c.k_hi} for c in self.scheme.classes]
         return {
             "ratio": self.scheme.ratio,
             "classes": classes,
@@ -352,7 +318,7 @@ class FractionMatrix:
 def fraction_matrix(
     stream: LinkStream,
     grid: TimeSliceGrid,
-    scheme: DegreeClassScheme | NormalizedClassScheme,
+    scheme: ClassScheme,
     normalized: NormalizedDegrees | None = None,
     measures: list[dict[float, float]] | None = None,
 ) -> FractionMatrix:
@@ -394,14 +360,17 @@ def _fill_rows(matrix: FractionMatrix, measures: list[dict[float, float]], rows:
     row-sum-equals-one invariant is a real check rather than a tautology.
     """
     denom = matrix.grid.tau * matrix.node_count
-    for i, acc in zip(rows, measures):
-        row = np.zeros(matrix.n_classes)
-        active = 0.0
-        for value, m in sorted(acc.items()):
-            row[matrix.scheme.class_of(value) - 1] += m
-            active += m
-        matrix.fractions[i] = row / denom
-        matrix.zero[i] = (denom - active) / denom
+    width = matrix.n_classes + 1
+    keys = [sorted(acc) for acc in measures]
+    values = np.array([v for ks in keys for v in ks], dtype=float)
+    mass = np.array([acc[v] for acc, ks in zip(measures, keys) for v in ks], dtype=float)
+    row = np.repeat(np.arange(len(rows)), [len(ks) for ks in keys])
+    # bincount adds in input order, row by row in ascending value order: the
+    # sums of adding each row's measures one by one, bit for bit
+    cells = np.bincount(row * width + matrix.scheme.class_of(values), mass, len(rows) * width)
+    active = np.bincount(row, mass, len(rows))
+    matrix.fractions[rows.start:rows.stop] = cells.reshape(len(rows), width)[:, 1:] / denom
+    matrix.zero[rows.start:rows.stop] = (denom - active) / denom
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from streamdeg import pipeline
 from streamdeg.linkstream import LinkStream, build_stream, normalize_degrees
@@ -19,11 +20,12 @@ from streamdeg.pipeline import (
     write_removal_log,
 )
 from streamdeg.slicing import (
+    ClassScheme,
     FractionMatrix,
-    NormalizedClass,
-    NormalizedClassScheme,
+    SchemeRangeError,
     TimeSliceGrid,
     build_class_scheme,
+    build_normalized_scheme,
     build_scheme,
     fraction_matrix,
     slice_value_measures,
@@ -37,6 +39,8 @@ from streamdeg.trace_io import (
     Triplet,
     generate_synthetic,
 )
+
+from test_linkstream import timed_streams
 
 
 def matrix_from_columns(columns: dict[int, np.ndarray], n_classes: int, k_max: int = 1000):
@@ -192,9 +196,7 @@ class TestNormalizedView:
     def test_identify_event_matches_raw(self, constant_mean):
         stream, view, m, grid = constant_mean
         raw_scheme = build_class_scheme(stream.max_degree(), 0.1)
-        norm_scheme = NormalizedClassScheme(0.1, 0, [
-            NormalizedClass(c.index, c.k_lo / m, c.k_hi / m) for c in raw_scheme.classes
-        ])
+        norm_scheme = ClassScheme(0.1, raw_scheme.edges / m, integer=False)
         found = 0
         for j in range(1, len(raw_scheme) + 1):
             for i in range(grid.count):
@@ -212,6 +214,39 @@ class TestNormalizedView:
         assert slice_value_measures(stream, grid, view) == [
             {k / m: measure for k, measure in acc.items()} for acc in raw
         ]
+
+
+
+class TestClassMembership:
+    """identify_event and the fraction matrix put a degree in the same class."""
+
+    def test_degree_on_a_lattice_edge(self):
+        # K3 on [0, 4): the mean degree is 2 every second, so every
+        # normalized degree is exactly 1.0, the lower edge of class 5
+        pairs = {("a", "b"): [(0.0, 4.0)], ("a", "c"): [(0.0, 4.0)], ("b", "c"): [(0.0, 4.0)]}
+        stream = LinkStream.from_pair_intervals(list("abc"), pairs, t_begin=0.0, t_end=4.0)
+        view = normalize_degrees(stream, stream.mean_degree_per_second())
+        scheme = build_normalized_scheme(1.0, 0.1, min_value=0.5)
+        grid = TimeSliceGrid(0.0, 4.0, 1)
+        matrix = fraction_matrix(stream, grid, scheme, view)
+        assert len(scheme) == 5 and matrix.value(0, 5) == 1.0
+        for j in range(1, len(scheme) + 1):
+            found = identify_event(stream, Event(j, 0, 0.0, "nonzero-in-A"), grid, scheme,
+                                   normalized=view)
+            assert found.measure == matrix.value(0, j) * grid.tau * 3, j
+
+    @given(timed_streams(), st.booleans(), st.sampled_from([2.0, 0.7]))
+    @settings(max_examples=40, deadline=None)
+    def test_identified_measure_equals_cell(self, stream, normalized, tau):
+        grid = TimeSliceGrid.covering(stream.t_begin, stream.t_end, tau)
+        scheme, view = build_scheme(stream, 0.1, normalized)
+        matrix = fraction_matrix(stream, grid, scheme, view)
+        for j in range(1, len(scheme) + 1):
+            for i in range(grid.count):
+                found = identify_event(stream, Event(j, i, 0.0, "nonzero-in-A"), grid, scheme,
+                                       normalized=view)
+                cell = matrix.value(i, j) * grid.tau * stream.num_nodes
+                assert found.measure == pytest.approx(cell, rel=0, abs=1e-9), (j, i)
 
 
 @pytest.fixture(scope="module")
@@ -405,8 +440,11 @@ class TestRowUpdate:
         attempts = []
 
         def checked(matrix, tentative, rows, active, view=None):
+            try:
+                full = fraction_matrix(tentative, grid, scheme, view)
+            except SchemeRangeError as exc:  # removals cannot leave the scheme
+                pytest.fail(f"a tentative stream has a degree outside the scheme: {exc}")
             out = update_rows(matrix, tentative, rows, active, view)
-            full = fraction_matrix(tentative, grid, scheme, view)
             assert np.array_equal(out.fractions, full.fractions), rows
             assert np.array_equal(out.zero, full.zero), rows
             attempts.append(rows)

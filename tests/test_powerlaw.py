@@ -157,6 +157,20 @@ def test_sampler_table_cut_draws_the_same(alpha, k_min):
         np.testing.assert_array_equal(got, want)
 
 
+@pytest.mark.parametrize("alpha", [1.01, 1.5, 2.5, 20.0])
+def test_sampler_table_is_full_table_prefix(alpha):
+    # the table grows in chunks, yet equals the full CAP-entry table up to
+    # its first entry at 1.0 (or the whole table where none reaches 1.0)
+    k_min = 4
+    sampler = _PowerLawSampler(alpha, k_min)
+    ks = np.arange(k_min, k_min + _PowerLawSampler.CAP)
+    cdf = 1.0 - special.zeta(alpha, ks + 1) / special.zeta(alpha, k_min)
+    full = np.flatnonzero(cdf == 1.0)
+    stop = int(full[0]) + 1 if full.size else len(cdf)
+    np.testing.assert_array_equal(sampler.cdf, cdf[:stop])
+    np.testing.assert_array_equal(sampler.ks, ks[:stop])
+
+
 def test_batched_fit_matches_reference_on_c10_samples():
     assert_fits_match([np.unique(x, return_counts=True) for x in c10_samples()])
 

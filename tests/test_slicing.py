@@ -12,6 +12,7 @@ from streamdeg.slicing import (
     TimeSliceGrid,
     build_class_scheme,
     build_normalized_scheme,
+    build_scheme,
     fraction_matrix,
     ks_similarity_report,
     slice_value_measures,
@@ -131,7 +132,36 @@ class TestNormalizedScheme:
     def test_log_width(self):
         scheme = build_normalized_scheme(10.0, 0.5, min_value=0.1)
         for c in scheme.classes:
-            assert math.log10(c.hi) - math.log10(c.lo) == pytest.approx(0.5)
+            assert math.log10(c.k_hi) - math.log10(c.k_lo) == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("r", [0.0, -0.1])
+    def test_non_positive_ratio_rejected(self, r):
+        with pytest.raises(ValueError):
+            build_normalized_scheme(50.0, r, min_value=0.01)
+        with pytest.raises(ValueError):
+            build_class_scheme(50, r)
+
+    @pytest.mark.parametrize("b", [-12, -1, 0, 3, 10, 30])
+    def test_values_next_to_an_edge_stay_covered(self, b):
+        # log10 of a value an ulp below an edge can round onto the edge; the
+        # first and last classes must still hold the anchor and the maximum
+        edge = 10.0 ** (b * 0.1)
+        for x in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf)):
+            scheme = build_normalized_scheme(2000.0, 0.1, min_value=x)
+            assert scheme.edges[0] <= x < scheme.edges[1]
+            assert scheme.class_of(x) == 1
+            top = build_normalized_scheme(x, 0.1, min_value=1e-3)
+            assert top.class_of(x) == len(top)
+
+    def test_build_scheme_starts_at_smallest_degree(self):
+        rng = np.random.default_rng(11)
+        for _ in range(5):
+            stream = random_stream(rng, n_nodes=12, n_triplets=150)
+            scheme, view = build_scheme(stream, 0.1, normalized=True)
+            anchor = 1.0 / stream.mean_degree_per_second().values.max()
+            assert scheme.edges[0] <= anchor < scheme.edges[1]
+            values = np.array([x for n in range(stream.num_nodes) for _, _, x in view.segments(n)])
+            assert (scheme.class_of(values) >= 1).all()
 
 
 class TestFractionMatrix:
