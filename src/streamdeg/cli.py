@@ -244,8 +244,7 @@ def cmd_analyze(args) -> int:
     stream = _load_stream(args.trace, cfg)
     grid = _grid_for(stream, cfg)
     scheme, view = build_scheme(stream, cfg.class_ratio, cfg.normalized)
-    measures = slice_value_measures(stream, grid, view)
-    matrix = fraction_matrix(stream, grid, scheme, view, measures)
+    matrix = fraction_matrix(stream, grid, scheme, view)
     labels = classify_classes(matrix, cfg.grubbs_alpha, cfg.ks_alpha, cfg.zero_majority)
     events = detect_events(matrix, labels, cfg.sigma_mult)
 
@@ -265,7 +264,8 @@ def cmd_analyze(args) -> int:
 
     blocks = _analysis_blocks(stream, grid, scheme, labels, events)
     if args.ks_report:
-        sim = ks_similarity_report(measures, cfg.two_sample_alpha, cfg.ks_size_mode, cfg.delta)
+        sim = ks_similarity_report(slice_value_measures(stream, grid, view), cfg.two_sample_alpha,
+                                   cfg.ks_size_mode, cfg.delta)
         with open(out / "ks_ratios.csv", "w", encoding="utf-8") as fh:
             fh.write("slice_a,slice_b,ratio\n")
             for (a, b), ratio in zip(sim.pairs, sim.ratios):
@@ -276,9 +276,8 @@ def cmd_analyze(args) -> int:
             "skipped_slices": sim.skipped_slices,
         }
     if args.power_law:
-        raw_measures = measures if view is None else slice_value_measures(stream, grid)
         counts: dict[int, float] = {}
-        for acc in raw_measures:
+        for acc in slice_value_measures(stream, grid):
             for k, m in acc.items():
                 counts[int(k)] = counts.get(int(k), 0.0) + m
         degrees = sorted(counts)

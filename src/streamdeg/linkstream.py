@@ -13,7 +13,8 @@ marked dead, so pair indices never move; ``links`` reads the alive pairs.
 
 The instantaneous degree of a node is the number of distinct neighbours whose
 pair interval covers t.  Degree profiles are computed exactly by a sweep over
-interval endpoints and stored as canonical piecewise-constant functions.
+interval endpoints and kept as per-node arrays; ``degree_segments`` reads them
+as columns, raw or divided by the mean degree of each second.
 
 Streams are immutable.  ``remove_interactions`` returns a new stream sharing
 the pair endpoints, the node-to-pair adjacency and every untouched degree
@@ -25,9 +26,8 @@ from __future__ import annotations
 
 import math
 import struct
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import BinaryIO, Iterable, Iterator, Mapping, Sequence
+from typing import BinaryIO, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -41,45 +41,45 @@ PairKey = tuple[int, int]
 _SWEEP_ENDPOINTS = 1 << 16
 # Nodes per sweep block, so a node's offset in its block is one uint16.
 _SWEEP_NODES = 1 << 16
+# Breakpoints above which ``degree_segments`` searches a node's window rather
+# than masking all of its segments.
+_LONG_PROFILE = 256
 
 
 class UnknownNodeError(KeyError):
     pass
 
 
-@dataclass
 class DegreeProfile:
-    """Piecewise-constant degree of one node.
+    """Piecewise-constant degree of one node, a view of its stream's arrays:
+    ``levels[i]`` holds on ``[times[i], times[i+1])``, 0 before the first and
+    from the last breakpoint on.  Canonical form: consecutive levels differ
+    and no level is 0 at the edges."""
 
-    ``values[i]`` holds on ``[breakpoints[i], breakpoints[i+1])``; the degree
-    is implicitly 0 before the first and after the last breakpoint.  Canonical
-    form: consecutive values differ and no value is 0 at the edges.
-    """
+    def __init__(self, node: int, breakpoints: Sequence[float], values: Sequence[int]):
+        self.node = node
+        self.times = np.asarray(breakpoints, dtype=np.float64)
+        self.levels = np.asarray(values, dtype=np.int64)
 
-    node: int
-    breakpoints: list[float]
-    values: list[int]
+    @property
+    def breakpoints(self) -> list[float]:
+        return self.times.tolist()
+
+    @property
+    def values(self) -> list[int]:
+        return self.levels.tolist()
 
     def value_at(self, t: float) -> int:
-        i = bisect_right(self.breakpoints, t) - 1
-        if i < 0 or i >= len(self.values):
-            return 0
-        return self.values[i]
-
-    def segments(
-        self, t0: float = -math.inf, t1: float = math.inf
-    ) -> Iterator[tuple[float, float, int]]:
-        """Segments in time order, skipping those that end at or before
-        ``t0`` or start at or after ``t1``."""
-        bps = self.breakpoints
-        first = max(bisect_right(bps, t0) - 1, 0)
-        stop = min(bisect_left(bps, t1), len(self.values))
-        for i in range(first, stop):
-            yield bps[i], bps[i + 1], self.values[i]
+        i = int(np.searchsorted(self.times, t, side="right")) - 1
+        return int(self.levels[i]) if 0 <= i < len(self.levels) else 0
 
     @property
     def max_value(self) -> int:
-        return max(self.values, default=0)
+        return int(self.levels.max(initial=0))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, DegreeProfile) and (self.node, self.breakpoints, self.values) == (
+            other.node, other.breakpoints, other.values)
 
 
 @dataclass
@@ -92,15 +92,6 @@ class MeanDegreeSeries:
 
     start_second: int
     values: np.ndarray
-
-    def value_for_second(self, second: int) -> float:
-        i = second - self.start_second
-        if 0 <= i < len(self.values):
-            return float(self.values[i])
-        return 0.0
-
-    def value_at(self, t: float) -> float:
-        return self.value_for_second(int(math.floor(t)))
 
     def mean(self) -> float:
         return float(self.values.mean()) if len(self.values) else 0.0
@@ -211,9 +202,8 @@ class LinkStream:
         self._ends = ends
         self._alive = alive
         self.num_pairs = int(np.count_nonzero(alive))
-        # built on first use; a stream made by ``remove_interactions`` starts
-        # from its parent's, without the profiles of the nodes it cut
-        self._profiles: list[DegreeProfile | None] | None = None
+        # one (breakpoints, levels) pair per node, built on first use or copied from a parent
+        self._profiles: list[tuple[np.ndarray, np.ndarray]] | None = None
         self._series: MeanDegreeSeries | None = None
 
     @classmethod
@@ -249,11 +239,11 @@ class LinkStream:
         return list(zip(self._table.u[ids].tolist(), self._table.v[ids].tolist()))
 
     def total_link_seconds(self) -> float:
-        lengths = (self._ends - self._starts).tolist()
-        offsets = self._offsets.tolist()
-        return sum(
-            sum(lengths[offsets[p]:offsets[p + 1]]) for p in np.flatnonzero(self._alive).tolist()
-        )
+        """Sum of the alive pairs' interval lengths: each pair's lengths in
+        time order, then the pairs in order."""
+        owner = np.repeat(np.arange(len(self._alive)), np.diff(self._offsets))
+        per_pair = np.bincount(owner, self._ends - self._starts, len(self._alive))
+        return sum(per_pair[self._alive].tolist())
 
     # -- construction -------------------------------------------------------
 
@@ -329,22 +319,19 @@ class LinkStream:
     # -- degree profiles ----------------------------------------------------
 
     def degree_profile(self, node: int) -> DegreeProfile:
-        """Exact piecewise-constant degree of ``node`` (cached).
-
-        The first query builds every missing profile in one sweep."""
+        """Exact piecewise-constant degree of ``node``, a view of its arrays."""
         if not 0 <= node < self.num_nodes:
             raise UnknownNodeError(node)
-        if self._profiles is None:
-            self._profiles = [None] * self.num_nodes
-        prof = self._profiles[node]
-        if prof is None:
-            missing = [n for n, p in enumerate(self._profiles) if p is None]
-            for prof in self._sweep_profiles(np.array(missing, dtype=np.int64)):
-                self._profiles[prof.node] = prof
-            prof = self._profiles[node]
-        return prof
+        times, levels = self._degree_arrays()[node]
+        return DegreeProfile(node, times, levels[:-1])
 
-    def _sweep_profiles(self, nodes: np.ndarray) -> list[DegreeProfile]:
+    def _degree_arrays(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """``(breakpoints, levels)`` of every node; a node's last level is 0."""
+        if self._profiles is None:
+            self._profiles = self._sweep_profiles(np.arange(self.num_nodes))
+        return self._profiles
+
+    def _sweep_profiles(self, nodes: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
         """Exact degree profiles of ``nodes`` (ascending), one sweep per block.
 
         A block gathers the endpoints of its nodes' alive intervals, +1 at a
@@ -361,7 +348,7 @@ class LinkStream:
         # dead pairs hold no intervals, so they add no endpoints
         np.cumsum(np.diff(self._offsets)[pair_ids], out=acc[1:])
         bound = np.cumsum(2 * (acc[first[nodes + 1]] - acc[first[nodes]]))
-        out: list[DegreeProfile] = []
+        out: list[tuple[np.ndarray, np.ndarray]] = []
         i = 0
         while i < len(nodes):
             base = bound[i - 1] if i else 0
@@ -371,7 +358,7 @@ class LinkStream:
             i = j
         return out
 
-    def _sweep_block(self, block: np.ndarray) -> list[DegreeProfile]:
+    def _sweep_block(self, block: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
         first, pair_ids = self._table.adjacency()
         offsets = self._offsets
         n_adj = first[block + 1] - first[block]
@@ -397,27 +384,15 @@ class LinkStream:
         at = np.flatnonzero(heads)
         sums = np.add.reduceat(steps, at) if len(at) else steps
         kept = at[sums != 0]
-        levels = np.cumsum(sums[sums != 0]).tolist()
-        bps = times[kept].tolist()
-        cut = [0] + np.cumsum(np.bincount(local[kept], minlength=len(block))).tolist()
-        profiles = []
-        for k, node in enumerate(block.tolist()):
-            lo, hi = cut[k], cut[k + 1]
-            # the last level is the 0 after the node's last end
-            profiles.append(DegreeProfile(node, bps[lo:hi], levels[lo:hi - 1]) if hi > lo
-                            else DegreeProfile(node, [], []))
-        return profiles
-
-    def segments(
-        self, node: int, t0: float = -math.inf, t1: float = math.inf
-    ) -> Iterator[tuple[float, float, int]]:
-        """Degree segments of ``node`` that overlap ``(t0, t1)``;
-        ``NormalizedDegrees.segments`` is the normalized counterpart, so either
-        can serve as the degree view."""
-        return self.degree_profile(node).segments(t0, t1)
+        # a node's levels end with the 0 after its last end; the arrays are
+        # shared by derived streams and profile views, so they are read-only
+        times, levels = times[kept], np.cumsum(sums[sums != 0])
+        times.flags.writeable = levels.flags.writeable = False
+        cut = np.cumsum(np.bincount(local[kept], minlength=len(block)))[:-1]
+        return list(zip(np.split(times, cut), np.split(levels, cut)))
 
     def max_degree(self) -> int:
-        return max((self.degree_profile(v).max_value for v in range(self.num_nodes)), default=0)
+        return int(degree_segments(self, np.arange(self.num_nodes)).value.max(initial=0))
 
     # -- removal ------------------------------------------------------------
 
@@ -475,9 +450,10 @@ class LinkStream:
         out = LinkStream._of_arrays(self.node_names, self._table, offsets, starts, ends, alive,
                                     self.delta, self.t_begin, self.t_end)
         if self._profiles is not None:
+            touched = np.unique(np.concatenate([u[list(trimmed)], v[list(trimmed)]]))
             out._profiles = list(self._profiles)
-            for p in trimmed:
-                out._profiles[int(u[p])] = out._profiles[int(v[p])] = None
+            for node, arrays in zip(touched.tolist(), out._sweep_profiles(touched)):
+                out._profiles[node] = arrays
         return out
 
     # -- per-second aggregates ----------------------------------------------
@@ -622,49 +598,73 @@ def build_stream(triplets: Iterable[Triplet], node_names: Sequence[str], delta: 
     return LinkStream.from_triplets(triplets, node_names, delta)
 
 
-class NormalizedDegrees:
-    """View of a stream's degrees divided by the mean degree of each second.
+class Segments(NamedTuple):
+    """Degree segments as columns: ``node`` has ``value`` on ``[start, end)``."""
 
-    Values are relative to the per-second series of the stream the view was
-    created from; seconds with zero mean contain no interactions, so the
-    normalized degree is 0 there by convention.
+    node: np.ndarray
+    start: np.ndarray
+    end: np.ndarray
+    value: np.ndarray
+
+
+def degree_segments(stream: LinkStream, nodes: np.ndarray, t0: float = -math.inf,
+                    t1: float = math.inf, series: MeanDegreeSeries | None = None) -> Segments:
+    """Nonzero degree segments of ``nodes`` (ascending) that end after ``t0``
+    and start before ``t1``, in node order, then time order.
+
+    With a ``series``, each segment is cut at second bounds, keeping the
+    pieces in the seconds that overlap ``(t0, t1)``; the piece in second s
+    has value k / mean(s), and is dropped where the mean is 0 (no
+    interaction) or s is outside the series.
     """
+    nodes = np.asarray(nodes, dtype=np.int64)
+    arrays = stream._degree_arrays()
+    picked = [arrays[n] for n in nodes.tolist()]
+    # cut a long profile to its breakpoints from before t0 to the first at or after t1
+    for i, (t, k) in enumerate(picked):
+        if len(t) > _LONG_PROFILE:
+            a, b = max(int(t.searchsorted(t0)) - 1, 0), int(t.searchsorted(t1)) + 1
+            picked[i] = t[a:b], k[a:b]
+    times = np.concatenate([np.zeros(0)] + [t for t, _ in picked])
+    levels = np.concatenate([np.zeros(0, dtype=np.int64)] + [k for _, k in picked])
+    counts = np.array([len(t) for t, _ in picked], dtype=np.int64)
+    # a nonzero level lasts to the next breakpoint; a node's last one starts none
+    opens = levels != 0
+    opens[np.cumsum(counts)[counts > 0] - 1] = False
+    at = np.flatnonzero(opens)
+    at = at[(times[at + 1] > t0) & (times[at] < t1)]
+    node = np.repeat(nodes, counts)[at]
+    start, end, value = times[at], times[at + 1], levels[at]
+    if series is None:
+        return Segments(node, start, end, value)
 
-    def __init__(self, stream: LinkStream, series: MeanDegreeSeries):
-        self.stream = stream
-        self.series = series
+    # seconds count from the series' start in whole floats, as in ``mean_degree_per_second``
+    base = float(series.start_second)
+    first = np.floor(np.maximum(start, t0))
+    counts = (np.ceil(np.minimum(end, t1)) - first).astype(np.int64)
+    rel = _ranges((first - base).astype(np.int64), counts)
+    seconds = rel + base
+    at = np.repeat(np.arange(len(start)), counts)
+    lo, hi = np.maximum(start[at], seconds), np.minimum(end[at], seconds + 1.0)
+    mean = np.append(series.values, 0.0)[
+        np.where((rel >= 0) & (rel < len(series.values)), rel, len(series.values))]
+    keep = (hi > lo) & (mean > 0)
+    at = at[keep]
+    return Segments(node[at], lo[keep], hi[keep], value[at] / mean[keep])
 
-    def value_at(self, node: int, t: float) -> float:
-        k = self.stream.degree_profile(node).value_at(t)
-        if k == 0:
-            return 0.0
-        mean = self.series.value_at(t)
-        return k / mean if mean > 0 else 0.0
 
-    def segments(
-        self, node: int, t0: float = -math.inf, t1: float = math.inf
-    ) -> Iterator[tuple[float, float, float]]:
-        """Profile segments refined at second boundaries, values normalized;
-        only the pieces in the seconds that overlap ``(t0, t1)``."""
-        for a, b, k in self.stream.degree_profile(node).segments(t0, t1):
-            if k == 0:
-                continue
-            s0 = int(math.floor(max(a, t0)))
-            s1 = int(math.ceil(min(b, t1)))
-            for s in range(s0, s1):
-                lo = max(a, float(s))
-                hi = min(b, s + 1.0)
-                if hi <= lo:
-                    continue
-                mean = self.series.value_for_second(s)
-                yield lo, hi, (k / mean if mean > 0 else 0.0)
+@dataclass
+class NormalizedDegrees:
+    """A stream's degrees divided by the mean degree of each second.  Readers
+    divide the degrees of whichever stream they read by the frozen ``series``,
+    so removals do not shift the values of untouched couples."""
+
+    stream: LinkStream
+    series: MeanDegreeSeries
 
     def max_value(self) -> float:
-        out = 0.0
-        for node in range(self.stream.num_nodes):
-            for _, _, val in self.segments(node):
-                out = max(out, val)
-        return out
+        segs = degree_segments(self.stream, np.arange(self.stream.num_nodes), series=self.series)
+        return float(segs.value.max(initial=0.0))
 
 
 def normalize_degrees(stream: LinkStream, series: MeanDegreeSeries) -> NormalizedDegrees:

@@ -28,7 +28,7 @@ from typing import IO, Iterable, Sequence
 import numpy as np
 
 from . import intervals as iv
-from .linkstream import LinkStream, NormalizedDegrees, normalize_degrees
+from .linkstream import LinkStream, NormalizedDegrees, degree_segments, normalize_degrees
 from .robust_stats import NormalFit, fit_homogeneous, three_sigma_outliers
 from .slicing import (
     ActiveNodes,
@@ -180,18 +180,19 @@ def identify_event(
             )
     lo, hi = grid.bounds(event.slice_index)
     k_lo, k_hi = scheme.edges[event.class_index - 1:event.class_index + 1].tolist()
-    view = stream if normalized is None else normalized
-    nodes = range(stream.num_nodes)
-    if active is not None:
-        nodes = active.nodes(range(event.slice_index, event.slice_index + 1))
-    entries: dict[int, list[iv.Interval]] = {}
-    for node in nodes:
-        in_class = iv.merge(
-            [(a, b) for a, b, x in view.segments(node, lo, hi) if k_lo <= x < k_hi]
-        )
-        clipped = iv.clip(in_class, lo, hi)
-        if clipped:
-            entries[node] = clipped
+    rows = range(event.slice_index, event.slice_index + 1)
+    nodes = np.arange(stream.num_nodes) if active is None else active.nodes(rows)
+    segs = degree_segments(stream, nodes, lo, hi, None if normalized is None else normalized.series)
+    start, end = np.maximum(segs.start, lo), np.minimum(segs.end, hi)
+    hit = (k_lo <= segs.value) & (segs.value < k_hi) & (end > start)
+    node, start, end = segs.node[hit], start[hit], end[hit]
+    # one interval per run of a node's touching pieces
+    heads = np.ones(len(node), dtype=bool)
+    heads[1:] = (node[1:] != node[:-1]) | (start[1:] > end[:-1])
+    node, start, end = node[heads], start[heads], end[np.roll(heads, -1)]
+    owners, at = np.unique(node, return_index=True)
+    entries = {n: list(zip(a.tolist(), b.tolist()))
+               for n, a, b in zip(owners.tolist(), np.split(start, at[1:]), np.split(end, at[1:]))}
     return IdentifiedSet(entries, [event])
 
 
@@ -292,11 +293,10 @@ def run_identification(
     rest are residual; rolled-back attempts are reported separately.
     """
     params = params or PipelineParams()
-    normalized = None
-    if params.normalized:
-        # the normalization reference is frozen from the input stream so that
-        # removals do not shift class membership of untouched couples
-        normalized = normalize_degrees(stream, stream.mean_degree_per_second())
+    # the normalization reference is frozen from the input stream so that
+    # removals do not shift class membership of untouched couples
+    normalized = (normalize_degrees(stream, stream.mean_degree_per_second())
+                  if params.normalized else None)
 
     original = stream
     initial = _detect_state(fraction_matrix(stream, grid, scheme, normalized), params)
@@ -319,13 +319,10 @@ def run_identification(
             log.append(RemovalRecord(event, victims, "cascade", "already removed"))
             continue
         tentative = stream.remove_interactions(victims.victims())
-        tentative_norm = None
-        if normalized is not None:
-            tentative_norm = normalize_degrees(tentative, normalized.series)
         # victims lie inside the event's slice, so only the rows it reaches change
         rows = rows_reached(grid, event.slice_index)
         tent_state = _detect_state(
-            update_rows(state.matrix, tentative, rows, active, tentative_norm), params
+            update_rows(state.matrix, tentative, rows, active, normalized), params
         )
         if params.rollback_fit == "frozen":
             before = negative_outliers(state.matrix, initial.labels, params.sigma_mult)
@@ -342,7 +339,7 @@ def run_identification(
                 )
             )
             continue
-        stream, state, normalized = tentative, tent_state, tentative_norm
+        stream, state = tentative, tent_state
         identified_union = identified_union.merged_with(victims)
         log.append(RemovalRecord(event, victims, "applied"))
 

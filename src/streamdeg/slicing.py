@@ -19,12 +19,12 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
-from typing import IO, Iterable, NamedTuple, Sequence
+from dataclasses import dataclass, replace
+from typing import IO, NamedTuple, Sequence
 
 import numpy as np
 
-from .linkstream import LinkStream, NormalizedDegrees, normalize_degrees
+from .linkstream import LinkStream, NormalizedDegrees, _ranges, degree_segments, normalize_degrees
 from .robust_stats import _weighted_cdf, two_sample_coefficient
 
 
@@ -175,6 +175,10 @@ def build_scheme(
 # ---------------------------------------------------------------------------
 
 
+# Rows of the full matrix measured at once; bounds the temporaries.
+_ROW_BLOCK = 256
+
+
 def slice_value_measures(
     stream: LinkStream,
     grid: TimeSliceGrid,
@@ -182,49 +186,55 @@ def slice_value_measures(
 ) -> list[dict[float, float]]:
     """Measure of active couple-time per degree value, one dict per slice.
 
-    Keys are integer degrees (or real normalized degrees when a normalized
-    view is given); zero-degree time is not included.
+    Keys are integer degrees (or real normalized degrees when a normalized view
+    is given), in order of first appearance; zero-degree time is not included.
     """
-    view = stream if normalized is None else normalized
-    return _row_measures(view, range(stream.num_nodes), grid, range(grid.count))
+    nodes = np.arange(stream.num_nodes)
+    out: list[dict[float, float]] = [{} for _ in range(grid.count)]
+    for i in range(0, grid.count, _ROW_BLOCK):
+        rows = range(i, min(i + _ROW_BLOCK, grid.count))
+        row, value, mass, first = _row_measures(stream, nodes, grid, rows, normalized)
+        order = np.argsort(first)
+        for j, k, m in zip((row[order] + i).tolist(), value[order].tolist(), mass[order].tolist()):
+            out[j][k] = m
+    return out
 
 
-def _row_measures(
-    view: LinkStream | NormalizedDegrees,
-    nodes: Iterable[int],
-    grid: TimeSliceGrid,
-    rows: range,
-) -> list[dict[float, float]]:
+def _row_measures(stream: LinkStream, nodes: np.ndarray, grid: TimeSliceGrid, rows: range,
+                  normalized: NormalizedDegrees | None) -> tuple[np.ndarray, ...]:
     """Measure per degree value in each slice of ``rows``, from the segments
-    of ``nodes``.
+    of ``nodes``: one ``(row, value, measure, first)`` entry per (row, value)
+    in row order, then ascending value order.  ``row`` counts from
+    ``rows.start``; ``first`` is the position of the entry's first piece.
 
-    A row's sums take the same terms in the same order whichever rows are
-    asked for, as long as ``nodes`` is ascending and holds every node active
-    in the row, so one recomputed row is bitwise equal to that row of the
-    full computation.
+    A measure adds its pieces in node order, then time order, so a row takes
+    the same terms in the same order whichever rows are asked for, as long as
+    ``nodes`` is ascending and holds every node active in the row.
     """
-    per_slice: list[dict[float, float]] = [dict() for _ in rows]
-    if not rows:
-        return per_slice
-    origin, tau, end = grid.origin, grid.tau, grid.end
+    origin, tau = grid.origin, grid.tau
     # every segment with a positive overlap below ends after t0 and starts before t1
-    t0 = origin + rows.start * tau
-    t1 = origin + (rows.stop - 1) * tau + tau
-    for node in nodes:
-        for a, b, val in view.segments(node, t0, t1):
-            if val <= 0 or b <= origin or a >= end:
-                continue
-            a = max(a, origin)
-            b = min(b, end)
-            i0 = max(int(math.floor((a - origin) / tau)), rows.start)
-            i1 = min(int(math.ceil((b - origin) / tau)), rows.stop)
-            for i in range(i0, i1):
-                lo = origin + i * tau
-                ov = min(b, lo + tau) - max(a, lo)
-                if ov > 0:
-                    acc = per_slice[i - rows.start]
-                    acc[val] = acc.get(val, 0.0) + ov
-    return per_slice
+    t0, t1 = origin + rows.start * tau, origin + (rows.stop - 1) * tau + tau
+    segs = degree_segments(stream, nodes, t0, t1, None if normalized is None else normalized.series)
+    # clip to the grid and cut at the slices met; outside the grid no overlap is positive
+    a, b = np.maximum(segs.start, origin), np.minimum(segs.end, grid.end)
+    i0 = np.maximum(np.floor((a - origin) / tau), rows.start).astype(np.int64)
+    i1 = np.minimum(np.ceil((b - origin) / tau), rows.stop).astype(np.int64)
+    counts = np.maximum(i1 - i0, 0)
+    at = np.repeat(np.arange(len(a)), counts)
+    i = _ranges(i0, counts)
+    lo = origin + i * tau
+    ov = np.minimum(b[at], lo + tau) - np.maximum(a[at], lo)
+    pos = ov > 0
+    row, value, ov = i[pos] - rows.start, segs.value[at[pos]], ov[pos]
+
+    order = np.argsort(value, kind="stable")
+    order = order[np.argsort(row[order], kind="stable")]
+    row, value = row[order], value[order]
+    heads = np.ones(len(order), dtype=bool)
+    heads[1:] = (row[1:] != row[:-1]) | (value[1:] != value[:-1])
+    # bincount adds in input order, so each entry's pieces one by one
+    mass = np.bincount(np.cumsum(heads) - 1, ov[order])
+    return row[heads], value[heads], mass, order[heads]
 
 
 class ActiveNodes:
@@ -237,20 +247,17 @@ class ActiveNodes:
     """
 
     def __init__(self, stream: LinkStream, grid: TimeSliceGrid):
-        first = np.full(stream.num_nodes, np.inf)
-        last = np.full(stream.num_nodes, -np.inf)
-        for node in range(stream.num_nodes):
-            bps = stream.degree_profile(node).breakpoints
-            if bps:
-                first[node] = bps[0]
-                last[node] = bps[-1]
+        segs = degree_segments(stream, np.arange(stream.num_nodes))
+        first, last = np.full(stream.num_nodes, np.inf), np.full(stream.num_nodes, -np.inf)
+        np.minimum.at(first, segs.node, segs.start)
+        np.maximum.at(last, segs.node, segs.end)
         self._first_slice = np.floor((first - grid.origin) / grid.tau) - 1
         self._stop_slice = np.ceil((last - grid.origin) / grid.tau) + 1
 
-    def nodes(self, rows: range) -> list[int]:
+    def nodes(self, rows: range) -> np.ndarray:
         """Ascending indices of the nodes that may be active in ``rows``."""
         mask = (self._first_slice < rows.stop) & (rows.start < self._stop_slice)
-        return np.flatnonzero(mask).tolist()
+        return np.flatnonzero(mask)
 
 
 def rows_reached(grid: TimeSliceGrid, slice_index: int) -> range:
@@ -320,54 +327,49 @@ def fraction_matrix(
     grid: TimeSliceGrid,
     scheme: ClassScheme,
     normalized: NormalizedDegrees | None = None,
-    measures: list[dict[float, float]] | None = None,
 ) -> FractionMatrix:
-    """Exact fraction matrix from degree-profile segments clipped to slices,
-    or from ``measures``, the ``slice_value_measures`` of the same view."""
+    """Exact fraction matrix from degree segments clipped to slices, of the
+    normalized degrees when a normalized view is given."""
     if stream.num_nodes == 0:
         raise ValueError("fraction matrix undefined for an empty node set")
-    matrix = FractionMatrix(
+    blank = FractionMatrix(
         grid, scheme, np.zeros((grid.count, len(scheme))), np.zeros(grid.count), stream.num_nodes
     )
-    if measures is None:
-        measures = slice_value_measures(stream, grid, normalized)
-    _fill_rows(matrix, measures, range(grid.count))
-    return matrix
+    return update_rows(blank, stream, range(grid.count), None, normalized)
 
 
 def update_rows(
     matrix: FractionMatrix,
     stream: LinkStream,
     rows: range,
-    active: ActiveNodes,
+    active: ActiveNodes | None,
     normalized: NormalizedDegrees | None = None,
 ) -> FractionMatrix:
     """Copy of ``matrix`` with ``rows`` recomputed on ``stream``, whose nodes
-    active in those rows are among ``active``; each row is bitwise equal to
-    the same row of ``fraction_matrix(stream, ...)``."""
-    view = stream if normalized is None else normalized
-    out = FractionMatrix(
-        matrix.grid, matrix.scheme, matrix.fractions.copy(), matrix.zero.copy(), matrix.node_count
-    )
-    _fill_rows(out, _row_measures(view, active.nodes(rows), matrix.grid, rows), rows)
+    active in those rows are among ``active`` (all nodes when None); each
+    row is bitwise equal to the same row of ``fraction_matrix(stream, ...)``.
+    """
+    nodes = np.arange(stream.num_nodes) if active is None else active.nodes(rows)
+    out = replace(matrix, fractions=matrix.fractions.copy(), zero=matrix.zero.copy())
+    for i in range(rows.start, rows.stop, _ROW_BLOCK):
+        block = range(i, min(i + _ROW_BLOCK, rows.stop))
+        _fill_rows(out, block, *_row_measures(stream, nodes, out.grid, block, normalized)[:3])
     return out
 
 
-def _fill_rows(matrix: FractionMatrix, measures: list[dict[float, float]], rows: range) -> None:
-    """Overwrite ``rows`` of ``matrix`` with the fractions of ``measures``.
+def _fill_rows(
+    matrix: FractionMatrix, rows: range, row: np.ndarray, value: np.ndarray, mass: np.ndarray
+) -> None:
+    """Overwrite ``rows`` of ``matrix`` with the measures of ``_row_measures``.
 
     The zero column is computed independently from the active measure, so the
     row-sum-equals-one invariant is a real check rather than a tautology.
     """
     denom = matrix.grid.tau * matrix.node_count
     width = matrix.n_classes + 1
-    keys = [sorted(acc) for acc in measures]
-    values = np.array([v for ks in keys for v in ks], dtype=float)
-    mass = np.array([acc[v] for acc, ks in zip(measures, keys) for v in ks], dtype=float)
-    row = np.repeat(np.arange(len(rows)), [len(ks) for ks in keys])
     # bincount adds in input order, row by row in ascending value order: the
     # sums of adding each row's measures one by one, bit for bit
-    cells = np.bincount(row * width + matrix.scheme.class_of(values), mass, len(rows) * width)
+    cells = np.bincount(row * width + matrix.scheme.class_of(value), mass, len(rows) * width)
     active = np.bincount(row, mass, len(rows))
     matrix.fractions[rows.start:rows.stop] = cells.reshape(len(rows), width)[:, 1:] / denom
     matrix.zero[rows.start:rows.stop] = (denom - active) / denom

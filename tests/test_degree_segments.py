@@ -1,0 +1,156 @@
+"""The array read path against the per-segment loops it replaced.
+
+The references below are the generator loops the degree profiles were read
+with before they became arrays: per-node segments, the same segments cut per
+second and normalized, the per-segment slice accumulation of the fraction
+matrix, and the per-node merge and clip of ``identify_event``.
+"""
+
+import math
+from bisect import bisect_left, bisect_right
+from unittest import mock
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from streamdeg import intervals as iv, linkstream
+from streamdeg.pipeline import Event, identify_event
+from streamdeg.slicing import (
+    ActiveNodes,
+    FractionMatrix,
+    TimeSliceGrid,
+    build_scheme,
+    fraction_matrix,
+    slice_value_measures,
+    update_rows,
+)
+
+from test_linkstream import segment_rows, timed_streams
+
+
+def reference_segments(stream, node, t0=-math.inf, t1=math.inf, series=None):
+    """Segments of ``node`` that overlap ``(t0, t1)``, level-0 ones included;
+    with a ``series``, cut at second bounds and divided by each second's
+    mean, only the pieces in the seconds that overlap the window."""
+    prof = stream.degree_profile(node)
+    bps, values = prof.breakpoints, prof.values
+    first = max(bisect_right(bps, t0) - 1, 0)
+    stop = min(bisect_left(bps, t1), len(values))
+    for i in range(first, stop):
+        a, b, k = bps[i], bps[i + 1], values[i]
+        if series is None:
+            yield a, b, k
+            continue
+        if k == 0:
+            continue
+        for s in range(int(math.floor(max(a, t0))), int(math.ceil(min(b, t1)))):
+            lo = max(a, float(s))
+            hi = min(b, s + 1.0)
+            if hi <= lo:
+                continue
+            j = s - series.start_second
+            mean = float(series.values[j]) if 0 <= j < len(series.values) else 0.0
+            yield lo, hi, (k / mean if mean > 0 else 0.0)
+
+
+def reference_measures(stream, grid, series):
+    """Measure per degree value in each slice, one segment and one slice at
+    a time."""
+    per_slice = [dict() for _ in range(grid.count)]
+    origin, tau, end = grid.origin, grid.tau, grid.end
+    for node in range(stream.num_nodes):
+        for a, b, val in reference_segments(stream, node, series=series):
+            if val <= 0 or b <= origin or a >= end:
+                continue
+            a = max(a, origin)
+            b = min(b, end)
+            i0 = int(math.floor((a - origin) / tau))
+            i1 = min(int(math.ceil((b - origin) / tau)), grid.count)
+            for i in range(i0, i1):
+                lo = origin + i * tau
+                ov = min(b, lo + tau) - max(a, lo)
+                if ov > 0:
+                    per_slice[i][val] = per_slice[i].get(val, 0.0) + ov
+    return per_slice
+
+
+def reference_row(acc, scheme, denom):
+    """One fraction-matrix row, each class adding its values in ascending
+    order; then the zero share."""
+    cells = [0.0] * (len(scheme) + 1)
+    active = 0.0
+    for k in sorted(acc):
+        cells[scheme.class_of(k)] += acc[k]
+        active += acc[k]
+    return [c / denom for c in cells[1:]], (denom - active) / denom
+
+
+def reference_entries(stream, grid, scheme, series, j, i):
+    lo, hi = grid.bounds(i)
+    k_lo, k_hi = scheme.edges[j - 1:j + 1].tolist()
+    entries = {}
+    for node in range(stream.num_nodes):
+        in_class = iv.merge(
+            [(a, b) for a, b, x in reference_segments(stream, node, lo, hi, series)
+             if k_lo <= x < k_hi]
+        )
+        clipped = iv.clip(in_class, lo, hi)
+        if clipped:
+            entries[node] = clipped
+    return entries
+
+
+chained_removals = st.lists(
+    st.lists(st.tuples(st.integers(0, 6), st.integers(-40, 180), st.integers(1, 20)),
+             min_size=1, max_size=4),
+    min_size=1, max_size=3,
+)
+
+
+# 0 and 3: windowed reads cut every profile, or the longer ones, before masking
+@given(timed_streams(), chained_removals, st.booleans(), st.sampled_from([2.0, 0.7]),
+       st.sampled_from([0, 3, linkstream._LONG_PROFILE]))
+@settings(max_examples=60, deadline=None)
+def test_read_path_equals_the_segment_loops(stream, removals, normalized, tau, long_profile):
+    with mock.patch.object(linkstream, "_LONG_PROFILE", long_profile):
+        check_read_path(stream, removals, normalized, tau)
+
+
+def check_read_path(stream, removals, normalized, tau):
+    grid = TimeSliceGrid.covering(stream.t_begin, stream.t_end, tau)
+    scheme, view = build_scheme(stream, 0.1, normalized)
+    series = None if view is None else view.series
+    active = ActiveNodes(stream, grid)
+    streams = [stream]
+    for victims in removals:
+        streams.append(streams[-1].remove_interactions(
+            [(node, (start / 2.0, (start + width) / 2.0)) for node, start, width in victims]))
+
+    for s in streams:
+        nodes = range(s.num_nodes)
+        assert segment_rows(s, nodes, series=series) == [
+            (n, a, b, x) for n in nodes for a, b, x in reference_segments(s, n, series=series)
+            if x != 0
+        ]
+        measures = reference_measures(s, grid, series)
+        got = slice_value_measures(s, grid, view)
+        assert got == measures
+        assert [list(acc) for acc in got] == [list(acc) for acc in measures]  # key order
+
+        denom = grid.tau * s.num_nodes
+        blank = FractionMatrix(grid, scheme, np.zeros((grid.count, len(scheme))),
+                               np.zeros(grid.count), s.num_nodes)
+        full = fraction_matrix(s, grid, scheme, view)
+        for i in range(grid.count):
+            fractions, zero = reference_row(measures[i], scheme, denom)
+            row = update_rows(blank, s, range(i, i + 1), active, view)
+            assert row.fractions[i].tolist() == fractions
+            assert row.zero[i] == zero
+            assert full.fractions[i].tolist() == fractions
+            assert full.zero[i] == zero
+
+        for j in range(1, len(scheme) + 1):
+            for i in range(grid.count):
+                event = Event(j, i, 0.0, "nonzero-in-A")
+                found = identify_event(s, event, grid, scheme, None, view, active)
+                assert found.entries == reference_entries(s, grid, scheme, series, j, i)

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from streamdeg.linkstream import (
-    DegreeProfile, LinkStream, UnknownNodeError, build_stream, normalize_degrees,
+    DegreeProfile, LinkStream, UnknownNodeError, build_stream, degree_segments,
 )
-from streamdeg import intervals as iv
+from streamdeg import intervals as iv, linkstream
 from streamdeg.cli import main
 from streamdeg.trace_io import Triplet, Triplets, parse_trace
 
@@ -74,6 +74,12 @@ def reference_profile(stream: LinkStream, node: int) -> DegreeProfile:
     if not values:
         return DegreeProfile(node, [], [])
     return DegreeProfile(node, breakpoints, values)
+
+
+def segment_rows(stream: LinkStream, nodes, t0=-math.inf, t1=math.inf, series=None):
+    """``degree_segments`` as a list of ``(node, start, end, value)`` tuples."""
+    segs = degree_segments(stream, np.asarray(nodes, dtype=np.int64), t0, t1, series)
+    return list(zip(*(column.tolist() for column in segs)))
 
 
 def assert_profiles_match_reference(stream: LinkStream, nodes=None) -> None:
@@ -156,13 +162,16 @@ class TestBuildStream:
 
 class TestDegreeProfile:
     def test_reference_profile_of_b(self):
-        prof = ref_stream().degree_profile(1)
-        assert list(prof.segments()) == [
-            (0.5, 2.0, 1),
-            (2.0, 3.8, 0),
-            (3.8, 5.5, 1),
-            (5.5, 5.8, 2),
-            (5.8, 6.5, 1),
+        stream = ref_stream()
+        prof = stream.degree_profile(1)
+        assert prof.breakpoints == [0.5, 2.0, 3.8, 5.5, 5.8, 6.5]
+        assert prof.values == [1, 0, 1, 2, 1]
+        # the segments drop the level-0 gap on [2.0, 3.8)
+        assert segment_rows(stream, [1]) == [
+            (1, 0.5, 2.0, 1),
+            (1, 3.8, 5.5, 1),
+            (1, 5.5, 5.8, 2),
+            (1, 5.8, 6.5, 1),
         ]
         assert prof.value_at(0.0) == 0
         assert prof.value_at(5.6) == 2
@@ -206,11 +215,15 @@ class TestDegreeProfile:
         # window edges on breakpoints and whole seconds as well as between them
         edges = stream.degree_profile(0).breakpoints + list(rng.uniform(-2.0, 53.0, 10))
         edges += [float(t) for t in rng.integers(-2, 53, 5)]
-        for view in (stream, normalize_degrees(stream, stream.mean_degree_per_second())):
-            segs = list(view.segments(0))
-            for t0, t1 in rng.choice(edges, size=(20, 2)):
-                windowed = [s for s in segs if s[1] > t0 and s[0] < t1]
-                assert list(view.segments(0, t0, t1)) == windowed
+        windows = rng.choice(edges, size=(20, 2))
+        for series in (None, stream.mean_degree_per_second()):
+            segs = segment_rows(stream, [0], series=series)
+            # 0: every windowed read searches the profile first
+            for long_profile in (0, linkstream._LONG_PROFILE):
+                with mock.patch.object(linkstream, "_LONG_PROFILE", long_profile):
+                    for t0, t1 in windows:
+                        windowed = [s for s in segs if s[2] > t0 and s[1] < t1]
+                        assert segment_rows(stream, [0], t0, t1, series) == windowed
 
 
 class TestProfileSweep:
@@ -304,7 +317,7 @@ class TestRemoval:
         # outside their common window
         stream = ref_stream()
         out = stream.remove_interactions([(1, (4.0, 5.0))])
-        assert list(out.degree_profile(0).segments()) == list(stream.degree_profile(0).segments())
+        assert segment_rows(out, [0]) == segment_rows(stream, [0])
 
     def test_removal_monotone(self):
         rng = np.random.default_rng(11)
@@ -324,9 +337,10 @@ class TestRemoval:
         assert out.links[(0, 1)] == [(1.0, 2.0), (5.5, 6.5)]
         assert out.links[(0, 2)] == stream.links[(0, 2)]
         assert out.links[(1, 2)] == stream.links[(1, 2)]
-        # c keeps only untouched pairs, so its profile is the parent's object
-        assert out.degree_profile(2) is stream.degree_profile(2)
-        assert out.degree_profile(0) is not stream.degree_profile(0)
+        # c keeps only untouched pairs, so its profile shares the parent's arrays
+        assert np.shares_memory(out.degree_profile(2).times, stream.degree_profile(2).times)
+        assert np.shares_memory(out.degree_profile(2).levels, stream.degree_profile(2).levels)
+        assert not np.shares_memory(out.degree_profile(0).times, stream.degree_profile(0).times)
         assert out.degree_profile(0) == reference_profile(out, 0)
 
     def test_adjacency_follows_deleted_pairs(self):
@@ -443,26 +457,29 @@ class TestNormalize:
         pairs[("p0", "p1")] = [(10.0, 11.0)]
         stream = LinkStream.from_pair_intervals(["a", "p0", "p1", "p2", "p3"], pairs)
         series = stream.mean_degree_per_second()
-        view = normalize_degrees(stream, series)
         assert stream.degree_profile(0).value_at(10.3) == 4
-        assert series.value_at(10.3) == pytest.approx(2.0)
-        assert view.value_at(0, 10.3) == pytest.approx(2.0)
+        assert series.values[10 - series.start_second] == pytest.approx(2.0)
+        (_, start, end, value), = segment_rows(stream, [0], 10.3, 10.3, series)
+        assert (start, end) == (10.0, 11.0)
+        assert value == pytest.approx(2.0)
 
     def test_zero_mean_second_maps_to_zero(self):
         stream = LinkStream.from_pair_intervals(
             ["a", "b"], {("a", "b"): [(0.0, 1.0)]}, t_begin=0.0, t_end=5.0
         )
-        view = normalize_degrees(stream, stream.mean_degree_per_second())
-        assert view.value_at(0, 3.5) == 0.0
+        series = stream.mean_degree_per_second()
+        assert series.values.tolist() == [1.0, 0.0, 0.0, 0.0, 0.0]
+        # only the first second holds a segment; the others have value 0
+        assert segment_rows(stream, [0], series=series) == [(0, 0.0, 1.0, 1.0)]
+        assert segment_rows(stream, [0], 3.5, 3.5, series) == []
 
     def test_constant_rate_is_pure_rescaling(self):
         stream = LinkStream.from_pair_intervals(
             ["a", "b", "c"],
             {("a", "b"): [(0.0, 4.0)], ("a", "c"): [(0.0, 4.0)]},
         )
-        view = normalize_degrees(stream, stream.mean_degree_per_second())
-        segs = list(view.segments(0))
-        values = {v for _, _, v in segs}
+        segs = segment_rows(stream, [0], series=stream.mean_degree_per_second())
+        values = {v for _, _, _, v in segs}
         assert len(values) == 1  # constant stream -> constant normalized value
 
 

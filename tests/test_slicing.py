@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from streamdeg.linkstream import LinkStream, build_stream
+from streamdeg.linkstream import LinkStream, build_stream, degree_segments
 from streamdeg.slicing import (
     SchemeRangeError,
     TimeSliceGrid,
@@ -160,7 +160,7 @@ class TestNormalizedScheme:
             scheme, view = build_scheme(stream, 0.1, normalized=True)
             anchor = 1.0 / stream.mean_degree_per_second().values.max()
             assert scheme.edges[0] <= anchor < scheme.edges[1]
-            values = np.array([x for n in range(stream.num_nodes) for _, _, x in view.segments(n)])
+            values = degree_segments(stream, np.arange(stream.num_nodes), series=view.series).value
             assert (scheme.class_of(values) >= 1).all()
 
 
@@ -338,9 +338,6 @@ def test_slice_value_measures_conserve_active_measure():
     grid = TimeSliceGrid(0.0, 1.0, 7)
     measures = slice_value_measures(stream, grid)
     total = sum(m for acc in measures for m in acc.values())
-    by_profile = 0.0
-    for node in range(stream.num_nodes):
-        for a, b, k in stream.degree_profile(node).segments():
-            if k > 0:
-                by_profile += b - a
+    segs = degree_segments(stream, np.arange(stream.num_nodes))
+    by_profile = float((segs.end - segs.start).sum())
     assert total == pytest.approx(by_profile, rel=1e-12)
