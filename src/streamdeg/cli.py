@@ -121,7 +121,7 @@ def _load_stream(path: str, cfg: RunConfig) -> LinkStream:
         if head == LinkStream.MAGIC:
             try:
                 stream = LinkStream.load(fh)
-            except ValueError as exc:  # truncated, bad version, bad count, bad name
+            except ValueError as exc:  # truncated, a bad version, count, name or record
                 raise DataError(f"bad stream cache {path}: {exc}") from exc
         else:
             try:

@@ -9,7 +9,9 @@ decimal inputs so that equal instants compare equal.
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_right
+from functools import reduce
 from typing import Iterable, Sequence
 
 Interval = tuple[float, float]
@@ -35,8 +37,14 @@ def merge(intervals: Iterable[Interval]) -> list[Interval]:
     return out
 
 
+def ordered_sum(values: Iterable[float]) -> float:
+    """Left-to-right sum; from Python 3.12 on, the built-in ``sum``
+    compensates float rounding, so its bits depend on the version."""
+    return reduce(operator.add, values, 0)
+
+
 def measure(intervals: Sequence[Interval]) -> float:
-    return sum(e - s for s, e in intervals)
+    return ordered_sum(e - s for s, e in intervals)
 
 
 def clip(intervals: Sequence[Interval], lo: float, hi: float) -> list[Interval]:

@@ -6,10 +6,13 @@ the window ``[t - delta/2, t + delta/2)`` to the pair ``uv``; overlapping
 windows are unioned, so a pair is linked from t1 to t2 exactly when the two
 nodes interacted at least once every ``delta`` within that span.
 
-Storage is columnar.  Pair ``p`` joins nodes ``u[p] < v[p]``, in order of
-first appearance, and its intervals are ``starts[offsets[p]:offsets[p + 1]]``
-and ``ends[...]`` (CSR).  A pair that a removal empties stays in place but is
-marked dead, so pair indices never move; ``links`` reads the alive pairs.
+Storage is columnar.  Pair ``p`` joins nodes ``u[p] < v[p]``, and its
+intervals are ``starts[offsets[p]:offsets[p + 1]]`` and ``ends[...]`` (CSR).
+Every stream, parsed, loaded from its cache or derived by a removal, keeps
+its pairs in ascending ``(u, v)`` order, so a stream and its cache hold the
+same arrays and every sum over them adds in the same order.  A pair that a
+removal empties stays in place but is marked dead, so pair indices never
+move; ``links`` is a dict of the alive pairs.
 
 The instantaneous degree of a node is the number of distinct neighbours whose
 pair interval covers t.  Degree profiles are computed exactly by a sweep over
@@ -27,7 +30,8 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from typing import BinaryIO, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from functools import cached_property
+from typing import BinaryIO, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -110,15 +114,14 @@ def _ranges(first: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 
 class _PairTable:
-    """Pair endpoints and the lookups built from them, once, for a root
-    stream and every stream derived from it."""
+    """Pair endpoints in key order and the lookups built from them, once,
+    for a root stream and every stream derived from it."""
 
     def __init__(self, u: np.ndarray, v: np.ndarray, num_nodes: int):
         self.u = u
         self.v = v
         self.num_nodes = num_nodes
         self._adjacency: tuple[np.ndarray, np.ndarray] | None = None
-        self._index: dict[PairKey, int] | None = None
 
     def adjacency(self) -> tuple[np.ndarray, np.ndarray]:
         """``(first, pair_ids)``: the pairs of node n are
@@ -133,65 +136,14 @@ class _PairTable:
             self._adjacency = (first, ids[order])
         return self._adjacency
 
-    def index(self) -> dict[PairKey, int]:
-        if self._index is None:
-            keys = zip(self.u.tolist(), self.v.tolist())
-            self._index = {key: p for p, key in enumerate(keys)}
-        return self._index
-
-
-class PairIntervals(Mapping[PairKey, list[iv.Interval]]):
-    """Read-only view of a stream's alive pairs in stream order; each value
-    is a new list of ``(start, end)`` float tuples."""
-
-    def __init__(self, stream: "LinkStream"):
-        self._stream = stream
-
-    def __getitem__(self, key: PairKey) -> list[iv.Interval]:
-        p = self._stream._table.index().get(key)
-        if p is None or not self._stream._alive[p]:
-            raise KeyError(key)
-        return self._stream._intervals(p)
-
-    def __iter__(self) -> Iterator[PairKey]:
-        alive = self._stream._alive
-        table = self._stream._table
-        return zip(table.u[alive].tolist(), table.v[alive].tolist())
-
-    def __len__(self) -> int:
-        return self._stream.num_pairs
-
 
 class LinkStream:
-    """Immutable link stream over dense node indices."""
+    """Immutable link stream over dense node indices, in the arrays the
+    module docstring describes."""
 
-    def __init__(
-        self,
-        node_names: Sequence[str],
-        links: Mapping[PairKey, Sequence[iv.Interval]],
-        delta: float,
-        t_begin: float | None = None,
-        t_end: float | None = None,
-    ):
-        keys = list(links)
-        lists = [links[key] for key in keys]
-        counts = np.array([len(ivs) for ivs in lists], dtype=np.int64)
-        flat = np.array([pt for ivs in lists for pt in ivs], dtype=np.float64).reshape(-1, 2)
-        offsets = np.zeros(len(keys) + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        if t_begin is None or t_end is None:
-            nonempty = counts > 0
-            t_begin = float(flat[offsets[:-1][nonempty], 0].min()) if nonempty.any() else 0.0
-            t_end = float(flat[offsets[1:][nonempty] - 1, 1].max()) if nonempty.any() else 0.0
-        table = _PairTable(
-            np.array([k[0] for k in keys], dtype=np.int64),
-            np.array([k[1] for k in keys], dtype=np.int64),
-            len(node_names),
-        )
-        self._setup(node_names, table, offsets, flat[:, 0].copy(), flat[:, 1].copy(),
-                    np.ones(len(keys), dtype=bool), delta, t_begin, t_end)
-
-    def _setup(self, node_names, table, offsets, starts, ends, alive, delta, t_begin, t_end):
+    def __init__(self, node_names: Sequence[str], table: _PairTable, offsets: np.ndarray,
+                 starts: np.ndarray, ends: np.ndarray, alive: np.ndarray, delta: float,
+                 t_begin: float, t_end: float):
         self.node_names = list(node_names)
         self.delta = delta
         self.t_begin = t_begin
@@ -206,21 +158,18 @@ class LinkStream:
         self._profiles: list[tuple[np.ndarray, np.ndarray]] | None = None
         self._series: MeanDegreeSeries | None = None
 
-    @classmethod
-    def _of_arrays(cls, node_names, table, offsets, starts, ends, alive, delta, t_begin, t_end):
-        stream = cls.__new__(cls)
-        stream._setup(node_names, table, offsets, starts, ends, alive, delta, t_begin, t_end)
-        return stream
-
     # -- basic queries ------------------------------------------------------
 
     @property
     def num_nodes(self) -> int:
         return len(self.node_names)
 
-    @property
-    def links(self) -> PairIntervals:
-        return PairIntervals(self)
+    @cached_property
+    def links(self) -> dict[PairKey, list[iv.Interval]]:
+        """``{(u, v): [(start, end), ...]}`` of the alive pairs, in key order."""
+        alive = np.flatnonzero(self._alive)
+        keys = zip(self._table.u[alive].tolist(), self._table.v[alive].tolist())
+        return {key: self._intervals(p) for key, p in zip(keys, alive.tolist())}
 
     def _intervals(self, p: int) -> list[iv.Interval]:
         a, b = int(self._offsets[p]), int(self._offsets[p + 1])
@@ -243,7 +192,7 @@ class LinkStream:
         time order, then the pairs in order."""
         owner = np.repeat(np.arange(len(self._alive)), np.diff(self._offsets))
         per_pair = np.bincount(owner, self._ends - self._starts, len(self._alive))
-        return sum(per_pair[self._alive].tolist())
+        return iv.ordered_sum(per_pair[self._alive].tolist())
 
     # -- construction -------------------------------------------------------
 
@@ -261,8 +210,8 @@ class LinkStream:
         one ends.  Every window has the same width, so a pair's ends are sorted
         along with its starts and the previous end is the merged end so far.
         Empty windows are dropped, as ``intervals.merge`` drops them; a pair
-        left without any keeps no intervals.  Pairs are kept in order of first
-        appearance.
+        left without any keeps no intervals.  Pairs are kept in ascending
+        ``(u, v)`` order, the order ``np.unique`` returns their keys in.
         """
         if delta <= 0:
             raise ValueError("delta must be positive")
@@ -271,8 +220,7 @@ class LinkStream:
         lo = np.minimum(cols.u, cols.v)
         hi = np.maximum(cols.u, cols.v)
         width = int(hi.max()) + 1 if len(hi) else 1
-        pair = lo * width + hi
-        keys, first_at = np.unique(pair, return_index=True)
+        keys, pair = np.unique(lo * width + hi, return_inverse=True)
         start = cols.t - half
         end = cols.t + half
         keep = end > start
@@ -284,20 +232,13 @@ class LinkStream:
         opens[1:] = (pair[1:] != pair[:-1]) | (start[1:] > end[:-1])
         closes = np.ones(len(pair), dtype=bool)
         closes[:-1] = opens[1:]
-        run_pair = pair[opens]
-        lo_at = np.searchsorted(run_pair, keys, side="left")
-        counts = np.searchsorted(run_pair, keys, side="right") - lo_at
-        seen = np.argsort(first_at)
-        runs = _ranges(lo_at[seen], counts[seen])
         offsets = np.zeros(len(keys) + 1, dtype=np.int64)
-        np.cumsum(counts[seen], out=offsets[1:])
-        table = _PairTable(keys[seen] // width, keys[seen] % width, len(node_names))
+        np.cumsum(np.bincount(pair[opens], minlength=len(keys)), out=offsets[1:])
+        table = _PairTable(keys // width, keys % width, len(node_names))
         t_begin = float(start.min()) if len(start) else 0.0
         t_end = float(end.max()) if len(end) else 0.0
-        return cls._of_arrays(
-            node_names, table, offsets, start[opens][runs], end[closes][runs],
-            np.ones(len(keys), dtype=bool), delta, t_begin, t_end,
-        )
+        return cls(node_names, table, offsets, start[opens], end[closes],
+                   np.ones(len(keys), dtype=bool), delta, t_begin, t_end)
 
     @classmethod
     def from_pair_intervals(
@@ -308,13 +249,23 @@ class LinkStream:
         t_begin: float | None = None,
         t_end: float | None = None,
     ) -> "LinkStream":
-        """Build directly from explicit per-pair interval lists (mainly tests)."""
+        """Build from per-pair interval lists, each merged (mainly tests); the
+        bounds default to the extreme endpoints, or 0.0 without intervals."""
         name_idx = {n: i for i, n in enumerate(node_names)}
-        links = {}
-        for (a, b), ivs in pair_intervals.items():
-            i, j = name_idx[a], name_idx[b]
-            links[(i, j) if i < j else (j, i)] = iv.merge(ivs)
-        return cls(node_names, links, delta, t_begin, t_end)
+        links = {tuple(sorted((name_idx[a], name_idx[b]))): iv.merge(ivs)
+                 for (a, b), ivs in pair_intervals.items()}
+        keys = sorted(links)
+        flat = np.array([pt for key in keys for pt in links[key]], dtype=np.float64).reshape(-1, 2)
+        offsets = np.zeros(len(keys) + 1, dtype=np.int64)
+        np.cumsum([len(links[key]) for key in keys], out=offsets[1:])
+        if t_begin is None:
+            t_begin = float(flat[:, 0].min()) if len(flat) else 0.0
+        if t_end is None:
+            t_end = float(flat[:, 1].max()) if len(flat) else 0.0
+        pairs = np.array(keys, dtype=np.int64).reshape(-1, 2)
+        return cls(node_names, _PairTable(pairs[:, 0], pairs[:, 1], len(node_names)), offsets,
+                   flat[:, 0].copy(), flat[:, 1].copy(), np.ones(len(keys), dtype=bool),
+                   delta, t_begin, t_end)
 
     # -- degree profiles ----------------------------------------------------
 
@@ -447,8 +398,8 @@ class LinkStream:
             alive = alive.copy()
             alive[[p for p, new in trimmed.items() if not new]] = False
 
-        out = LinkStream._of_arrays(self.node_names, self._table, offsets, starts, ends, alive,
-                                    self.delta, self.t_begin, self.t_end)
+        out = LinkStream(self.node_names, self._table, offsets, starts, ends, alive,
+                         self.delta, self.t_begin, self.t_end)
         if self._profiles is not None:
             touched = np.unique(np.concatenate([u[list(trimmed)], v[list(trimmed)]]))
             out._profiles = list(self._profiles)
@@ -503,25 +454,20 @@ class LinkStream:
         for name in self.node_names:
             raw = name.encode("utf-8")
             head += [struct.pack("<H", len(raw)), raw]
+        # dead pairs hold no intervals, so the alive pairs' intervals are all of them
         alive = np.flatnonzero(self._alive)
-        u, v = self._table.u[alive], self._table.v[alive]
-        order = np.lexsort((v, u))
-        first = self._offsets[alive][order]
-        counts = self._offsets[alive + 1][order] - first
-        head.append(struct.pack("<Q", len(order)))
+        counts = np.diff(self._offsets)[alive]
+        head.append(struct.pack("<Q", len(alive)))
         out.write(b"".join(head))
 
-        heads = np.zeros(len(order), dtype=np.int64)
+        heads = np.zeros(len(alive), dtype=np.int64)
         np.cumsum(3 + 2 * counts[:-1], out=heads[1:])
-        words = np.empty(int(heads[-1] + 3 + 2 * counts[-1]) if len(order) else 0, dtype="<u8")
+        words = np.empty(int(heads[-1] + 3 + 2 * counts[-1]) if len(alive) else 0, dtype="<u8")
         is_head = np.zeros(len(words), dtype=bool)
-        for k, column in enumerate((u[order], v[order], counts)):
+        for k, column in enumerate((self._table.u[alive], self._table.v[alive], counts)):
             words[heads + k] = column
             is_head[heads + k] = True
-        runs = _ranges(first, counts)
-        body = np.empty((len(runs), 2), dtype="<f8")
-        body[:, 0] = self._starts[runs]
-        body[:, 1] = self._ends[runs]
+        body = np.stack([self._starts, self._ends], axis=1).astype("<f8")
         words[~is_head] = body.reshape(-1).view("<u8")
         out.write(words.tobytes())
 
@@ -529,7 +475,7 @@ class LinkStream:
     def load(cls, src: BinaryIO) -> "LinkStream":
         """Read a cache written by ``save``.  Every count is checked against
         the bytes left before anything is allocated for it; bytes after the
-        last record are ignored."""
+        last record are ignored.  What ``save`` never writes is rejected."""
         buf = src.read()
         if buf[:4] != cls.MAGIC:
             raise ValueError("not a link-stream cache file")
@@ -547,6 +493,11 @@ class LinkStream:
         if version != cls.VERSION:
             raise ValueError(f"unsupported cache version {version}")
         delta, t_begin, t_end = unpack("<ddd")
+        # NaN fails every comparison
+        if not 0.0 < delta < math.inf:
+            raise ValueError(f"delta {delta} is not positive and finite")
+        if not -math.inf < t_begin <= t_end < math.inf:
+            raise ValueError(f"time span [{t_begin}, {t_end}] is not finite and ordered")
         (n_nodes,) = unpack("<Q")
         if n_nodes > (len(buf) - pos) // 2:
             raise ValueError(f"{n_nodes} node names cannot fit in {len(buf) - pos} bytes")
@@ -576,22 +527,26 @@ class LinkStream:
             raise ValueError(f"truncated at byte {len(buf)}")
 
         heads = np.array(heads, dtype=np.int64)
-        if n_pairs and max(words[heads].max(), words[heads + 1].max()) >= n_nodes:
-            raise ValueError(f"pair node index out of range for {n_nodes} nodes")
         u, v, counts = (words[heads + k].astype(np.int64) for k in range(3))
-        order = np.lexsort((v, u))
-        if ((u[order][1:] == u[order][:-1]) & (v[order][1:] == v[order][:-1])).any():
-            raise ValueError("duplicate pair record")
+        ascending = (u[1:] > u[:-1]) | ((u[1:] == u[:-1]) & (v[1:] > v[:-1]))
+        if not (((0 <= u) & (u < v) & (v < n_nodes)).all() and ascending.all()):
+            raise ValueError(f"pair records not ascending (u, v) with 0 <= u < v < {n_nodes}")
         is_body = np.ones(at, dtype=bool)
         for k in range(3):
             is_body[heads + k] = False
         body = np.frombuffer(buf, dtype="<f8", count=at, offset=pos)[is_body].astype(np.float64)
+        starts, ends = body[0::2], body[1::2]
         offsets = np.zeros(n_pairs + 1, dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])
-        return cls._of_arrays(
-            names, _PairTable(u, v, n_nodes), offsets, body[0::2], body[1::2],
-            np.ones(n_pairs, dtype=bool), delta, t_begin, t_end,
-        )
+        # an interval inside the finite span is finite; one that is not the
+        # first of its pair starts after the previous one ends
+        after = np.ones(len(starts), dtype=bool)
+        after[1:] = starts[1:] > ends[:-1]
+        after[offsets[:-1][counts > 0]] = True
+        if not (after & (t_begin <= starts) & (starts < ends) & (ends <= t_end)).all():
+            raise ValueError(f"intervals not disjoint, ascending and inside [{t_begin}, {t_end}]")
+        return cls(names, _PairTable(u, v, n_nodes), offsets, starts, ends,
+                   np.ones(n_pairs, dtype=bool), delta, t_begin, t_end)
 
 
 def build_stream(triplets: Iterable[Triplet], node_names: Sequence[str], delta: float) -> LinkStream:

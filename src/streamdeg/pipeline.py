@@ -73,7 +73,7 @@ class IdentifiedSet:
 
     @property
     def measure(self) -> float:
-        return sum(iv.measure(ivs) for ivs in self.entries.values())
+        return iv.ordered_sum(iv.measure(ivs) for ivs in self.entries.values())
 
     @property
     def is_empty(self) -> bool:

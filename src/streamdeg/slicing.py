@@ -24,6 +24,7 @@ from typing import IO, NamedTuple, Sequence
 
 import numpy as np
 
+from .intervals import ordered_sum
 from .linkstream import LinkStream, NormalizedDegrees, _ranges, degree_segments, normalize_degrees
 from .robust_stats import _weighted_cdf, two_sample_coefficient
 
@@ -422,8 +423,8 @@ def ks_similarity_report(
         # observation is meaningless for the critical value
         sizes = np.array([max(1.0, float(s.max())) for s in supports], dtype=float)
     elif size_mode == "observation-count":
-        sizes = np.array([max(1.0, round(sum(per_slice[i].values()) / delta)) for i in active],
-                         dtype=float)
+        sizes = np.array([max(1.0, round(ordered_sum(per_slice[i].values()) / delta))
+                          for i in active], dtype=float)
     else:
         raise ValueError(f"unknown size mode {size_mode!r}")
 

@@ -11,9 +11,10 @@ import pytest
 
 import streamdeg
 from streamdeg.cli import main, write_identified_csv
-from streamdeg.linkstream import LinkStream
+from streamdeg.config import RunConfig
+from streamdeg.linkstream import LinkStream, build_stream
 from streamdeg.pipeline import IdentifiedSet
-from streamdeg.trace_io import GroundTruth, TruthEntry, write_ground_truth
+from streamdeg.trace_io import GroundTruth, TruthEntry, parse_trace, write_ground_truth
 
 SCENARIO = {
     "duration": 120,
@@ -379,6 +380,44 @@ class TestIdentify:
         assert read_bytes(outs[0] / "report.json") == read_bytes(outs[1] / "report.json")
         reports = [json.loads((out / "report.json").read_text()) for out in outs]
         assert reports[0]["identification"] == reports[2]["identification"]
+
+
+POISSON_SCENARIO = {
+    "duration": 40,
+    "background_nodes": 20,
+    "background_model": "poisson",
+    "injections": [
+        {"kind": "scan", "source": "scanner", "targets": 200, "window": [20, 22]},
+        {"kind": "spike", "node": "burst", "level": 40, "window": [6, 8]},
+    ],
+}
+
+
+@pytest.fixture(scope="module")
+def poisson_sources(tmp_path_factory):
+    """A poisson trace, in which pairs first appear out of key order, and the
+    cache of the stream built from it."""
+    root = tmp_path_factory.mktemp("poisson")
+    scenario = root / "scenario.json"
+    scenario.write_text(json.dumps(POISSON_SCENARIO))
+    assert main(["synth", "--scenario", str(scenario), "--seed", "1",
+                 "--output-dir", str(root)]) == 0
+    with open(root / "trace.txt", "rb") as fh:
+        triplets, meta = parse_trace(fh)
+    with open(root / "stream.bin", "wb") as fh:
+        build_stream(triplets, meta.node_names, RunConfig().delta).save(fh)
+    return root / "trace.txt", root / "stream.bin"
+
+
+@pytest.mark.parametrize("command", [["analyze", "--normalized", "--ks-report"],
+                                     ["identify"], ["validate"]], ids=lambda c: c[0])
+def test_trace_and_its_cache_write_the_same_bytes(poisson_sources, tmp_path, command):
+    outputs = []
+    for source in poisson_sources:
+        out = tmp_path / source.stem
+        assert main([command[0], "--trace", str(source), *command[1:], "--output-dir", str(out)]) == 0
+        outputs.append({path.name: path.read_bytes() for path in sorted(out.iterdir())})
+    assert outputs[0] == outputs[1]
 
 
 class TestValidate:

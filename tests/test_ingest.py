@@ -3,7 +3,8 @@
 ``reference_parse`` is the line-by-line parser the columnar ``parse_trace``
 replaced, and ``reference_links`` the ``intervals.merge``-based construction
 of a stream's links that ``LinkStream.from_triplets`` replaced; both are kept
-here, unchanged in behaviour, as the oracles.
+here as the oracles.  ``reference_links`` lists the pairs in key order, the
+order every stream keeps.
 """
 
 import math
@@ -69,7 +70,7 @@ def reference_links(triplets, delta: float) -> dict:
     raw: dict = {}
     for t, u, v in triplets:
         raw.setdefault((min(u, v), max(u, v)), []).append((t - half, t + half))
-    return {key: iv.merge(ivs) for key, ivs in raw.items()}
+    return {key: iv.merge(raw[key]) for key in sorted(raw)}
 
 
 def exact(triplets) -> list:

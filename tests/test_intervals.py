@@ -80,3 +80,8 @@ def test_clip():
 def test_dilate():
     assert iv.dilate([(1, 2), (2.5, 3)], 0.25) == [(0.75, 3.25)]
     assert iv.dilate([], 1.0) == []
+
+
+def test_measure_adds_left_to_right():
+    # a compensated sum, as the built-in ``sum`` is from Python 3.12 on, gives 1.0000000000000002
+    assert iv.measure([(0.0, 1.0), (0.0, 2**-53), (0.0, 2**-53)]) == 1.0

@@ -28,6 +28,11 @@ def ref_stream() -> LinkStream:
     return LinkStream.from_pair_intervals(["a", "b", "c"], REF_PAIRS, delta=1.0)
 
 
+def stream_of(names, links, delta=1.0, t_begin=None, t_end=None) -> LinkStream:
+    named = {(names[u], names[v]): ivs for (u, v), ivs in links.items()}
+    return LinkStream.from_pair_intervals(names, named, delta, t_begin, t_end)
+
+
 def random_stream(rng: np.random.Generator, n_nodes=10, n_triplets=100, delta=1.0):
     names = [f"n{i}" for i in range(n_nodes)]
     triplets = []
@@ -281,7 +286,7 @@ class TestProfileSweep:
             with mock.patch.object(iv, "subtract", wraps=iv.subtract) as subtract:
                 out = stream.remove_interactions(cuts)
             assert [call.args[0] for call in subtract.call_args_list] == pairs_reaching(stream, cuts)
-            fresh = LinkStream(out.node_names, out.links, out.delta, out.t_begin, out.t_end)
+            fresh = stream_of(out.node_names, out.links, out.delta, out.t_begin, out.t_end)
             assert list(out.links.items()) == list(fresh.links.items())
             for node in range(out.num_nodes):
                 assert out.degree_profile(node) == fresh.degree_profile(node)
@@ -350,7 +355,7 @@ class TestRemoval:
         for node in range(0, stream.num_nodes, 3):
             streams.append(streams[-1].remove_interactions([(node, (0.0, 60.0))]))
         for s in streams:
-            rebuilt = LinkStream(s.node_names, s.links, s.delta, s.t_begin, s.t_end)
+            rebuilt = stream_of(s.node_names, s.links, s.delta, s.t_begin, s.t_end)
             for node in range(s.num_nodes):
                 assert s.pairs_of(node) == rebuilt.pairs_of(node)
         assert len(streams[-1].links) < len(stream.links)
@@ -420,6 +425,11 @@ class TestMeanDegree:
         assert len(series.values) == 7
         for got, want in zip(series.values, expected):
             assert got == pytest.approx(want, abs=1e-3)
+
+    def test_total_link_seconds_adds_left_to_right(self):
+        pairs = {("a", "b"): [(0.0, 1.0)], ("a", "c"): [(0.0, 2**-53)], ("b", "c"): [(0.0, 2**-53)]}
+        stream = LinkStream.from_pair_intervals(["a", "b", "c"], pairs)
+        assert stream.total_link_seconds() == 1.0
 
     def test_total_equals_twice_link_seconds_over_nodes(self):
         rng = np.random.default_rng(9)
@@ -573,15 +583,82 @@ def load_outcome(loader, blob: bytes):
 
 def small_cache_blob() -> bytes:
     # a two-byte UTF-8 name, an empty pair and a pair with two intervals
-    stream = LinkStream(
+    stream = stream_of(
         ["a", "b\u00e9", "c"], {(0, 2): [(0.5, 2.0), (3.0, 4.0)], (0, 1): [], (1, 2): [(1.0, 1.5)]},
         1.0, 0.5, 4.0,
     )
     return saved(stream)
 
 
+# A cache of nodes a, b and c as ``save`` writes it, and single faults in it
+# that ``save`` never writes: each replaces one argument of ``raw_cache``.
+GOOD_RECORDS = [(0, 1, [(0.0, 6.0), (7.0, 8.0)]), (0, 2, []), (1, 2, [(2.0, 3.0)])]
+BAD_CACHES = {
+    "zero delta": {"delta": 0.0},
+    "negative delta": {"delta": -1.0},
+    "NaN delta": {"delta": math.nan},
+    "infinite delta": {"delta": math.inf},
+    "infinite t_end": {"t_end": math.inf},
+    "NaN t_end": {"t_end": math.nan},
+    "infinite t_begin": {"t_begin": -math.inf},
+    "t_begin above t_end": {"t_begin": 10.5},
+    "self pair": {"records": [(1, 1, [(0.0, 1.0)])]},
+    "reversed pair": {"records": [(1, 0, [(0.0, 1.0)])]},
+    "duplicate pair": {"records": [(0, 1, [(0.0, 1.0)]), (0, 1, [(2.0, 3.0)])]},
+    "descending u": {"records": [(1, 2, []), (0, 2, [])]},
+    "descending v": {"records": [(0, 2, []), (0, 1, [])]},
+    "inverted interval": {"records": [(0, 1, [(5.0, 3.0)])]},
+    "empty interval": {"records": [(0, 1, [(3.0, 3.0)])]},
+    "NaN start": {"records": [(0, 1, [(math.nan, 3.0)])]},
+    "infinite end": {"records": [(0, 1, [(0.0, math.inf)])]},
+    "start before t_begin": {"records": [(0, 1, [(-1.0, 1.0)])]},
+    "end after t_end": {"records": [(0, 1, [(9.0, 11.0)])]},
+    "overlapping intervals": {"records": [(0, 1, [(0.0, 6.0), (2.0, 8.0)])]},
+    "touching intervals": {"records": [(0, 1, [(0.0, 2.0), (2.0, 8.0)])]},
+    "descending intervals": {"records": [(0, 1, [(7.0, 8.0), (0.0, 6.0)])]},
+}
+
+
+def raw_cache(records=GOOD_RECORDS, delta=1.0, t_begin=0.0, t_end=10.0) -> bytes:
+    """A cache of nodes a, b and c holding ``records`` of ``(u, v, intervals)``."""
+    out = [LinkStream.MAGIC, struct.pack("<HdddQ", LinkStream.VERSION, delta, t_begin, t_end, 3)]
+    out += [struct.pack("<H", 1) + name.encode() for name in "abc"]
+    out.append(struct.pack("<Q", len(records)))
+    for u, v, ivs in records:
+        out.append(struct.pack("<QQQ", u, v, len(ivs)))
+        out += [struct.pack("<dd", s, e) for s, e in ivs]
+    return b"".join(out)
+
+
 class TestArrayCache:
     """The array cache reader and writer against the struct reference."""
+
+    @given(st.one_of(small_streams(), timed_streams()), victim_lists)
+    @settings(max_examples=60, deadline=None)
+    def test_round_trip_keeps_pair_order_and_sums(self, stream, removals):
+        for victims in [[]] + removals:
+            stream = stream.remove_interactions(
+                [(node, (start / 2.0, (start + width) / 2.0)) for node, start, width in victims]
+            )
+            loaded = LinkStream.load(io.BytesIO(saved(stream)))
+            assert list(loaded.links.items()) == list(stream.links.items())
+            assert repr(loaded.total_link_seconds()) == repr(stream.total_link_seconds())
+            got, want = loaded.mean_degree_per_second(), stream.mean_degree_per_second()
+            assert got.start_second == want.start_second
+            assert got.values.tobytes() == want.values.tobytes()
+
+    @pytest.mark.parametrize("fault", BAD_CACHES.values(), ids=list(BAD_CACHES))
+    def test_records_save_never_writes_rejected(self, tmp_path, capsys, fault):
+        good = LinkStream.load(io.BytesIO(raw_cache()))
+        assert good.links == {(0, 1): [(0.0, 6.0), (7.0, 8.0)], (0, 2): [], (1, 2): [(2.0, 3.0)]}
+        bad = raw_cache(**fault)
+        with pytest.raises(ValueError):
+            LinkStream.load(io.BytesIO(bad))
+        cache = tmp_path / "bad.bin"
+        cache.write_bytes(bad)
+        rc = main(["identify", "--trace", str(cache), "--output-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert "bad stream cache" in capsys.readouterr().err
 
     @given(small_streams(), victim_lists)
     @settings(max_examples=60, deadline=None)
