@@ -9,6 +9,7 @@ exception (wall-clock is not reproducible).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -148,6 +149,17 @@ def _grid_for(stream: LinkStream, cfg: RunConfig) -> TimeSliceGrid:
     return grid
 
 
+@contextlib.contextmanager
+def _span_in_memory(grid: TimeSliceGrid):
+    """Turn an array numpy refuses outright, one row per slice or one entry per
+    second of the trace span, into a data error."""
+    try:
+        yield
+    except MemoryError as exc:
+        raise DataError(f"the trace span needs {grid.count} slices of tau {grid.tau:g} s, "
+                        f"more than numpy can allocate ({exc})") from exc
+
+
 def _pipeline_params(cfg: RunConfig) -> PipelineParams:
     return PipelineParams(**{f.name: getattr(cfg, f.name) for f in dataclasses.fields(PipelineParams)})
 
@@ -243,8 +255,9 @@ def cmd_analyze(args) -> int:
         raise UsageError(f"--bootstrap-count must be at least {MIN_BOOTSTRAP}")
     stream = _load_stream(args.trace, cfg)
     grid = _grid_for(stream, cfg)
-    scheme, view = build_scheme(stream, cfg.class_ratio, cfg.normalized)
-    matrix = fraction_matrix(stream, grid, scheme, view)
+    with _span_in_memory(grid):
+        scheme, view = build_scheme(stream, cfg.class_ratio, cfg.normalized)
+        matrix = fraction_matrix(stream, grid, scheme, view)
     labels = classify_classes(matrix, cfg.grubbs_alpha, cfg.ks_alpha, cfg.zero_majority)
     events = detect_events(matrix, labels, cfg.sigma_mult)
 
@@ -301,8 +314,9 @@ def cmd_analyze(args) -> int:
 def _run_identify(args, cfg):
     stream = _load_stream(args.trace, cfg)
     grid = _grid_for(stream, cfg)
-    scheme, _ = build_scheme(stream, cfg.class_ratio, cfg.normalized)
-    return stream, run_identification(stream, grid, scheme, _pipeline_params(cfg))
+    with _span_in_memory(grid):
+        scheme, _ = build_scheme(stream, cfg.class_ratio, cfg.normalized)
+        return stream, run_identification(stream, grid, scheme, _pipeline_params(cfg))
 
 
 def cmd_identify(args) -> int:

