@@ -382,10 +382,20 @@ def cmd_sweep(args) -> int:
         raise UsageError(f"cannot parse sweep values {args.values!r}")
     if args.reference is None or args.reference not in values:
         raise UsageError("--reference must be one of --values")
+    swept = "tau" if args.axis == "tau" else "class_ratio"
+    for value in values:
+        try:
+            dataclasses.replace(cfg, **{swept: value}).validate()
+        except ValueError as exc:
+            raise UsageError(f"bad sweep value {value!r}: {exc}") from exc
     report = sweep(
         stream, args.axis, values, args.reference, cfg.tau, cfg.class_ratio,
         _pipeline_params(cfg), threads=cfg.threads,
     )
+    ref_error = report.points[values.index(args.reference)].error
+    if ref_error:
+        raise DataError(f"reference point {args.reference!r} failed, so no Jaccard value exists: "
+                        f"{ref_error}")
     out = _outdir(args)
     with open(out / "sweep.csv", "w", encoding="utf-8", newline="") as fh:
         report.write_csv(fh)

@@ -69,7 +69,6 @@ class IdentifiedSet:
     """Per-node disjoint intervals of attributed anomalous activity."""
 
     entries: dict[int, list[iv.Interval]] = field(default_factory=dict)
-    provenance: list[Event] = field(default_factory=list)
 
     @property
     def measure(self) -> float:
@@ -84,12 +83,6 @@ class IdentifiedSet:
 
     def victims(self) -> list[tuple[int, iv.Interval]]:
         return [(n, interval) for n, ivs in sorted(self.entries.items()) for interval in ivs]
-
-    def merged_with(self, other: "IdentifiedSet") -> "IdentifiedSet":
-        entries = {n: list(ivs) for n, ivs in self.entries.items()}
-        for n, ivs in other.entries.items():
-            entries[n] = iv.merge(entries.get(n, []) + list(ivs))
-        return IdentifiedSet(entries, self.provenance + other.provenance)
 
 
 class NotAnAClassError(ValueError):
@@ -193,7 +186,7 @@ def identify_event(
     owners, at = np.unique(node, return_index=True)
     entries = {n: list(zip(a.tolist(), b.tolist()))
                for n, a, b in zip(owners.tolist(), np.split(start, at[1:]), np.split(end, at[1:]))}
-    return IdentifiedSet(entries, [event])
+    return IdentifiedSet(entries)
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +236,6 @@ class DetectionState:
 @dataclass
 class IdentificationResult:
     initial: DetectionState
-    final: DetectionState
     final_stream: LinkStream
     log: list[RemovalRecord]
     identified_set: IdentifiedSet
@@ -304,7 +296,6 @@ def run_identification(
     state = initial
     processed: set[tuple[int, int]] = set()
     log: list[RemovalRecord] = []
-    identified_union = IdentifiedSet()
 
     while True:
         pending = [
@@ -340,11 +331,15 @@ def run_identification(
             )
             continue
         stream, state = tentative, tent_state
-        identified_union = identified_union.merged_with(victims)
         log.append(RemovalRecord(event, victims, "applied"))
 
-    final = state
-    final_keys = {e.key for e in final.events}
+    # nodes in order of first applied removal: identified_measure sums in it
+    victims_of: dict[int, list[iv.Interval]] = {}
+    for rec in log:
+        if rec.status == "applied":
+            for n, ivs in rec.victims.entries.items():
+                victims_of.setdefault(n, []).extend(ivs)
+    final_keys = {e.key for e in state.events}
     rolled_keys = {rec.event.key for rec in log if rec.status == "rolled-back"}
     identified_events = [e for e in initial.events if e.key not in final_keys]
     rolled_back_events = [
@@ -358,16 +353,15 @@ def run_identification(
     removed_share = 1.0 - after_seconds / before_seconds if before_seconds > 0 else 0.0
 
     residual_initial = len(
-        {e.key for e in detect_events(final.matrix, initial.labels, params.sigma_mult)}
+        {e.key for e in detect_events(state.matrix, initial.labels, params.sigma_mult)}
         & {e.key for e in initial.events}
     )
 
     return IdentificationResult(
         initial=initial,
-        final=final,
         final_stream=stream,
         log=log,
-        identified_set=identified_union,
+        identified_set=IdentifiedSet({n: iv.merge(ivs) for n, ivs in victims_of.items()}),
         detected_events=list(initial.events),
         identified_events=identified_events,
         residual_events=residual_events,

@@ -258,6 +258,8 @@ class SweepReport:
                 p.class_counts.get("R", 0),
                 "" if p.k_id is None else repr(p.k_id),
             ]
+            if p.error:  # a failed point has no metrics; its error is in the JSON report
+                row[1:] = [""] * (len(row) - 1)
             if include_runtime:
                 row.append(repr(p.runtime_s))
             writer.writerow(row)

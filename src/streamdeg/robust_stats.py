@@ -277,12 +277,11 @@ def fit_homogeneous(
     values: Sequence[float],
     grubbs_alpha: float = 0.05,
     ks_alpha: float = 0.1,
-    unbiased_sigma: bool = False,
 ) -> NormalFit:
     """Grubbs-pruned normal MLE fit with a KS goodness check.
 
     mu and sigma are the maximum-likelihood estimates on the kept values
-    (sigma uses 1/n unless ``unbiased_sigma``); the fit is accepted when the
+    (sigma uses 1/n); the fit is accepted when the
     one-sample KS statistic stays below the asymptotic critical value at
     ``ks_alpha``.  Fewer than 8 values cannot establish a baseline and are
     rejected outright; an all-equal sample is accepted with sigma = 0.
@@ -290,11 +289,11 @@ def fit_homogeneous(
     Fits are cached by the bytes of the values: the removal loop refits every
     class after each attempt, and most columns come back unchanged.
     """
-    return _fit_homogeneous(np.asarray(values, dtype=float).tobytes(), grubbs_alpha, ks_alpha, unbiased_sigma)
+    return _fit_homogeneous(np.asarray(values, dtype=float).tobytes(), grubbs_alpha, ks_alpha)
 
 
 @functools.lru_cache(maxsize=256)
-def _fit_homogeneous(key: bytes, grubbs_alpha: float, ks_alpha: float, unbiased_sigma: bool) -> NormalFit:
+def _fit_homogeneous(key: bytes, grubbs_alpha: float, ks_alpha: float) -> NormalFit:
     arr = np.frombuffer(key)
     if len(arr) < 8:
         mu = float(arr.mean()) if len(arr) else 0.0
@@ -307,7 +306,7 @@ def _fit_homogeneous(key: bytes, grubbs_alpha: float, ks_alpha: float, unbiased_
         # instead of 0, so short-circuit the degenerate-but-accepted case
         return NormalFit(float(kept[0]), 0.0, len(kept), 0.0, True)
     mu = float(kept.mean())
-    sigma = float(kept.std(ddof=1 if unbiased_sigma else 0))
+    sigma = float(kept.std())
     ks = _ks_against_normal(kept, mu, sigma)
     critical = one_sample_ks_coefficient(ks_alpha) / math.sqrt(len(kept))
     accepted = ks < critical

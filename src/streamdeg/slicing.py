@@ -40,8 +40,8 @@ class TimeSliceGrid:
     count: int
 
     def __post_init__(self) -> None:
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
+        if not 0 < self.tau < math.inf:  # nan fails too
+            raise ValueError("tau must be finite and positive")
         if self.count < 0:
             raise ValueError("count must be non-negative")
 
@@ -292,11 +292,6 @@ class FractionMatrix:
     def column(self, class_index: int) -> np.ndarray:
         return self.fractions[:, class_index - 1]
 
-    def value(self, slice_index: int, class_index: int) -> float:
-        if class_index == 0:
-            return float(self.zero[slice_index])
-        return float(self.fractions[slice_index, class_index - 1])
-
     def row_sums(self) -> np.ndarray:
         return self.fractions.sum(axis=1) + self.zero
 
@@ -388,7 +383,6 @@ class SimilarityReport:
     ratios: np.ndarray
     pairs: list[tuple[int, int]]
     skipped_slices: list[int]
-    alpha: float
 
     @property
     def fraction_above_one(self) -> float:
@@ -448,4 +442,4 @@ def ks_similarity_report(
     ratios = np.maximum(gap[a, b], gap[b, a]) / (
         two_sample_coefficient(alpha) * np.sqrt((n + m) / (n * m)))
     pairs = list(zip(active[a].tolist(), active[b].tolist()))
-    return SimilarityReport(ratios, pairs, skipped, alpha)
+    return SimilarityReport(ratios, pairs, skipped)

@@ -18,7 +18,6 @@ import io
 import math
 from contextlib import suppress
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import compress, repeat
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -50,20 +49,6 @@ class TraceMeta:
     t_max: float
     node_names: list[str] = field(default_factory=list)
 
-    def index_of(self, name: str) -> int:
-        """Index of a node name; ``ValueError`` if the name is unknown."""
-        try:
-            return self._name_index[name]
-        except KeyError:
-            raise ValueError(f"unknown node name {name!r}") from None
-
-    @cached_property
-    def _name_index(self) -> dict[str, int]:
-        index: dict[str, int] = {}
-        for i, name in enumerate(self.node_names):
-            index.setdefault(name, i)
-        return index
-
 
 @dataclass(frozen=True)
 class TruthEntry:
@@ -81,24 +66,6 @@ class GroundTruth:
         for e in self.entries:
             if not e.start < e.end:
                 raise ValueError(f"ground-truth interval not well-formed: {e}")
-
-    def by_kind(self, kind: str) -> list[TruthEntry]:
-        return [e for e in self.entries if e.kind == kind]
-
-
-def _interner(names: list[str]) -> Callable[[str], int]:
-    """Map a name to its dense index, appending unseen names to ``names``."""
-    index: dict[str, int] = {}
-
-    def intern(name: str) -> int:
-        idx = index.get(name)
-        if idx is None:
-            idx = len(names)
-            index[name] = idx
-            names.append(name)
-        return idx
-
-    return intern
 
 
 class Triplets(Sequence[Triplet]):
@@ -429,12 +396,11 @@ def generate_synthetic(spec: ScenarioSpec, seed: int) -> tuple[list[Triplet], Tr
     """
     spec.validate()
     rng = np.random.default_rng(seed)
-    names: list[str] = []
-    intern = _interner(names)
+    index: dict[str, int] = {}  # name -> dense index, in order of first use
 
     records: list[tuple[float, int, int]] = []
     n_bg = spec.background_nodes
-    bg = [intern(f"bg{i}") for i in range(n_bg)]
+    bg = [index.setdefault(f"bg{i}", len(index)) for i in range(n_bg)]
 
     if n_bg > 0 and spec.background_model == "regular":
         d = spec.regular_degree
@@ -471,10 +437,10 @@ def generate_synthetic(spec: ScenarioSpec, seed: int) -> tuple[list[Triplet], Tr
             scan = isinstance(inj, ScanInjection)
             name, count, kind, tag = ((inj.source, inj.targets, "scan", "t") if scan
                                       else (inj.dest, inj.sources, "fanin", "s"))
-            hub = intern(name)
+            hub = index.setdefault(name, len(index))
             centers = _second_centers(w) if spec.background_model == "regular" else None
             for j in range(count):
-                fresh = intern(f"{name}.{tag}{j}")
+                fresh = index.setdefault(f"{name}.{tag}{j}", len(index))
                 if centers:
                     t = centers[int(rng.integers(0, len(centers)))]
                 else:
@@ -482,8 +448,8 @@ def generate_synthetic(spec: ScenarioSpec, seed: int) -> tuple[list[Triplet], Tr
                 records.append((t, hub, fresh) if scan else (t, fresh, hub))
             truth_entries.append(TruthEntry(name, w[0], w[1], kind))
         else:
-            node = intern(inj.node)
-            peers = [intern(f"{inj.node}.p{j}") for j in range(inj.level)]
+            node = index.setdefault(inj.node, len(index))
+            peers = [index.setdefault(f"{inj.node}.p{j}", len(index)) for j in range(inj.level)]
             if spec.background_model == "regular":
                 times: Iterable[float] = _second_centers(w)
             else:
@@ -502,5 +468,5 @@ def generate_synthetic(spec: ScenarioSpec, seed: int) -> tuple[list[Triplet], Tr
         t_max = max(tr.t for tr in triplets)
     else:
         t_min = t_max = 0.0
-    meta = TraceMeta(len(triplets), len(names), t_min, t_max, names)
+    meta = TraceMeta(len(triplets), len(index), t_min, t_max, list(index))
     return triplets, meta, GroundTruth(truth_entries)

@@ -212,7 +212,7 @@ def collect_c8(stream, meta, threads: int = 1) -> dict:
     from streamdeg.reporting import sweep
 
     rep = sweep(stream, "tau", taus, 2.0, TAU, RATIO, PipelineParams(), threads=threads)
-    burst = meta.index_of("burst")
+    burst = meta.node_names.index("burst")
     spike_intervals = {}
     for tau in taus:
         grid = TimeSliceGrid.covering(stream.t_begin, stream.t_end, tau)
@@ -392,7 +392,7 @@ def test_criterion_06_end_to_end_identification(main_trace):
     stream, meta, truth = main_trace
     background_max = 4
     for entry in truth.entries:
-        peak = stream.degree_profile(meta.index_of(entry.node)).max_value
+        peak = stream.degree_profile(meta.node_names.index(entry.node)).max_value
         assert peak > background_max
     artifact = collect_c6(stream, meta, truth)
     overlap = artifact["overlap"]

@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import os
@@ -469,6 +470,40 @@ class TestSweep:
         assert [p["value"] for p in report["sweep"]["points"]] == [1.0, 2.0, 4.0]
         # runtime stays out of report.json so reports are byte-reproducible
         assert "runtime_s" not in report["sweep"]["points"][0]
+
+    def test_failed_point_leaves_empty_cells(self, tmp_path):
+        # tau 1e-12 over 1000 s needs 1e15 slices: numpy refuses the matrix outright
+        trace = tmp_path / "t.txt"
+        trace.write_text("0 a b\n1000 a c\n")
+        out = tmp_path / "sw"
+        rc = main(["sweep", "--trace", str(trace), "--axis", "tau", "--values", "1e-12,2",
+                   "--reference", "2", "--output-dir", str(out)])
+        assert rc == 0
+        rows = list(csv.reader((out / "sweep.csv").read_text().splitlines()))
+        assert rows[1][:7] == ["1e-12", "", "", "", "", "", ""] and rows[1][7]
+        assert rows[2][:2] == ["2.0", "1.0"]
+        points = json.loads((out / "report.json").read_text())["sweep"]["points"]
+        assert points[0]["error"].startswith("MemoryError")
+        assert points[1]["error"] is None
+
+    def test_data_error_reference_point_failed(self, tmp_path, capsys):
+        trace = tmp_path / "huge.txt"
+        trace.write_text("0 a b\n1e15 a c\n")
+        rc = main(["sweep", "--trace", str(trace), "--axis", "tau", "--values", "1,2",
+                   "--reference", "2", "--output-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert "reference point 2.0 failed" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("axis,value", [("tau", "0"), ("tau", "nan"), ("tau", "inf"),
+                                            ("r", "0")])
+    def test_usage_error_bad_value(self, synth_dir, tmp_path, capsys, axis, value):
+        rc = main(["sweep", "--trace", str(synth_dir / "trace.txt"), "--axis", axis,
+                   "--values", f"{value},0.1", "--reference", "0.1",
+                   "--output-dir", str(tmp_path / "out")])
+        assert rc == 1
+        assert f"bad sweep value {float(value)!r}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestCompare:

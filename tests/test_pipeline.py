@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from streamdeg import pipeline
+from streamdeg import intervals as iv, pipeline
 from streamdeg.linkstream import LinkStream, build_stream, normalize_degrees
 from streamdeg.pipeline import (
     Event,
@@ -229,11 +229,11 @@ class TestClassMembership:
         scheme = build_normalized_scheme(1.0, 0.1, min_value=0.5)
         grid = TimeSliceGrid(0.0, 4.0, 1)
         matrix = fraction_matrix(stream, grid, scheme, view)
-        assert len(scheme) == 5 and matrix.value(0, 5) == 1.0
+        assert len(scheme) == 5 and matrix.fractions[0, 4] == 1.0
         for j in range(1, len(scheme) + 1):
             found = identify_event(stream, Event(j, 0, 0.0, "nonzero-in-A"), grid, scheme,
                                    normalized=view)
-            assert found.measure == matrix.value(0, j) * grid.tau * 3, j
+            assert found.measure == matrix.fractions[0, j - 1] * grid.tau * 3, j
 
     @given(timed_streams(), st.booleans(), st.sampled_from([2.0, 0.7]))
     @settings(max_examples=40, deadline=None)
@@ -245,7 +245,7 @@ class TestClassMembership:
             for i in range(grid.count):
                 found = identify_event(stream, Event(j, i, 0.0, "nonzero-in-A"), grid, scheme,
                                        normalized=view)
-                cell = matrix.value(i, j) * grid.tau * stream.num_nodes
+                cell = matrix.fractions[i, j - 1] * grid.tau * stream.num_nodes
                 assert found.measure == pytest.approx(cell, rel=0, abs=1e-9), (j, i)
 
 
@@ -302,7 +302,7 @@ class TestRunIdentification:
     def test_scan_identified_with_cascade(self, injected_scenario):
         stream, grid, scheme, meta, truth = injected_scenario
         result = run_identification(stream, grid, scheme)
-        scanner = meta.index_of("scanner")
+        scanner = meta.node_names.index("scanner")
         assert result.identified_set.entries[scanner] == [(100.0, 102.0)]
         # the induced degree-1 event at the scan slice is cascade-identified:
         # it was detected initially, vanished after removal, never removed itself
@@ -345,6 +345,24 @@ class TestRunIdentification:
         assert result.applied_count > 0
         assert result.final_stream.total_link_seconds() < stream.total_link_seconds()
         assert 0 < result.removed_share < 1
+
+    @given(timed_streams(), st.booleans(), st.sampled_from(["refit", "frozen"]))
+    @settings(max_examples=60, deadline=None)
+    def test_identified_set_is_union_of_applied_victims(self, stream, normalized, rollback_fit):
+        grid = TimeSliceGrid.covering(stream.t_begin, stream.t_end, 2.0)
+        scheme, _ = build_scheme(stream, 0.1, normalized)
+        params = PipelineParams(rollback_fit=rollback_fit, normalized=normalized)
+        result = run_identification(stream, grid, scheme, params)
+        # fold the applied removals in log order; a node keeps the place of its
+        # first removal, and identified_measure sums the nodes in that order
+        union: dict[int, list] = {}
+        for rec in result.log:
+            if rec.status == "applied":
+                for node, ivs in rec.victims.entries.items():
+                    union[node] = iv.merge(union.get(node, []) + ivs)
+        got = result.identified_set
+        assert list(got.entries.items()) == list(union.items())
+        assert got.measure == iv.ordered_sum(iv.measure(ivs) for ivs in union.values())
 
     def test_fixpoint(self, injected_scenario):
         stream, grid, scheme, meta, truth = injected_scenario
@@ -403,7 +421,7 @@ class TestRunIdentification:
         stream, _, _, meta, truth = injected_scenario
         result = run_pipeline_once(stream, 2.0, 0.1, PipelineParams(normalized=True))
         for entry in truth.entries:
-            node = meta.index_of(entry.node)
+            node = meta.node_names.index(entry.node)
             intervals = result.identified_set.entries.get(node, [])
             assert (entry.start, entry.end) in intervals or intervals == [
                 (entry.start, entry.end)
@@ -411,7 +429,7 @@ class TestRunIdentification:
 
     def test_spike_interval_independent_of_tau(self, injected_scenario):
         stream, _, _, meta, truth = injected_scenario
-        burst = meta.index_of("burst")
+        burst = meta.node_names.index("burst")
         got = {}
         for tau in (0.5, 1.0, 2.0, 4.0):
             grid = TimeSliceGrid.covering(stream.t_begin, stream.t_end, tau)

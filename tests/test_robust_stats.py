@@ -232,13 +232,6 @@ class TestFitHomogeneous:
         assert not fit.accepted
         assert fit.reason == "insufficient data"
 
-    def test_sigma_estimator_flag(self):
-        rng = np.random.default_rng(2)
-        values = rng.normal(0, 1, 500)
-        mle = fit_homogeneous(values)
-        unbiased = fit_homogeneous(values, unbiased_sigma=True)
-        assert unbiased.sigma > mle.sigma
-
     @pytest.mark.parametrize("a,b", [(2.0, 0.0), (0.5, -3.0), (10.0, 7.5)])
     def test_shift_scale_equivariance(self, a, b):
         rng = np.random.default_rng(3)

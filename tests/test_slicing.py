@@ -48,6 +48,14 @@ class TestGrid:
         with pytest.raises(ValueError):
             TimeSliceGrid(0.0, 0.0, 3)
 
+    @pytest.mark.parametrize("tau", [math.inf, math.nan])
+    def test_tau_not_finite(self, tau):
+        # an infinite tau used to cover any span with 0 slices
+        with pytest.raises(ValueError, match="tau must be finite and positive"):
+            TimeSliceGrid(0.0, tau, 1)
+        with pytest.raises(ValueError):
+            TimeSliceGrid.covering(0.0, 10.0, tau)
+
 
 class TestClassScheme:
     def test_small_classes(self):
@@ -173,8 +181,8 @@ class TestFractionMatrix:
         grid = TimeSliceGrid(0.0, 2.0, 3)
         scheme = build_class_scheme(2, 0.1)
         matrix = fraction_matrix(stream, grid, scheme)
-        assert matrix.value(0, 1) == pytest.approx(0.5)
-        assert matrix.value(0, 0) == pytest.approx(0.5)
+        assert matrix.fractions[0, 0] == pytest.approx(0.5)
+        assert matrix.zero[0] == pytest.approx(0.5)
 
     def test_empty_stream_rows(self):
         stream = LinkStream.from_pair_intervals(["a", "b"], {}, t_begin=0.0, t_end=4.0)

@@ -89,12 +89,6 @@ class TestParse:
         triplets, _ = parse_trace("1 a b\n1 a b\n")
         assert len(triplets) == 2
 
-    def test_index_of(self):
-        _, meta = parse_trace("1 a b\n2 c a\n")
-        assert [meta.index_of(n) for n in ("a", "b", "c")] == [0, 1, 2]
-        with pytest.raises(ValueError, match="unknown node name 'd'"):
-            meta.index_of("d")
-
 
 def test_round_trip_preserves_triplets_and_order():
     text = "1 a b\n0.25 c d\n1 a b\n3.75 b d\n"
@@ -115,7 +109,7 @@ def test_ground_truth_csv_round_trip():
     write_ground_truth(truth, buf)
     again = read_ground_truth(buf.getvalue())
     assert again.entries == truth.entries
-    assert [e.node for e in again.by_kind("scan")] == ["scanner"]
+    assert [e.node for e in again.entries if e.kind == "scan"] == ["scanner"]
 
 
 def test_ground_truth_rejects_bad_interval():
@@ -193,7 +187,7 @@ class TestSynthetic:
         assert len(truth.entries) == 1
         assert truth.entries[0] == TruthEntry("scanner", 300.0, 302.0, "scan")
         stream = build_stream(triplets, meta.node_names, 1.0)
-        peak = stream.degree_profile(meta.index_of("scanner")).max_value
+        peak = stream.degree_profile(meta.node_names.index("scanner")).max_value
         # regular model: p_hit = 1 / number of seconds in the window
         assert peak >= 5000 * 0.5
         assert peak >= 1000
@@ -213,8 +207,8 @@ class TestSynthetic:
         triplets, meta, truth = generate_synthetic(spec, seed=5)
         assert {e.kind for e in truth.entries} == {"fanin", "spike"}
         stream = build_stream(triplets, meta.node_names, 1.0)
-        assert stream.degree_profile(meta.index_of("sink")).max_value >= 150
-        burst = stream.degree_profile(meta.index_of("burst"))
+        assert stream.degree_profile(meta.node_names.index("sink")).max_value >= 150
+        burst = stream.degree_profile(meta.node_names.index("burst"))
         assert burst.max_value == 150
         assert burst.value_at(41.0) == 150  # sustained over the window
 
