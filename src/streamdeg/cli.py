@@ -184,16 +184,20 @@ def write_identified_csv(identified: IdentifiedSet, node_names, out) -> None:
 
 def read_identified_csv(path: Path) -> tuple[IdentifiedSet, list[str]]:
     """Rows ``node,start,end`` as ``write_identified_csv`` writes them, read
-    by ``read_csv_records``; nodes are indexed in order of first appearance."""
+    by ``read_csv_records``, with finite times and start before end; nodes are
+    indexed in order of first appearance."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         text = fh.read()
     entries: dict[str, list] = {}
     try:
         for line, (name, s, e) in read_csv_records(text, ("node", "start", "end")):
-            entries.setdefault(name, []).append((float(s), float(e)))
+            start, end = float(s), float(e)
+            if not -math.inf < start < end < math.inf:
+                raise ValueError
+            entries.setdefault(name, []).append((start, end))
     except TraceFormatError as exc:  # a field count, an over-long field
         raise DataError(f"malformed identified set {path} at line {exc.line_no}") from None
-    except ValueError:  # a time
+    except ValueError:  # a time, or an interval
         raise DataError(f"malformed identified set {path} at line {line}") from None
     merged = [iv.merge(spans) for spans in entries.values()]
     return IdentifiedSet(dict(enumerate(merged))), list(entries)

@@ -59,32 +59,6 @@ def clip(intervals: Sequence[Interval], lo: float, hi: float) -> list[Interval]:
     return out
 
 
-def subtract(intervals: Sequence[Interval], cuts: Sequence[Interval]) -> list[Interval]:
-    """Remove the union of ``cuts`` from a canonical interval list."""
-    if not cuts:
-        return list(intervals)
-    out: list[Interval] = []
-    ci = 0
-    n = len(cuts)
-    for s, e in intervals:
-        cur = s
-        while ci < n and cuts[ci][1] <= cur:
-            ci += 1
-        j = ci
-        while cur < e:
-            if j >= n or cuts[j][0] >= e:
-                out.append((cur, e))
-                break
-            cs, ce = cuts[j]
-            if cs > cur:
-                out.append((cur, cs))
-            cur = max(cur, ce)
-            if ce < e:
-                j += 1
-        # loop falls through when a cut swallowed the tail
-    return out
-
-
 def intersect(a: Sequence[Interval], b: Sequence[Interval]) -> list[Interval]:
     """Intersection of two canonical interval lists."""
     out: list[Interval] = []

@@ -19,10 +19,11 @@ pair interval covers t.  Degree profiles are computed exactly by a sweep over
 interval endpoints and kept as per-node arrays; ``degree_segments`` reads them
 as columns, raw or divided by the mean degree of each second.
 
-Streams are immutable.  ``remove_interactions`` returns a new stream sharing
-the pair endpoints, the node-to-pair adjacency and every untouched degree
-profile, so speculative removals can be rolled back by simply dropping the new
-value.
+Streams are immutable.  ``remove_interactions`` trims pairs with the same
+endpoint sweep, ``_sweep``, the one place where interval endpoints meet, and
+returns a new stream sharing the pair endpoints, the node-to-pair adjacency
+and every untouched degree profile, so speculative removals can be rolled
+back by simply dropping the new value.
 """
 
 from __future__ import annotations
@@ -111,6 +112,33 @@ def _ranges(first: np.ndarray, counts: np.ndarray) -> np.ndarray:
     if len(ends) == 0 or ends[-1] == 0:
         return np.zeros(0, dtype=np.int64)
     return np.repeat(first - (ends - counts), counts) + np.arange(ends[-1])
+
+
+def _bounds(key: np.ndarray, starts: np.ndarray, ends: np.ndarray, step: int) -> tuple:
+    """``_sweep`` input for intervals: ``step`` at each start, ``-step`` at its end."""
+    return (np.repeat(key, 2), np.stack([starts, ends], axis=1).reshape(-1),
+            np.tile([step, -step], len(starts)))
+
+
+def _sweep(key: np.ndarray, times: np.ndarray, steps: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``(key, time, level)`` of each breakpoint of the step functions that
+    ``steps[i]`` at ``times[i]`` build per ``key[i]``, in key order, then time
+    order: sorts by time and then, stably, by key; sums the steps of each
+    (key, time) and drops zero sums, so an end meeting a start leaves no
+    breakpoint; and accumulates the levels.  A key's steps sum to 0, so one
+    running sum restarts at 0 for every key, and its last level is 0.  Ties
+    keep gather order, so a breakpoint is the first of its equal times, as a
+    dict keyed by time keeps.
+    """
+    order = np.argsort(times, kind="stable")
+    order = order[np.argsort(key[order], kind="stable")]
+    key, times, steps = key[order], times[order], steps[order]
+    heads = np.ones(len(times), dtype=bool)
+    heads[1:] = (key[1:] != key[:-1]) | (times[1:] != times[:-1])
+    at = np.flatnonzero(heads)
+    sums = np.add.reduceat(steps, at) if len(at) else steps
+    kept = at[sums != 0]
+    return key[kept], times[kept], np.cumsum(sums[sums != 0])
 
 
 class _PairTable:
@@ -249,11 +277,16 @@ class LinkStream:
         t_begin: float | None = None,
         t_end: float | None = None,
     ) -> "LinkStream":
-        """Build from per-pair interval lists, each merged (mainly tests); the
-        bounds default to the extreme endpoints, or 0.0 without intervals."""
+        """Build from per-pair interval lists (mainly tests), merging the lists
+        of ``(a, b)`` and ``(b, a)``; a self pair ``(a, a)`` is a ValueError.
+        The bounds default to the extreme endpoints, or 0.0 without intervals."""
         name_idx = {n: i for i, n in enumerate(node_names)}
-        links = {tuple(sorted((name_idx[a], name_idx[b]))): iv.merge(ivs)
-                 for (a, b), ivs in pair_intervals.items()}
+        links: dict[PairKey, list[iv.Interval]] = {}
+        for (a, b), ivs in pair_intervals.items():
+            if a == b:
+                raise ValueError(f"self-interaction {a!r}")
+            key = tuple(sorted((name_idx[a], name_idx[b])))
+            links[key] = iv.merge(links.get(key, []) + list(ivs))
         keys = sorted(links)
         flat = np.array([pt for key in keys for pt in links[key]], dtype=np.float64).reshape(-1, 2)
         offsets = np.zeros(len(keys) + 1, dtype=np.int64)
@@ -283,17 +316,8 @@ class LinkStream:
         return self._profiles
 
     def _sweep_profiles(self, nodes: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Exact degree profiles of ``nodes`` (ascending), one sweep per block.
-
-        A block gathers the endpoints of its nodes' alive intervals, +1 at a
-        start and -1 at an end, in pair order and then time order; sorts them
-        by time and then, stably, by node; sums the steps of each (node, time)
-        and drops zero sums, so an end meeting a start leaves no breakpoint;
-        and accumulates the levels.  A node's steps sum to 0, so one running
-        sum over the block restarts at 0 for every node.  Ties keep gather
-        order, so a breakpoint is the first of its equal times, as a dict
-        keyed by time keeps.
-        """
+        """Exact degree profiles of ``nodes`` (ascending): one ``_sweep`` per block
+        of +1 at each start and -1 at each end, in pair order, then time order."""
         first, pair_ids = self._table.adjacency()
         acc = np.zeros(len(pair_ids) + 1, dtype=np.int64)
         # dead pairs hold no intervals, so they add no endpoints
@@ -314,32 +338,15 @@ class LinkStream:
         offsets = self._offsets
         n_adj = first[block + 1] - first[block]
         pairs = pair_ids[_ranges(first[block], n_adj)]
-        owner = np.repeat(np.arange(len(block), dtype=np.uint16), n_adj)
-        live = self._alive[pairs]
-        pairs, owner = pairs[live], owner[live]
         n_iv = offsets[pairs + 1] - offsets[pairs]
         runs = _ranges(offsets[pairs], n_iv)
-        times = np.empty(2 * len(runs))
-        times[0::2] = self._starts[runs]
-        times[1::2] = self._ends[runs]
-        steps = np.empty(len(times), dtype=np.int64)
-        steps[0::2] = 1
-        steps[1::2] = -1
-        local = np.repeat(owner, 2 * n_iv)
-
-        order = np.argsort(times, kind="stable")
-        order = order[np.argsort(local[order], kind="stable")]
-        times, local, steps = times[order], local[order], steps[order]
-        heads = np.ones(len(times), dtype=bool)
-        heads[1:] = (local[1:] != local[:-1]) | (times[1:] != times[:-1])
-        at = np.flatnonzero(heads)
-        sums = np.add.reduceat(steps, at) if len(at) else steps
-        kept = at[sums != 0]
+        owner = np.repeat(np.arange(len(block), dtype=np.uint16), n_adj)
+        local, times, levels = _sweep(*_bounds(
+            np.repeat(owner, n_iv), self._starts[runs], self._ends[runs], 1))
         # a node's levels end with the 0 after its last end; the arrays are
         # shared by derived streams and profile views, so they are read-only
-        times, levels = times[kept], np.cumsum(sums[sums != 0])
         times.flags.writeable = levels.flags.writeable = False
-        cut = np.cumsum(np.bincount(local[kept], minlength=len(block)))[:-1]
+        cut = np.cumsum(np.bincount(local, minlength=len(block)))[:-1]
         return list(zip(np.split(times, cut), np.split(levels, cut)))
 
     def max_degree(self) -> int:
@@ -355,53 +362,58 @@ class LinkStream:
         For each victim ``(v, I)`` every pair containing v loses ``I``
         intersected with its intervals; all other pairs are shared untouched.
         A pair left without intervals dies.  Removing absent time is a no-op.
+        One ``_sweep`` trims every pair with an interval in the cut window: a
+        pair's level is +1 on its own intervals and -2 on every cut of either
+        of its nodes, so it keeps the time where its level is exactly 1, and it
+        lost link time if and only if some level is odd and below 1.
         """
-        cuts: dict[int, list[iv.Interval]] = {}
-        for node, interval in victims:
-            cuts.setdefault(node, []).append(interval)
-        cuts = {node: iv.merge(ivs) for node, ivs in cuts.items()}
+        cuts = np.array(sorted((n, a, b) for n, (a, b) in victims if b > a)).reshape(-1, 3)
+        cut_node, cut_start, cut_end = cuts[:, 0].astype(np.int64), cuts[:, 1], cuts[:, 2]
 
         # only a pair with an interval that ends after the earliest cut start
         # and starts before the latest cut end can lose anything
-        spans = [c for ivs in cuts.values() for c in ivs]
-        lo = min((a for a, _ in spans), default=math.inf)
-        hi = max((b for _, b in spans), default=-math.inf)
         pairs = np.unique(np.concatenate(
-            [np.zeros(0, dtype=np.int64)] + [self._pair_ids(node) for node in cuts]))
+            [np.zeros(0, dtype=np.int64)] + [self._pair_ids(n) for n in set(cut_node.tolist())]))
         counts = self._offsets[pairs + 1] - self._offsets[pairs]
         runs = _ranges(self._offsets[pairs], counts)
-        hits = (self._ends[runs] > lo) & (self._starts[runs] < hi)
-        affected = pairs[np.unique(np.repeat(np.arange(len(pairs)), counts)[hits])]
+        owner = np.repeat(pairs, counts)
+        hits = (self._ends[runs] > cut_start.min(initial=math.inf)) & (
+            self._starts[runs] < cut_end.max(initial=-math.inf))
+        hit = np.isin(owner, owner[hits])
+        runs, owner, affected = runs[hit], owner[hit], np.unique(owner[hits])
+
+        # keyed by pair: each affected pair's intervals, then the cuts of its two nodes
         u, v = self._table.u, self._table.v
-        trimmed: dict[int, list[iv.Interval]] = {}
-        for p in affected.tolist():
-            a, b = int(u[p]), int(v[p])
-            old = self._intervals(p)
-            new = iv.subtract(old, iv.merge(cuts.get(a, []) + cuts.get(b, [])))
-            if new != old:
-                trimmed[p] = new
+        ends_of = np.stack([u[affected], v[affected]], axis=1).reshape(-1)
+        lo, hi = np.searchsorted(cut_node, ends_of), np.searchsorted(cut_node, ends_of, "right")
+        picked = _ranges(lo, hi - lo)
+        own = _bounds(owner, self._starts[runs], self._ends[runs], 1)
+        cut = _bounds(affected.repeat(2).repeat(hi - lo), cut_start[picked], cut_end[picked], -2)
+        key, time, level = _sweep(*(np.concatenate(c) for c in zip(own, cut)))
+        trimmed = np.unique(key[(level % 2 == 1) & (level < 1)])
+        kept = np.flatnonzero((level == 1) & np.isin(key, trimmed))
+        new_counts = np.bincount(np.searchsorted(trimmed, key[kept]), minlength=len(trimmed))
 
         offsets, starts, ends, alive = self._offsets, self._starts, self._ends, self._alive
-        if trimmed:
+        if len(trimmed):
             counts = np.diff(offsets)
+            counts[trimmed] = new_counts
+            at = np.cumsum(new_counts).tolist()
             starts_at, ends_at, done = [], [], 0
-            for p, new in trimmed.items():
-                counts[p] = len(new)
-                cut = np.array(new, dtype=np.float64).reshape(-1, 2)
-                starts_at += [starts[done:offsets[p]], cut[:, 0]]
-                ends_at += [ends[done:offsets[p]], cut[:, 1]]
+            for p, a, b in zip(trimmed.tolist(), [0] + at, at):
+                starts_at += [starts[done:offsets[p]], time[kept[a:b]]]
+                ends_at += [ends[done:offsets[p]], time[kept[a:b] + 1]]
                 done = offsets[p + 1]
-            offsets = np.zeros_like(offsets)
-            np.cumsum(counts, out=offsets[1:])
+            offsets = np.concatenate([[0], np.cumsum(counts)])
             starts = np.concatenate(starts_at + [starts[done:]])
             ends = np.concatenate(ends_at + [ends[done:]])
             alive = alive.copy()
-            alive[[p for p, new in trimmed.items() if not new]] = False
+            alive[trimmed[new_counts == 0]] = False
 
         out = LinkStream(self.node_names, self._table, offsets, starts, ends, alive,
                          self.delta, self.t_begin, self.t_end)
         if self._profiles is not None:
-            touched = np.unique(np.concatenate([u[list(trimmed)], v[list(trimmed)]]))
+            touched = np.unique(np.concatenate([u[trimmed], v[trimmed]]))
             out._profiles = list(self._profiles)
             for node, arrays in zip(touched.tolist(), out._sweep_profiles(touched)):
                 out._profiles[node] = arrays

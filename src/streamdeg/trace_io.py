@@ -242,8 +242,8 @@ def read_csv_records(text: str, fields: Sequence[str]) -> Iterator[tuple[int, li
 
 def read_ground_truth(source: io.IOBase | str) -> GroundTruth:
     """Parse ground-truth CSV rows ``node,start,end,kind`` by ``read_csv_records``;
-    a time that is not a number or an interval that is not well-formed also
-    raises ``TraceFormatError`` at its line.
+    a time that is not a number or an interval that is not finite and
+    well-formed also raises ``TraceFormatError`` at its line.
     """
     text = source if isinstance(source, str) else source.read()
     if isinstance(text, bytes):
@@ -254,8 +254,8 @@ def read_ground_truth(source: io.IOBase | str) -> GroundTruth:
             entry = TruthEntry(node, float(start), float(end), kind)
         except ValueError:
             raise TraceFormatError(line, f"cannot parse times {start!r}, {end!r}") from None
-        if not entry.start < entry.end:
-            raise TraceFormatError(line, f"interval not well-formed: {start}, {end}")
+        if not -math.inf < entry.start < entry.end < math.inf:
+            raise TraceFormatError(line, f"interval not finite and well-formed: {start}, {end}")
         entries.append(entry)
     return GroundTruth(entries)
 

@@ -592,6 +592,7 @@ class TestCompare:
 
     @pytest.mark.parametrize("row", [
         "a,1", "a,x,2,scan", pytest.param("a" * 200_000 + ",1,2,scan", id="over-long-field"),
+        "a,302,300,scan", "a,-inf,inf,scan",
     ])
     def test_malformed_truth(self, tmp_path, capsys, row):
         ident = tmp_path / "identified.csv"
@@ -606,6 +607,8 @@ class TestCompare:
 
     @pytest.mark.parametrize("row", [
         "a,1", "a,x,2", pytest.param("a" * 200_000 + ",1,2", id="over-long-field"),
+        # times that are not finite or not ordered would read as an empty or all-covering set
+        "scanner,302,300", "scanner,nan,301", "scanner,-inf,inf",
     ])
     def test_malformed_identified(self, tmp_path, capsys, row):
         ident = tmp_path / "identified.csv"

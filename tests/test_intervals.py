@@ -37,23 +37,6 @@ def test_merge_preserves_cover(raw, t):
     assert iv.covers(iv.merge(raw), t) == covered
 
 
-def test_subtract_manual():
-    base = [(0.0, 10.0)]
-    assert iv.subtract(base, [(2.0, 3.0)]) == [(0.0, 2.0), (3.0, 10.0)]
-    assert iv.subtract(base, [(0.0, 10.0)]) == []
-    assert iv.subtract(base, [(-5.0, 0.0)]) == [(0.0, 10.0)]
-    assert iv.subtract([(0, 1), (2, 3)], [(0.5, 2.5)]) == [(0.0, 0.5), (2.5, 3.0)]
-
-
-@given(ivs_strategy(), ivs_strategy(), st.floats(-120, 120, allow_nan=False))
-def test_subtract_pointwise(raw_a, raw_b, t):
-    a = iv.merge(raw_a)
-    b = iv.merge(raw_b)
-    out = iv.subtract(a, b)
-    expected = iv.covers(a, t) and not iv.covers(b, t)
-    assert iv.covers(out, t) == expected
-
-
 @given(ivs_strategy(), ivs_strategy())
 def test_measure_inclusion_exclusion(raw_a, raw_b):
     a = iv.merge(raw_a)

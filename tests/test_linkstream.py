@@ -122,6 +122,13 @@ def pairs_reaching(stream: LinkStream, cuts) -> list[list[tuple[float, float]]]:
             if {a, b} & nodes and any(e > lo and s < hi for s, e in ivs)]
 
 
+def swept_pairs(key, times, steps) -> list[list[tuple[float, float]]]:
+    """Interval lists, in key order, that a removal's ``_sweep`` call holds
+    as +1 and -1 steps: the pairs it examines."""
+    return [list(zip(times[(key == k) & (steps == 1)].tolist(),
+                     times[(key == k) & (steps == -1)].tolist())) for k in np.unique(key)]
+
+
 # Node 0's pairs against the cut window [4, 6): n1 on [3, 4) ends where it
 # starts, n2 on [4.5, 5.5) lies inside, n3 on [6, 7) starts where it ends,
 # n4 on [3, 7) spans it and n5 on [1, 2) and [8, 9) has intervals on both
@@ -158,6 +165,20 @@ class TestBuildStream:
     def test_delta_must_be_positive(self):
         with pytest.raises(ValueError):
             build_stream([], [], 0.0)
+
+    def test_pair_intervals_of_both_orders_merge(self):
+        stream = LinkStream.from_pair_intervals(
+            ["a", "b"], {("a", "b"): [(0.0, 1.0)], ("b", "a"): [(2.0, 3.0), (0.5, 1.5)]})
+        assert stream.links == {(0, 1): [(0.0, 1.5), (2.0, 3.0)]}
+        assert stream.degree_profile(0) == DegreeProfile(0, [0.0, 1.5, 2.0, 3.0], [1, 0, 1])
+        buf = io.BytesIO()
+        stream.save(buf)
+        buf.seek(0)
+        assert LinkStream.load(buf).links == stream.links
+
+    def test_self_pair_rejected(self):
+        with pytest.raises(ValueError, match="self-interaction 'a'"):
+            LinkStream.from_pair_intervals(["a", "b"], {("a", "a"): [(0.0, 1.0)]})
 
     def test_bounds_cover_intervals(self):
         stream = ref_stream()
@@ -283,9 +304,10 @@ class TestProfileSweep:
         for victims in removals:
             stream.max_degree()  # every profile built, so the next one inherits
             cuts = [(node, (start / 2.0, (start + width) / 2.0)) for node, start, width in victims]
-            with mock.patch.object(iv, "subtract", wraps=iv.subtract) as subtract:
+            with mock.patch.object(linkstream, "_sweep", wraps=linkstream._sweep) as sweep:
                 out = stream.remove_interactions(cuts)
-            assert [call.args[0] for call in subtract.call_args_list] == pairs_reaching(stream, cuts)
+            # the removal's sweep comes first, before the touched profiles' sweeps
+            assert swept_pairs(*sweep.call_args_list[0].args) == pairs_reaching(stream, cuts)
             fresh = stream_of(out.node_names, out.links, out.delta, out.t_begin, out.t_end)
             assert list(out.links.items()) == list(fresh.links.items())
             for node in range(out.num_nodes):
@@ -296,6 +318,38 @@ class TestProfileSweep:
 
 
 class TestRemoval:
+    @pytest.mark.parametrize("before, cut, after", [
+        ([(0.0, 10.0)], (2.0, 3.0), [(0.0, 2.0), (3.0, 10.0)]),
+        ([(0.0, 10.0)], (0.0, 10.0), []),
+        ([(0.0, 10.0)], (-5.0, 0.0), [(0.0, 10.0)]),
+        ([(0.0, 1.0), (2.0, 3.0)], (0.5, 2.5), [(0.0, 0.5), (2.5, 3.0)]),
+    ])
+    def test_one_pair(self, before, cut, after):
+        stream = stream_of(["a", "b"], {(0, 1): before})
+        for node in (0, 1):
+            assert stream.remove_interactions([(node, cut)]).links.get((0, 1), []) == after
+
+    @given(small_streams(), victim_lists)
+    # overlapping cuts of node 0, and cuts of both nodes of the pair n0-n4
+    @example(BANDED_STREAM, [[(0, 6, 4), (0, 8, 4), (4, 12, 3), (4, 4, 1)]])
+    # n0-n2 is cut by both nodes and n0-n3 twice by node 0, over the same time only
+    @example(BANDED_STREAM, [[(0, 9, 1), (2, 9, 1), (0, 12, 2), (0, 12, 2)], [(5, 0, 20)]])
+    @settings(max_examples=80, deadline=None)
+    def test_pair_keeps_what_no_cut_covers(self, stream, removals):
+        for victims in removals:
+            cuts = [(node, (start / 2.0, (start + width) / 2.0)) for node, start, width in victims]
+            out = stream.remove_interactions(cuts)
+            cut_of = {n: iv.merge(c for m, c in cuts if m == n) for n in range(stream.num_nodes)}
+            ends = {t for ivs in stream.links.values() for pt in ivs for t in pt}
+            ends = sorted(ends | {t for _, c in cuts for t in c})
+            samples = ends + [(a + b) / 2 for a, b in zip(ends, ends[1:])]
+            for (a, b), ivs in stream.links.items():
+                for t in samples:
+                    kept = iv.covers(ivs, t) and not (
+                        iv.covers(cut_of[a], t) or iv.covers(cut_of[b], t))
+                    assert iv.covers(out.links.get((a, b), []), t) == kept, ((a, b), t)
+            stream = out
+
     def test_remove_node_b_everywhere(self):
         stream = ref_stream()
         out = stream.remove_interactions([(1, (0.0, 10.0))])
