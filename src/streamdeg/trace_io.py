@@ -16,15 +16,19 @@ from __future__ import annotations
 import csv
 import io
 import math
+import random
+from collections import defaultdict
 from contextlib import suppress
 from dataclasses import dataclass, field
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 # the binary stream cache stores each node name's UTF-8 length as a u16
 MAX_NAME_BYTES = 0xFFFF
+# the largest mean numpy's Generator.poisson accepts
+POISSON_LAM_MAX = (2**63 - 1) - math.sqrt(2**63 - 1) * 10
 
 
 class TraceFormatError(ValueError):
@@ -206,10 +210,22 @@ def format_time(t: float) -> str:
     return repr(t)
 
 
-def write_trace(triplets: Sequence[Triplet], node_names: Sequence[str], out: io.IOBase) -> None:
-    """Write triplets back to canonical text form, preserving order."""
-    for tr in triplets:
-        out.write(f"{format_time(tr.t)} {node_names[tr.u]} {node_names[tr.v]}\n")
+def write_trace(triplets: Iterable[Triplet], node_names: Sequence[str], out: io.IOBase) -> None:
+    """Write triplets back to canonical text form, preserving order.
+
+    Formats each distinct time once and writes the columns in blocks of lines.
+    """
+    tr = Triplets.of(triplets)
+    times, at = np.unique(tr.t, return_inverse=True)
+    stamps = np.array([format_time(t) for t in times.tolist()], dtype=object)
+    names = np.array(list(node_names), dtype=object)
+    block = 1 << 16
+    for lo in range(0, len(tr), block):
+        rows = slice(lo, lo + block)
+        line = np.full((len(at[rows]), 6), " ", dtype=object)
+        line[:, 0], line[:, 2], line[:, 4] = stamps[at[rows]], names[tr.u[rows]], names[tr.v[rows]]
+        line[:, 5] = "\n"
+        out.write("".join(line.ravel().tolist()))
 
 
 def write_ground_truth(truth: GroundTruth, out: io.IOBase) -> None:
@@ -331,10 +347,23 @@ class ScenarioSpec:
         return min(self.background_degree, self.background_nodes - 1)
 
     def validate(self) -> None:
-        if self.duration <= 0:
-            raise ValueError("duration must be positive")
+        if not 0 < self.duration < math.inf:
+            raise ValueError(f"duration must be positive and finite, got {self.duration}")
         if self.background_model not in ("regular", "poisson"):
             raise ValueError(f"unknown background model {self.background_model!r}")
+        if not (0 <= self.rate_low < math.inf and 0 <= self.rate_high < math.inf):
+            raise ValueError(f"rates must be non-negative and finite, got {self.rate_low}, {self.rate_high}")
+        if not 0 <= self.high_fraction <= 1:
+            raise ValueError(f"high_fraction must be in [0, 1], got {self.high_fraction}")
+        if self.rate_modulation not in (None, "circadian"):
+            raise ValueError(f"unknown rate modulation {self.rate_modulation!r}")
+        if self.background_model == "poisson":
+            if self.background_nodes == 1:
+                raise ValueError("a poisson background needs at least 2 nodes")
+            peak = max(self.rate_low, self.rate_high) * (2.0 if self.rate_modulation == "circadian" else 1.0)
+            if peak * self.duration > POISSON_LAM_MAX:
+                raise ValueError(f"peak rate {peak} times duration {self.duration} is beyond "
+                                 f"numpy's Poisson limit {POISSON_LAM_MAX:g}")
         if (
             self.background_model == "regular"
             and self.regular_degree >= 1
@@ -388,47 +417,99 @@ def _second_centers(window: tuple[float, float]) -> list[float]:
     return [s + 0.5 for s in range(lo, hi) if window[0] <= s + 0.5 < window[1]]
 
 
-def generate_synthetic(spec: ScenarioSpec, seed: int) -> tuple[list[Triplet], TraceMeta, GroundTruth]:
+def _regular_edges(d: int, n: int, seed: int) -> set[tuple[int, int]]:
+    """The edges ``(a, b)``, ``a < b``, of ``networkx.random_regular_graph(d, n, seed)``.
+
+    Steger and Wormald's pairing model with restarts, ported line for line from
+    networkx 3.x (BSD-3-Clause) to draw the same numbers from ``random.Random``.
+    ``_suitable`` keeps its in-loop swap of ``s1``: it decides when to restart.
+    """
+    rng = random.Random(seed)
+
+    def _suitable(edges, potential_edges):
+        # True while some pair of the unmatched nodes may still be joined
+        if not potential_edges:
+            return True
+        for s1 in potential_edges:
+            for s2 in potential_edges:
+                if s1 == s2:
+                    break
+                if s1 > s2:
+                    s1, s2 = s2, s1
+                if (s1, s2) not in edges:
+                    return True
+        return False
+
+    def _try_creation():
+        edges = set()
+        stubs = list(range(n)) * d
+        while stubs:
+            potential_edges = defaultdict(lambda: 0)
+            rng.shuffle(stubs)
+            stubiter = iter(stubs)
+            for s1, s2 in zip(stubiter, stubiter):
+                if s1 > s2:
+                    s1, s2 = s2, s1
+                if s1 != s2 and ((s1, s2) not in edges):
+                    edges.add((s1, s2))
+                else:
+                    potential_edges[s1] += 1
+                    potential_edges[s2] += 1
+            if not _suitable(edges, potential_edges):
+                return None
+            stubs = [node for node, potential in potential_edges.items() for _ in range(potential)]
+        return edges
+
+    edges = _try_creation()
+    while edges is None:
+        edges = _try_creation()
+    return edges
+
+
+def generate_synthetic(spec: ScenarioSpec, seed: int) -> tuple[Triplets, TraceMeta, GroundTruth]:
     """Deterministically generate a labelled synthetic trace.
 
-    Returns interned triplets sorted by time, the name table, and one
-    ground-truth entry per injection.
+    Returns interned triplets sorted by ``(t, u, v)``, the name table, and one
+    ground-truth entry per injection.  A regular background draws one seed per
+    second from ``numpy.random.default_rng(seed)`` and pairs that second's
+    stubs by Steger and Wormald's model as networkx 3.x implements it, on
+    CPython's ``random.Random`` and its ``shuffle``; everything else draws from
+    the same numpy generator.  Golden hashes in the tests pin the written bytes.
     """
     spec.validate()
     rng = np.random.default_rng(seed)
-    index: dict[str, int] = {}  # name -> dense index, in order of first use
-
-    records: list[tuple[float, int, int]] = []
+    regular = spec.background_model == "regular"
     n_bg = spec.background_nodes
-    bg = [index.setdefault(f"bg{i}", len(index)) for i in range(n_bg)]
+    index = {f"bg{i}": i for i in range(n_bg)}  # name -> dense index, in order of first use
 
-    if n_bg > 0 and spec.background_model == "regular":
-        d = spec.regular_degree
-        if d >= 1:
-            import networkx as nx  # costly to import; only this generator needs it
+    def intern(names: Iterable[str]) -> np.ndarray:
+        return np.fromiter((index.setdefault(name, len(index)) for name in names), np.int64)
 
-            for sec in range(int(math.floor(spec.duration))):
-                g_seed = int(rng.integers(0, 2**31 - 1))
-                graph = nx.random_regular_graph(d, n_bg, seed=g_seed)
-                center = sec + 0.5
-                for a, b in sorted(graph.edges()):
-                    records.append((center, bg[a], bg[b]))
-    elif n_bg > 0:
+    # (t, u, v) column chunks, ordered together at the end
+    chunks = [(np.empty(0), np.empty(0, np.int64), np.empty(0, np.int64))]
+
+    def add(t: np.ndarray, u, v) -> None:
+        chunks.append(np.broadcast_arrays(t, u, v))
+
+    if regular and spec.regular_degree >= 1:
+        d, seconds = spec.regular_degree, int(math.floor(spec.duration))
+        g_seeds = rng.integers(0, 2**31 - 1, size=seconds).tolist()
+        ends = chain.from_iterable(chain.from_iterable(_regular_edges(d, n_bg, s) for s in g_seeds))
+        edges = np.fromiter(ends, np.int64, seconds * n_bg * d).reshape(-1, 2)
+        add(np.repeat(np.arange(seconds) + 0.5, n_bg * d // 2), edges[:, 0], edges[:, 1])
+    elif not regular:
+        circadian = spec.rate_modulation == "circadian"
         rates = np.where(rng.random(n_bg) < spec.high_fraction, spec.rate_high, spec.rate_low)
         for i in range(n_bg):
-            peak = rates[i] * (2.0 if spec.rate_modulation == "circadian" else 1.0)
+            peak = rates[i] * (2.0 if circadian else 1.0)
             n_events = rng.poisson(peak * spec.duration)
             times = np.sort(rng.random(n_events) * spec.duration)
-            if spec.rate_modulation == "circadian":
+            if circadian:
                 # thinning against (2+sin)/3 keeps a max/min rate ratio of 3
                 phase = 2 * math.pi * times / spec.duration
-                accept = rng.random(n_events) < (2.0 + np.sin(phase)) / 3.0
-                times = times[accept]
-            for t in times:
-                peer = int(rng.integers(0, n_bg - 1))
-                if peer >= i:
-                    peer += 1
-                records.append((float(t), bg[i], bg[peer]))
+                times = times[rng.random(n_events) < (2.0 + np.sin(phase)) / 3.0]
+            peers = rng.integers(0, n_bg - 1, size=len(times))
+            add(times, i, peers + (peers >= i))
 
     truth_entries: list[TruthEntry] = []
     for inj in spec.injections:
@@ -437,36 +518,30 @@ def generate_synthetic(spec: ScenarioSpec, seed: int) -> tuple[list[Triplet], Tr
             scan = isinstance(inj, ScanInjection)
             name, count, kind, tag = ((inj.source, inj.targets, "scan", "t") if scan
                                       else (inj.dest, inj.sources, "fanin", "s"))
-            hub = index.setdefault(name, len(index))
-            centers = _second_centers(w) if spec.background_model == "regular" else None
-            for j in range(count):
-                fresh = index.setdefault(f"{name}.{tag}{j}", len(index))
-                if centers:
-                    t = centers[int(rng.integers(0, len(centers)))]
-                else:
-                    t = float(w[0] + rng.random() * (w[1] - w[0]))
-                records.append((t, hub, fresh) if scan else (t, fresh, hub))
+            hub = intern([name])
+            fresh = intern(f"{name}.{tag}{j}" for j in range(count))
+            centers = _second_centers(w) if regular else None
+            if centers:
+                t = np.array(centers)[rng.integers(0, len(centers), size=count)]
+            else:
+                t = w[0] + rng.random(count) * (w[1] - w[0])
+            add(t, *((hub, fresh) if scan else (fresh, hub)))
             truth_entries.append(TruthEntry(name, w[0], w[1], kind))
         else:
-            node = index.setdefault(inj.node, len(index))
-            peers = [index.setdefault(f"{inj.node}.p{j}", len(index)) for j in range(inj.level)]
-            if spec.background_model == "regular":
-                times: Iterable[float] = _second_centers(w)
+            node = intern([inj.node])
+            peers = intern(f"{inj.node}.p{j}" for j in range(inj.level))
+            if regular:
+                times = np.array(_second_centers(w), dtype=np.float64)
             else:
                 # one contact per peer per delta-sized step keeps the level sustained
                 steps = max(1, int(math.ceil(w[1] - w[0])))
-                times = [w[0] + (i + 0.5) * (w[1] - w[0]) / steps for i in range(steps)]
-            for t in times:
-                for p in peers:
-                    records.append((t, node, p))
+                times = w[0] + (np.arange(steps) + 0.5) * (w[1] - w[0]) / steps
+            add(np.repeat(times, inj.level), node, np.tile(peers, len(times)))
             truth_entries.append(TruthEntry(inj.node, w[0], w[1], "spike"))
 
-    records.sort(key=lambda r: (r[0], r[1], r[2]))
-    triplets = [Triplet(t, u, v) for t, u, v in records]
-    if triplets:
-        t_min = triplets[0].t
-        t_max = max(tr.t for tr in triplets)
-    else:
-        t_min = t_max = 0.0
+    t, u, v = map(np.concatenate, zip(*chunks))
+    order = np.lexsort((v, u, t))
+    triplets = Triplets(t[order], u[order], v[order])
+    t_min, t_max = (float(triplets.t[0]), float(triplets.t[-1])) if len(triplets) else (0.0, 0.0)
     meta = TraceMeta(len(triplets), len(index), t_min, t_max, list(index))
     return triplets, meta, GroundTruth(truth_entries)

@@ -102,7 +102,7 @@ def build_rollback_stream() -> tuple[LinkStream, list[str]]:
     for sec in (300, 301):
         for s in spikers:
             extra.append(Triplet(sec + 0.5, hub, s))
-    merged = sorted(triplets + extra, key=lambda t: t.t)
+    merged = sorted(list(triplets) + extra, key=lambda t: t.t)
     return build_stream(merged, names, DELTA), names
 
 

@@ -143,6 +143,27 @@ class TestExitCodes:
         assert "JSON object" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"duration": float("nan")}, "duration must be positive and finite, got nan"),
+        ({"duration": float("inf")}, "duration must be positive and finite, got inf"),
+        ({"background_model": "poisson", "rate_low": -1}, "rates must be non-negative and finite"),
+        ({"background_model": "poisson", "rate_low": float("nan")}, "rates must be non-negative and finite"),
+        ({"background_model": "poisson", "duration": 1e300}, "beyond numpy's Poisson limit"),
+        ({"high_fraction": 1.5}, "high_fraction must be in [0, 1], got 1.5"),
+        ({"rate_modulation": "weekly"}, "unknown rate modulation 'weekly'"),
+        ({"background_model": "poisson", "background_nodes": 1}, "needs at least 2 nodes"),
+    ], ids=["duration-nan", "duration-inf", "rate-negative", "rate-nan", "poisson-limit",
+            "high-fraction", "modulation", "poisson-one-node"])
+    def test_data_error_malformed_scenario(self, tmp_path, capsys, fields, message):
+        sc = tmp_path / "sc.json"
+        sc.write_text(json.dumps({"duration": 60, "background_nodes": 10, **fields}))
+        rc = main(["synth", "--scenario", str(sc), "--output-dir", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: bad scenario {sc}: ")
+        assert message in err
+        assert not (tmp_path / "out").exists()
+
     def test_data_error_scenario_odd_regular_degree_sum(self, tmp_path, capsys):
         sc = tmp_path / "sc.json"
         sc.write_text(json.dumps({"duration": 10, "background_nodes": 5, "background_degree": 3}))
@@ -637,8 +658,8 @@ class TestCompare:
 
 # Modules that cost most of a fresh import and that identify and analyze never call.
 HEAVY_MODULES = ("scipy.stats", "scipy.optimize", "networkx")
-# Every command but analyze --power-law (scipy.special) and synth (networkx,
-# for a "regular" background) runs without these.
+# Every command but analyze --power-law (scipy.special) runs without these;
+# synth pairs a regular background's stubs in-repo.
 NO_SCIPY = ("scipy", "networkx")
 
 
@@ -678,6 +699,12 @@ def test_analyze_power_law_imports_no_heavy_modules(synth_dir, tmp_path):
             "--bootstrap-count", "100", "--output-dir", str(out)]
     assert heavy_modules_in_fresh_run(args) == ["[]", "0 []"]
     assert "alpha_hat" in json.loads((out / "report.json").read_text())["power_law"]
+
+
+def test_synth_regular_imports_no_heavy_modules(scenario_file, tmp_path):
+    assert json.loads(scenario_file.read_text()).get("background_model", "regular") == "regular"
+    args = ["synth", "--scenario", str(scenario_file), "--output-dir", str(tmp_path / "out")]
+    assert heavy_modules_in_fresh_run(args, NO_SCIPY) == ["[]", "0 []"]
 
 
 @pytest.fixture(scope="module")

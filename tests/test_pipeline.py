@@ -291,7 +291,7 @@ def rollback_scenario():
     for sec in (100, 101):
         for s in spikers:
             extra.append(Triplet(sec + 0.5, hub, s))
-    merged = sorted(triplets + extra, key=lambda t: t.t)
+    merged = sorted(list(triplets) + extra, key=lambda t: t.t)
     stream = build_stream(merged, names, 1.0)
     grid = TimeSliceGrid.covering(stream.t_begin, stream.t_end, 2.0)
     scheme = build_class_scheme(stream.max_degree(), 0.1)

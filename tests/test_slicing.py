@@ -263,7 +263,7 @@ slice_measures = st.lists(
 )
 
 
-class TestSimilarityReport:
+class TestSimilarityReportReference:
     @given(slice_measures, st.sampled_from(["support-extent", "observation-count"]),
            st.sampled_from([0.1, 0.05]), st.sampled_from([1.0, 0.3]))
     @example([{1: 2.0}, {}, {5: 1.0}, {0.5: 1.0, 9.0: 3.0}, {2.0: 1.0, 3.0: 1.0}],
@@ -278,6 +278,7 @@ class TestSimilarityReport:
         assert rep.ratios.tobytes() == want_ratios.tobytes()
         assert rep.pairs == want_pairs
         assert rep.skipped_slices == want_skipped
+
 
 class TestSimilarityReport:
     def test_identical_slices_ratio_zero(self):
