@@ -218,7 +218,10 @@ def cmd_synth(args) -> int:
         spec.validate()
     except (LookupError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise DataError(f"bad scenario {args.scenario}: {exc}") from exc
-    triplets, meta, truth = generate_synthetic(spec, cfg.seed)
+    try:
+        triplets, meta, truth = generate_synthetic(spec, cfg.seed)
+    except (ValueError, MemoryError) as exc:  # numpy cannot size or allocate an array
+        raise DataError(f"bad scenario {args.scenario}: too large to build: {exc}") from exc
     out = _outdir(args)
     with open(out / "trace.txt", "w", encoding="utf-8") as fh:
         write_trace(triplets, meta.node_names, fh)

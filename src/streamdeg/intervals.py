@@ -10,7 +10,6 @@ decimal inputs so that equal instants compare equal.
 from __future__ import annotations
 
 import operator
-from bisect import bisect_right
 from functools import reduce
 from typing import Iterable, Sequence
 
@@ -47,18 +46,6 @@ def measure(intervals: Sequence[Interval]) -> float:
     return ordered_sum(e - s for s, e in intervals)
 
 
-def clip(intervals: Sequence[Interval], lo: float, hi: float) -> list[Interval]:
-    """Intersection of a canonical interval list with the window [lo, hi)."""
-    out = []
-    for s, e in intervals:
-        if e <= lo:
-            continue
-        if s >= hi:
-            break
-        out.append((max(s, lo), min(e, hi)))
-    return out
-
-
 def intersect(a: Sequence[Interval], b: Sequence[Interval]) -> list[Interval]:
     """Intersection of two canonical interval lists."""
     out: list[Interval] = []
@@ -81,12 +68,6 @@ def intersection_measure(a: Sequence[Interval], b: Sequence[Interval]) -> float:
 
 def union_measure(a: Sequence[Interval], b: Sequence[Interval]) -> float:
     return measure(merge(list(a) + list(b)))
-
-
-def covers(intervals: Sequence[Interval], t: float) -> bool:
-    """Point query on a canonical list: is t inside some [start, end)?"""
-    i = bisect_right(intervals, (t, float("inf"))) - 1
-    return i >= 0 and intervals[i][0] <= t < intervals[i][1]
 
 
 def dilate(intervals: Sequence[Interval], slack: float) -> list[Interval]:

@@ -55,36 +55,14 @@ class UnknownNodeError(KeyError):
     pass
 
 
-class DegreeProfile:
-    """Piecewise-constant degree of one node, a view of its stream's arrays:
-    ``levels[i]`` holds on ``[times[i], times[i+1])``, 0 before the first and
-    from the last breakpoint on.  Canonical form: consecutive levels differ
-    and no level is 0 at the edges."""
+class DegreeProfile(NamedTuple):
+    """Piecewise-constant degree of one node, read-only views of its stream's
+    arrays: ``values[i]`` holds on ``[times[i], times[i+1])``, 0 before the
+    first and from the last breakpoint on.  Consecutive values differ and no
+    value is 0 at the edges."""
 
-    def __init__(self, node: int, breakpoints: Sequence[float], values: Sequence[int]):
-        self.node = node
-        self.times = np.asarray(breakpoints, dtype=np.float64)
-        self.levels = np.asarray(values, dtype=np.int64)
-
-    @property
-    def breakpoints(self) -> list[float]:
-        return self.times.tolist()
-
-    @property
-    def values(self) -> list[int]:
-        return self.levels.tolist()
-
-    def value_at(self, t: float) -> int:
-        i = int(np.searchsorted(self.times, t, side="right")) - 1
-        return int(self.levels[i]) if 0 <= i < len(self.levels) else 0
-
-    @property
-    def max_value(self) -> int:
-        return int(self.levels.max(initial=0))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, DegreeProfile) and (self.node, self.breakpoints, self.values) == (
-            other.node, other.breakpoints, other.values)
+    times: np.ndarray
+    values: np.ndarray
 
 
 @dataclass
@@ -211,10 +189,6 @@ class LinkStream:
         ids = pair_ids[first[node]:first[node + 1]]
         return ids[self._alive[ids]]
 
-    def pairs_of(self, node: int) -> list[PairKey]:
-        ids = self._pair_ids(node)
-        return list(zip(self._table.u[ids].tolist(), self._table.v[ids].tolist()))
-
     def total_link_seconds(self) -> float:
         """Sum of the alive pairs' interval lengths: each pair's lengths in
         time order, then the pairs in order."""
@@ -268,38 +242,6 @@ class LinkStream:
         return cls(node_names, table, offsets, start[opens], end[closes],
                    np.ones(len(keys), dtype=bool), delta, t_begin, t_end)
 
-    @classmethod
-    def from_pair_intervals(
-        cls,
-        node_names: Sequence[str],
-        pair_intervals: dict[tuple[str, str], list[iv.Interval]],
-        delta: float = 1.0,
-        t_begin: float | None = None,
-        t_end: float | None = None,
-    ) -> "LinkStream":
-        """Build from per-pair interval lists (mainly tests), merging the lists
-        of ``(a, b)`` and ``(b, a)``; a self pair ``(a, a)`` is a ValueError.
-        The bounds default to the extreme endpoints, or 0.0 without intervals."""
-        name_idx = {n: i for i, n in enumerate(node_names)}
-        links: dict[PairKey, list[iv.Interval]] = {}
-        for (a, b), ivs in pair_intervals.items():
-            if a == b:
-                raise ValueError(f"self-interaction {a!r}")
-            key = tuple(sorted((name_idx[a], name_idx[b])))
-            links[key] = iv.merge(links.get(key, []) + list(ivs))
-        keys = sorted(links)
-        flat = np.array([pt for key in keys for pt in links[key]], dtype=np.float64).reshape(-1, 2)
-        offsets = np.zeros(len(keys) + 1, dtype=np.int64)
-        np.cumsum([len(links[key]) for key in keys], out=offsets[1:])
-        if t_begin is None:
-            t_begin = float(flat[:, 0].min()) if len(flat) else 0.0
-        if t_end is None:
-            t_end = float(flat[:, 1].max()) if len(flat) else 0.0
-        pairs = np.array(keys, dtype=np.int64).reshape(-1, 2)
-        return cls(node_names, _PairTable(pairs[:, 0], pairs[:, 1], len(node_names)), offsets,
-                   flat[:, 0].copy(), flat[:, 1].copy(), np.ones(len(keys), dtype=bool),
-                   delta, t_begin, t_end)
-
     # -- degree profiles ----------------------------------------------------
 
     def degree_profile(self, node: int) -> DegreeProfile:
@@ -307,7 +249,7 @@ class LinkStream:
         if not 0 <= node < self.num_nodes:
             raise UnknownNodeError(node)
         times, levels = self._degree_arrays()[node]
-        return DegreeProfile(node, times, levels[:-1])
+        return DegreeProfile(times, levels[:-1])
 
     def _degree_arrays(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """``(breakpoints, levels)`` of every node; a node's last level is 0."""

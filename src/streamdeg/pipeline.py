@@ -85,10 +85,6 @@ class IdentifiedSet:
         return [(n, interval) for n, ivs in sorted(self.entries.items()) for interval in ivs]
 
 
-class NotAnAClassError(ValueError):
-    """Direct identification is only defined for events in A classes."""
-
-
 def classify_classes(
     matrix: FractionMatrix,
     grubbs_alpha: float = 0.05,
@@ -154,7 +150,6 @@ def identify_event(
     event: Event,
     grid: TimeSliceGrid,
     scheme: ClassScheme,
-    labels: Sequence[ClassLabel] | None = None,
     normalized: NormalizedDegrees | None = None,
     active: ActiveNodes | None = None,
 ) -> IdentifiedSet:
@@ -164,13 +159,6 @@ def identify_event(
     Only the nodes ``active`` lists for the slice are examined; all nodes when
     it is None.
     """
-    if labels is not None:
-        verdict = labels[event.class_index - 1].verdict
-        if verdict != "A":
-            raise NotAnAClassError(
-                f"event in class {event.class_index} has verdict {verdict}; "
-                "only A-class events are directly identifiable"
-            )
     lo, hi = grid.bounds(event.slice_index)
     k_lo, k_hi = scheme.edges[event.class_index - 1:event.class_index + 1].tolist()
     rows = range(event.slice_index, event.slice_index + 1)
@@ -305,7 +293,7 @@ def run_identification(
             break
         event = min(pending, key=_event_order)
         processed.add(event.key)
-        victims = identify_event(stream, event, grid, scheme, None, normalized, active)
+        victims = identify_event(stream, event, grid, scheme, normalized, active)
         if victims.is_empty:
             log.append(RemovalRecord(event, victims, "cascade", "already removed"))
             continue

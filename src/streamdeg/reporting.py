@@ -242,12 +242,10 @@ class SweepReport:
     reference: float
     points: list[SweepPoint] = field(default_factory=list)
 
-    def write_csv(self, out: IO[str], include_runtime: bool = True) -> None:
+    def write_csv(self, out: IO[str]) -> None:
         writer = csv.writer(out)
-        header = ["value", "jaccard", "identified_measure", "an", "a", "r", "k_id"]
-        if include_runtime:
-            header.append("runtime_s")
-        writer.writerow(header)
+        writer.writerow(["value", "jaccard", "identified_measure", "an", "a", "r", "k_id",
+                         "runtime_s"])
         for p in self.points:
             row = [
                 repr(p.value),
@@ -260,9 +258,7 @@ class SweepReport:
             ]
             if p.error:  # a failed point has no metrics; its error is in the JSON report
                 row[1:] = [""] * (len(row) - 1)
-            if include_runtime:
-                row.append(repr(p.runtime_s))
-            writer.writerow(row)
+            writer.writerow(row + [repr(p.runtime_s)])
 
     def to_dict(self, include_runtime: bool = True) -> dict:
         out = asdict(self)

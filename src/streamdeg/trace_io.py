@@ -19,7 +19,7 @@ import math
 import random
 from collections import defaultdict
 from contextlib import suppress
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import chain, compress, repeat
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -314,6 +314,7 @@ class SpikeInjection:
 
 
 Injection = ScanInjection | FanInInjection | SpikeInjection
+_INJECTION_KINDS = {"scan": ScanInjection, "fanin": FanInInjection, "spike": SpikeInjection}
 
 
 @dataclass
@@ -349,6 +350,9 @@ class ScenarioSpec:
     def validate(self) -> None:
         if not 0 < self.duration < math.inf:
             raise ValueError(f"duration must be positive and finite, got {self.duration}")
+        if min(self.background_nodes, self.background_degree) < 0:
+            raise ValueError(f"background_nodes and background_degree must be non-negative, "
+                             f"got {self.background_nodes}, {self.background_degree}")
         if self.background_model not in ("regular", "poisson"):
             raise ValueError(f"unknown background model {self.background_model!r}")
         if not (0 <= self.rate_low < math.inf and 0 <= self.rate_high < math.inf):
@@ -381,22 +385,29 @@ class ScenarioSpec:
                 raise ValueError(f"injection needs a positive count, got {count}")
 
 
+def _reject_unknown(what: str, raw: dict, known: Iterable[str]) -> None:
+    unknown = set(raw) - set(known)
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+
+
 def scenario_from_dict(raw: dict) -> ScenarioSpec:
-    """Build a scenario from its JSON representation (see README)."""
+    """Build a scenario from its JSON representation (see README); a key
+    that names no scenario field, or no field of its injection's kind, is a
+    ValueError."""
     if not isinstance(raw, dict):
         raise ValueError(f"scenario must be a JSON object, got {type(raw).__name__}")
+    _reject_unknown("scenario", raw, (f.name for f in fields(ScenarioSpec)))
     injections: list[Injection] = []
     for item in raw.get("injections", []):
         kind = item["kind"]
-        window = (float(item["window"][0]), float(item["window"][1]))
-        if kind == "scan":
-            injections.append(ScanInjection(item["source"], int(item["targets"]), window))
-        elif kind == "fanin":
-            injections.append(FanInInjection(item["dest"], int(item["sources"]), window))
-        elif kind == "spike":
-            injections.append(SpikeInjection(item["node"], int(item["level"]), window))
-        else:
+        if kind not in _INJECTION_KINDS:
             raise ValueError(f"unknown injection kind {kind!r}")
+        # every kind's fields are its name, its count and its window
+        name, count, _ = (f.name for f in fields(_INJECTION_KINDS[kind]))
+        _reject_unknown(f"{kind} injection", item, ("kind", name, count, "window"))
+        window = (float(item["window"][0]), float(item["window"][1]))
+        injections.append(_INJECTION_KINDS[kind](item[name], int(item[count]), window))
     return ScenarioSpec(
         duration=float(raw["duration"]),
         background_nodes=int(raw["background_nodes"]),

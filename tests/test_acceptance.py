@@ -39,6 +39,8 @@ from streamdeg.trace_io import (
     generate_synthetic,
 )
 
+from streams import max_value, pairs_of
+
 DELTA = 1.0
 TAU = 2.0
 RATIO = 0.1
@@ -318,12 +320,12 @@ def test_criterion_02_degree_oracle_equivalence(corpus):
         for node in np.unique(nodes):
             sel = ts[nodes == node]
             prof = stream.degree_profile(int(node))
-            bp = np.array(prof.breakpoints)
-            vals = np.array(prof.values + [0])
+            bp = prof.times
+            vals = np.append(prof.values, 0)
             idx = np.searchsorted(bp, sel, side="right") - 1
             got = np.where((idx >= 0) & (idx < len(prof.values)), vals[idx], 0)
             starts, ends = [], []
-            for key in stream.pairs_of(int(node)):
+            for key in pairs_of(stream, int(node)):
                 for s, e in stream.links[key]:
                     starts.append(s)
                     ends.append(e)
@@ -392,7 +394,7 @@ def test_criterion_06_end_to_end_identification(main_trace):
     stream, meta, truth = main_trace
     background_max = 4
     for entry in truth.entries:
-        peak = stream.degree_profile(meta.node_names.index(entry.node)).max_value
+        peak = max_value(stream.degree_profile(meta.node_names.index(entry.node)))
         assert peak > background_max
     artifact = collect_c6(stream, meta, truth)
     overlap = artifact["overlap"]

@@ -13,9 +13,11 @@ import pytest
 import streamdeg
 from streamdeg.cli import main, write_identified_csv
 from streamdeg.config import RunConfig
-from streamdeg.linkstream import LinkStream, build_stream
+from streamdeg.linkstream import build_stream
 from streamdeg.pipeline import IdentifiedSet
 from streamdeg.trace_io import GroundTruth, TruthEntry, parse_trace, write_ground_truth
+
+from streams import from_pair_intervals
 
 SCENARIO = {
     "duration": 120,
@@ -47,7 +49,7 @@ def read_bytes(path: Path) -> bytes:
 
 
 def small_cache() -> bytes:
-    stream = LinkStream.from_pair_intervals(["a", "b"], {("a", "b"): [(0.0, 4.0)]})
+    stream = from_pair_intervals(["a", "b"], {("a", "b"): [(0.0, 4.0)]})
     buf = io.BytesIO()
     stream.save(buf)
     return buf.getvalue()
@@ -114,7 +116,7 @@ class TestExitCodes:
 
     def test_data_error_cache_span_needs_too_many_slices(self, tmp_path, capsys):
         cache = tmp_path / "huge.bin"
-        stream = LinkStream.from_pair_intervals(
+        stream = from_pair_intervals(
             ["a", "b"], {("a", "b"): [(0.0, 1.0), (1e15, 1e15 + 1.0)]})
         with open(cache, "wb") as fh:
             stream.save(fh)
@@ -152,8 +154,18 @@ class TestExitCodes:
         ({"high_fraction": 1.5}, "high_fraction must be in [0, 1], got 1.5"),
         ({"rate_modulation": "weekly"}, "unknown rate modulation 'weekly'"),
         ({"background_model": "poisson", "background_nodes": 1}, "needs at least 2 nodes"),
+        ({"background_model": "poisson", "background_nodes": -5}, "must be non-negative, got -5, 4"),
+        ({"background_nodes": -5}, "must be non-negative, got -5, 4"),
+        ({"background_degree": -2}, "must be non-negative, got 10, -2"),
+        ({"rate_modulaton": "circadian"}, "unknown scenario keys: ['rate_modulaton']"),
+        ({"injections": [{"kind": "scan", "source": "s", "targets": 5, "sources": 50,
+                          "window": [1, 3]}]}, "unknown scan injection keys: ['sources']"),
+        # numpy refuses the per-second seed draw of 1e300 seconds without allocating
+        ({"duration": 1e300}, "too large to build: Maximum allowed dimension exceeded"),
     ], ids=["duration-nan", "duration-inf", "rate-negative", "rate-nan", "poisson-limit",
-            "high-fraction", "modulation", "poisson-one-node"])
+            "high-fraction", "modulation", "poisson-one-node", "poisson-negative-nodes",
+            "regular-negative-nodes", "negative-degree", "misspelled-key", "foreign-injection-key",
+            "regular-too-large"])
     def test_data_error_malformed_scenario(self, tmp_path, capsys, fields, message):
         sc = tmp_path / "sc.json"
         sc.write_text(json.dumps({"duration": 60, "background_nodes": 10, **fields}))

@@ -25,6 +25,7 @@ from streamdeg.slicing import (
     update_rows,
 )
 
+from streams import clip, profile_lists
 from test_linkstream import segment_rows, timed_streams
 
 
@@ -32,8 +33,7 @@ def reference_segments(stream, node, t0=-math.inf, t1=math.inf, series=None):
     """Segments of ``node`` that overlap ``(t0, t1)``, level-0 ones included;
     with a ``series``, cut at second bounds and divided by each second's
     mean, only the pieces in the seconds that overlap the window."""
-    prof = stream.degree_profile(node)
-    bps, values = prof.breakpoints, prof.values
+    bps, values = profile_lists(stream.degree_profile(node))
     first = max(bisect_right(bps, t0) - 1, 0)
     stop = min(bisect_left(bps, t1), len(values))
     for i in range(first, stop):
@@ -94,7 +94,7 @@ def reference_entries(stream, grid, scheme, series, j, i):
             [(a, b) for a, b, x in reference_segments(stream, node, lo, hi, series)
              if k_lo <= x < k_hi]
         )
-        clipped = iv.clip(in_class, lo, hi)
+        clipped = clip(in_class, lo, hi)
         if clipped:
             entries[node] = clipped
     return entries
@@ -152,5 +152,5 @@ def check_read_path(stream, removals, normalized, tau):
         for j in range(1, len(scheme) + 1):
             for i in range(grid.count):
                 event = Event(j, i, 0.0, "nonzero-in-A")
-                found = identify_event(s, event, grid, scheme, None, view, active)
+                found = identify_event(s, event, grid, scheme, view, active)
                 assert found.entries == reference_entries(s, grid, scheme, series, j, i)

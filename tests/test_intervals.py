@@ -4,6 +4,8 @@ from hypothesis import given, strategies as st
 
 from streamdeg import intervals as iv
 
+from streams import covers
+
 
 def ivs_strategy():
     pair = st.tuples(
@@ -34,7 +36,7 @@ def test_merge_canonical(raw):
 @given(ivs_strategy(), st.floats(-120, 120, allow_nan=False))
 def test_merge_preserves_cover(raw, t):
     covered = any(s <= t < e for s, e in raw if e > s)
-    assert iv.covers(iv.merge(raw), t) == covered
+    assert covers(iv.merge(raw), t) == covered
 
 
 @given(ivs_strategy(), ivs_strategy())
@@ -51,13 +53,7 @@ def test_intersect_pointwise(raw_a, raw_b, t):
     a = iv.merge(raw_a)
     b = iv.merge(raw_b)
     out = iv.intersect(a, b)
-    assert iv.covers(out, t) == (iv.covers(a, t) and iv.covers(b, t))
-
-
-def test_clip():
-    assert iv.clip([(0, 10)], 2, 3) == [(2, 3)]
-    assert iv.clip([(0, 1), (5, 9)], 0.5, 6) == [(0.5, 1), (5, 6)]
-    assert iv.clip([(0, 1)], 2, 3) == []
+    assert covers(out, t) == (covers(a, t) and covers(b, t))
 
 
 def test_dilate():

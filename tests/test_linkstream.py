@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from streamdeg.linkstream import (
-    DegreeProfile, LinkStream, UnknownNodeError, build_stream, degree_segments,
-)
+from streamdeg.linkstream import LinkStream, UnknownNodeError, build_stream, degree_segments
 from streamdeg import intervals as iv, linkstream
 from streamdeg.cli import main
 from streamdeg.trace_io import Triplet, Triplets, parse_trace
+
+from streams import covers, from_pair_intervals, pairs_of, profile_lists, value_at
 
 # The worked reference stream used throughout: pair presence intervals
 # ab: [0.5,2) u [5.5,6.5) / ac: [3,4) / bc: [3.8,5.8), three nodes.
@@ -25,12 +25,12 @@ REF_PAIRS = {
 
 
 def ref_stream() -> LinkStream:
-    return LinkStream.from_pair_intervals(["a", "b", "c"], REF_PAIRS, delta=1.0)
+    return from_pair_intervals(["a", "b", "c"], REF_PAIRS, delta=1.0)
 
 
 def stream_of(names, links, delta=1.0, t_begin=None, t_end=None) -> LinkStream:
     named = {(names[u], names[v]): ivs for (u, v), ivs in links.items()}
-    return LinkStream.from_pair_intervals(names, named, delta, t_begin, t_end)
+    return from_pair_intervals(names, named, delta, t_begin, t_end)
 
 
 def random_stream(rng: np.random.Generator, n_nodes=10, n_triplets=100, delta=1.0):
@@ -48,7 +48,7 @@ def random_stream(rng: np.random.Generator, n_nodes=10, n_triplets=100, delta=1.
 
 def brute_force_degree(stream: LinkStream, node: int, t: float) -> int:
     count = 0
-    for key in stream.pairs_of(node):
+    for key in pairs_of(stream, node):
         for s, e in stream.links[key]:
             if s <= t < e:
                 count += 1
@@ -56,11 +56,12 @@ def brute_force_degree(stream: LinkStream, node: int, t: float) -> int:
     return count
 
 
-def reference_profile(stream: LinkStream, node: int) -> DegreeProfile:
-    """The per-node sweep the blocked array sweep replaced: step sums keyed
-    by time in a dict, zero sums skipped, the trailing 0 dropped."""
+def reference_profile(stream: LinkStream, node: int) -> tuple[list[float], list[int]]:
+    """``(breakpoints, values)`` by the per-node sweep the blocked array sweep
+    replaced: step sums keyed by time in a dict, zero sums skipped, the
+    trailing 0 dropped."""
     deltas: dict[float, int] = {}
-    for key in stream.pairs_of(node):
+    for key in pairs_of(stream, node):
         for s, e in stream.links[key]:
             deltas[s] = deltas.get(s, 0) + 1
             deltas[e] = deltas.get(e, 0) - 1
@@ -77,8 +78,8 @@ def reference_profile(stream: LinkStream, node: int) -> DegreeProfile:
     if values and values[-1] == 0:
         values.pop()
     if not values:
-        return DegreeProfile(node, [], [])
-    return DegreeProfile(node, breakpoints, values)
+        return [], []
+    return breakpoints, values
 
 
 def segment_rows(stream: LinkStream, nodes, t0=-math.inf, t1=math.inf, series=None):
@@ -90,10 +91,8 @@ def segment_rows(stream: LinkStream, nodes, t0=-math.inf, t1=math.inf, series=No
 def assert_profiles_match_reference(stream: LinkStream, nodes=None) -> None:
     for node in range(stream.num_nodes) if nodes is None else nodes:
         got = stream.degree_profile(node)
-        want = reference_profile(stream, node)
-        assert got == want, node
-        assert all(type(t) is float for t in got.breakpoints)
-        assert all(type(k) is int for k in got.values)
+        assert profile_lists(got) == reference_profile(stream, node), node
+        assert got.times.dtype == np.float64 and got.values.dtype == np.int64
 
 
 @st.composite
@@ -167,10 +166,10 @@ class TestBuildStream:
             build_stream([], [], 0.0)
 
     def test_pair_intervals_of_both_orders_merge(self):
-        stream = LinkStream.from_pair_intervals(
+        stream = from_pair_intervals(
             ["a", "b"], {("a", "b"): [(0.0, 1.0)], ("b", "a"): [(2.0, 3.0), (0.5, 1.5)]})
         assert stream.links == {(0, 1): [(0.0, 1.5), (2.0, 3.0)]}
-        assert stream.degree_profile(0) == DegreeProfile(0, [0.0, 1.5, 2.0, 3.0], [1, 0, 1])
+        assert profile_lists(stream.degree_profile(0)) == ([0.0, 1.5, 2.0, 3.0], [1, 0, 1])
         buf = io.BytesIO()
         stream.save(buf)
         buf.seek(0)
@@ -178,7 +177,7 @@ class TestBuildStream:
 
     def test_self_pair_rejected(self):
         with pytest.raises(ValueError, match="self-interaction 'a'"):
-            LinkStream.from_pair_intervals(["a", "b"], {("a", "a"): [(0.0, 1.0)]})
+            from_pair_intervals(["a", "b"], {("a", "a"): [(0.0, 1.0)]})
 
     def test_bounds_cover_intervals(self):
         stream = ref_stream()
@@ -190,8 +189,9 @@ class TestDegreeProfile:
     def test_reference_profile_of_b(self):
         stream = ref_stream()
         prof = stream.degree_profile(1)
-        assert prof.breakpoints == [0.5, 2.0, 3.8, 5.5, 5.8, 6.5]
-        assert prof.values == [1, 0, 1, 2, 1]
+        assert profile_lists(prof) == ([0.5, 2.0, 3.8, 5.5, 5.8, 6.5], [1, 0, 1, 2, 1])
+        # views of the stream's arrays, which derived streams share
+        assert not (prof.times.flags.writeable or prof.values.flags.writeable)
         # the segments drop the level-0 gap on [2.0, 3.8)
         assert segment_rows(stream, [1]) == [
             (1, 0.5, 2.0, 1),
@@ -199,15 +199,15 @@ class TestDegreeProfile:
             (1, 5.5, 5.8, 2),
             (1, 5.8, 6.5, 1),
         ]
-        assert prof.value_at(0.0) == 0
-        assert prof.value_at(5.6) == 2
-        assert prof.value_at(6.5) == 0  # half-open at the end
+        assert value_at(prof, 0.0) == 0
+        assert value_at(prof, 5.6) == 2
+        assert value_at(prof, 6.5) == 0  # half-open at the end
 
     def test_isolated_node_is_constant_zero(self):
-        stream = LinkStream.from_pair_intervals(["a", "b", "c", "x"], REF_PAIRS)
+        stream = from_pair_intervals(["a", "b", "c", "x"], REF_PAIRS)
         prof = stream.degree_profile(3)
-        assert prof.breakpoints == []
-        assert prof.value_at(3.0) == 0
+        assert profile_lists(prof) == ([], [])
+        assert value_at(prof, 3.0) == 0
 
     def test_unknown_node(self):
         with pytest.raises(UnknownNodeError):
@@ -220,7 +220,7 @@ class TestDegreeProfile:
         for node in range(stream.num_nodes):
             prof = stream.degree_profile(node)
             for t in times:
-                assert prof.value_at(t) == brute_force_degree(stream, node, t)
+                assert value_at(prof, t) == brute_force_degree(stream, node, t)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
@@ -230,7 +230,7 @@ class TestDegreeProfile:
         node = int(rng.integers(0, 6))
         prof = stream.degree_profile(node)
         for t in rng.uniform(-1, 52, size=200):
-            assert prof.value_at(t) == brute_force_degree(stream, node, t)
+            assert value_at(prof, t) == brute_force_degree(stream, node, t)
 
 
     @given(st.integers(0, 2**32 - 1))
@@ -239,7 +239,7 @@ class TestDegreeProfile:
         rng = np.random.default_rng(seed)
         stream = random_stream(rng, n_nodes=6, n_triplets=40)
         # window edges on breakpoints and whole seconds as well as between them
-        edges = stream.degree_profile(0).breakpoints + list(rng.uniform(-2.0, 53.0, 10))
+        edges = stream.degree_profile(0).times.tolist() + list(rng.uniform(-2.0, 53.0, 10))
         edges += [float(t) for t in rng.integers(-2, 53, 5)]
         windows = rng.choice(edges, size=(20, 2))
         for series in (None, stream.mean_degree_per_second()):
@@ -262,16 +262,16 @@ class TestProfileSweep:
 
     def test_endpoints_cancelling_across_pairs(self):
         # a-b on [0, 1), a-c on [1, 2): the end and the start at 1 cancel
-        stream = LinkStream.from_pair_intervals(
+        stream = from_pair_intervals(
             ["a", "b", "c"], {("a", "b"): [(0.0, 1.0)], ("a", "c"): [(1.0, 2.0)]}
         )
-        assert stream.degree_profile(0) == DegreeProfile(0, [0.0, 2.0], [1])
+        assert profile_lists(stream.degree_profile(0)) == ([0.0, 2.0], [1])
         assert_profiles_match_reference(stream)
 
     def test_pair_left_empty_by_the_builder(self):
         stream = build_stream([Triplet(1e17, 0, 1), Triplet(3.0, 1, 2)], ["a", "b", "c"], 1.0)
         assert stream.links[(0, 1)] == []
-        assert stream.degree_profile(0) == DegreeProfile(0, [], [])
+        assert profile_lists(stream.degree_profile(0)) == ([], [])
         assert_profiles_match_reference(stream)
 
     def test_more_nodes_and_endpoints_than_one_block(self):
@@ -283,8 +283,8 @@ class TestProfileSweep:
         stream = build_stream(cols, [f"n{k}" for k in range(n)], 1.0)
         for node in (0, 1, 65_535, 65_536, n - 1):
             assert_profiles_match_reference(stream, [node])
-        assert stream.degree_profile(0) == DegreeProfile(0, [0.0, 1.0], [1])
-        assert stream.degree_profile(500) == DegreeProfile(500, [499.0, 501.0], [1])
+        assert profile_lists(stream.degree_profile(0)) == ([0.0, 1.0], [1])
+        assert profile_lists(stream.degree_profile(500)) == ([499.0, 501.0], [1])
         assert_profiles_match_reference(stream, range(0, n, 7))
 
     def test_more_nodes_than_one_block_holds(self):
@@ -311,7 +311,8 @@ class TestProfileSweep:
             fresh = stream_of(out.node_names, out.links, out.delta, out.t_begin, out.t_end)
             assert list(out.links.items()) == list(fresh.links.items())
             for node in range(out.num_nodes):
-                assert out.degree_profile(node) == fresh.degree_profile(node)
+                got, want = out.degree_profile(node), fresh.degree_profile(node)
+                assert profile_lists(got) == profile_lists(want)
             assert_profiles_match_reference(out)
             assert out.total_link_seconds() == fresh.total_link_seconds()
             stream = out
@@ -345,9 +346,9 @@ class TestRemoval:
             samples = ends + [(a + b) / 2 for a, b in zip(ends, ends[1:])]
             for (a, b), ivs in stream.links.items():
                 for t in samples:
-                    kept = iv.covers(ivs, t) and not (
-                        iv.covers(cut_of[a], t) or iv.covers(cut_of[b], t))
-                    assert iv.covers(out.links.get((a, b), []), t) == kept, ((a, b), t)
+                    kept = covers(ivs, t) and not (
+                        covers(cut_of[a], t) or covers(cut_of[b], t))
+                    assert covers(out.links.get((a, b), []), t) == kept, ((a, b), t)
             stream = out
 
     def test_remove_node_b_everywhere(self):
@@ -360,7 +361,7 @@ class TestRemoval:
         assert stream.links[(0, 1)] == [(0.5, 2.0), (5.5, 6.5)]
 
     def test_remove_isolated_node_is_noop(self):
-        stream = LinkStream.from_pair_intervals(["a", "b", "c", "x"], REF_PAIRS)
+        stream = from_pair_intervals(["a", "b", "c", "x"], REF_PAIRS)
         out = stream.remove_interactions([(3, (0.0, 100.0))])
         assert out.links == stream.links
 
@@ -387,7 +388,7 @@ class TestRemoval:
             before = stream.degree_profile(node)
             after = out.degree_profile(node)
             for t in rng.uniform(0, 50, size=200):
-                assert after.value_at(t) <= before.value_at(t)
+                assert value_at(after, t) <= value_at(before, t)
 
     def test_untouched_pairs_equal_and_profiles_shared(self):
         stream = ref_stream()
@@ -398,9 +399,9 @@ class TestRemoval:
         assert out.links[(1, 2)] == stream.links[(1, 2)]
         # c keeps only untouched pairs, so its profile shares the parent's arrays
         assert np.shares_memory(out.degree_profile(2).times, stream.degree_profile(2).times)
-        assert np.shares_memory(out.degree_profile(2).levels, stream.degree_profile(2).levels)
+        assert np.shares_memory(out.degree_profile(2).values, stream.degree_profile(2).values)
         assert not np.shares_memory(out.degree_profile(0).times, stream.degree_profile(0).times)
-        assert out.degree_profile(0) == reference_profile(out, 0)
+        assert profile_lists(out.degree_profile(0)) == reference_profile(out, 0)
 
     def test_adjacency_follows_deleted_pairs(self):
         rng = np.random.default_rng(5)
@@ -411,7 +412,9 @@ class TestRemoval:
         for s in streams:
             rebuilt = stream_of(s.node_names, s.links, s.delta, s.t_begin, s.t_end)
             for node in range(s.num_nodes):
-                assert s.pairs_of(node) == rebuilt.pairs_of(node)
+                ids = s._pair_ids(node)
+                adjacent = list(zip(s._table.u[ids].tolist(), s._table.v[ids].tolist()))
+                assert adjacent == pairs_of(s, node) == pairs_of(rebuilt, node)
         assert len(streams[-1].links) < len(stream.links)
 
 
@@ -459,14 +462,14 @@ class TestMeanDegree:
         # 2048 apart is one float step at 1e19, so ``s + 1.0`` rounds there
         pairs = {("a", "b"): [(origin, origin + 4096.0)],
                  ("b", "c"): [(origin + 2048.0, origin + 8192.0)]}
-        stream = LinkStream.from_pair_intervals(["a", "b", "c"], pairs)
+        stream = from_pair_intervals(["a", "b", "c"], pairs)
         start, values = reference_mean_degree(stream)
         series = stream.mean_degree_per_second()
         assert series.start_second == start
         assert series.values.tobytes() == values.tobytes()
 
     def test_single_link_single_second(self):
-        stream = LinkStream.from_pair_intervals(["a", "b"], {("a", "b"): [(0.0, 1.0)]})
+        stream = from_pair_intervals(["a", "b"], {("a", "b"): [(0.0, 1.0)]})
         series = stream.mean_degree_per_second()
         assert series.start_second == 0
         assert series.values.tolist() == [1.0]
@@ -482,7 +485,7 @@ class TestMeanDegree:
 
     def test_total_link_seconds_adds_left_to_right(self):
         pairs = {("a", "b"): [(0.0, 1.0)], ("a", "c"): [(0.0, 2**-53)], ("b", "c"): [(0.0, 2**-53)]}
-        stream = LinkStream.from_pair_intervals(["a", "b", "c"], pairs)
+        stream = from_pair_intervals(["a", "b", "c"], pairs)
         assert stream.total_link_seconds() == 1.0
 
     def test_total_equals_twice_link_seconds_over_nodes(self):
@@ -498,8 +501,8 @@ class TestMeanDegree:
         # node count: the per-second series is unchanged
         pairs = {("a", "b"): [(0.25, 3.5)], ("b", "c"): [(1.0, 2.0)]}
         copy = {("a2", "b2"): [(0.25, 3.5)], ("b2", "c2"): [(1.0, 2.0)]}
-        base = LinkStream.from_pair_intervals(["a", "b", "c"], pairs)
-        doubled = LinkStream.from_pair_intervals(
+        base = from_pair_intervals(["a", "b", "c"], pairs)
+        doubled = from_pair_intervals(
             ["a", "b", "c", "a2", "b2", "c2"], pairs | copy
         )
         np.testing.assert_allclose(
@@ -519,16 +522,16 @@ class TestNormalize:
         # normalized degree is exactly 2.0
         pairs = {("a", f"p{i}"): [(10.0, 11.0)] for i in range(4)}
         pairs[("p0", "p1")] = [(10.0, 11.0)]
-        stream = LinkStream.from_pair_intervals(["a", "p0", "p1", "p2", "p3"], pairs)
+        stream = from_pair_intervals(["a", "p0", "p1", "p2", "p3"], pairs)
         series = stream.mean_degree_per_second()
-        assert stream.degree_profile(0).value_at(10.3) == 4
+        assert value_at(stream.degree_profile(0), 10.3) == 4
         assert series.values[10 - series.start_second] == pytest.approx(2.0)
         (_, start, end, value), = segment_rows(stream, [0], 10.3, 10.3, series)
         assert (start, end) == (10.0, 11.0)
         assert value == pytest.approx(2.0)
 
     def test_zero_mean_second_maps_to_zero(self):
-        stream = LinkStream.from_pair_intervals(
+        stream = from_pair_intervals(
             ["a", "b"], {("a", "b"): [(0.0, 1.0)]}, t_begin=0.0, t_end=5.0
         )
         series = stream.mean_degree_per_second()
@@ -538,7 +541,7 @@ class TestNormalize:
         assert segment_rows(stream, [0], 3.5, 3.5, series) == []
 
     def test_constant_rate_is_pure_rescaling(self):
-        stream = LinkStream.from_pair_intervals(
+        stream = from_pair_intervals(
             ["a", "b", "c"],
             {("a", "b"): [(0.0, 4.0)], ("a", "c"): [(0.0, 4.0)]},
         )

@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from streamdeg import intervals as iv, pipeline
-from streamdeg.linkstream import LinkStream, build_stream, normalize_degrees
+from streamdeg.linkstream import build_stream, normalize_degrees
 from streamdeg.pipeline import (
     Event,
-    NotAnAClassError,
     PipelineParams,
     classify_classes,
     detect_events,
@@ -40,6 +39,7 @@ from streamdeg.trace_io import (
     generate_synthetic,
 )
 
+from streams import from_pair_intervals
 from test_linkstream import timed_streams
 
 
@@ -130,7 +130,7 @@ class TestIdentifyEvent:
     def make_burst_stream(self, degree=300, span=(630.1, 631.4)):
         names = ["v"] + [f"u{i}" for i in range(degree)]
         pairs = {("v", f"u{i}"): [span] for i in range(degree)}
-        return LinkStream.from_pair_intervals(names, pairs, t_begin=630.0, t_end=632.0)
+        return from_pair_intervals(names, pairs, t_begin=630.0, t_end=632.0)
 
     def test_profile_intersection(self):
         stream = self.make_burst_stream()
@@ -158,19 +158,6 @@ class TestIdentifyEvent:
         ident = identify_event(stream, event, grid, scheme)
         assert ident.is_empty
 
-    def test_an_event_rejected_when_labels_given(self):
-        stream = self.make_burst_stream()
-        grid = TimeSliceGrid(630.0, 2.0, 1)
-        scheme = build_class_scheme(300, 0.1)
-        matrix = fraction_matrix(stream, grid, scheme)
-        labels = classify_classes(matrix)
-        an_like = next((l for l in labels if l.verdict != "A"), None)
-        if an_like is None:
-            pytest.skip("all classes labelled A in this toy stream")
-        event = Event(an_like.class_index, 0, 0.1, "high")
-        with pytest.raises(NotAnAClassError):
-            identify_event(stream, event, grid, scheme, labels)
-
 
 class TestNormalizedView:
     """With the same mean degree m in every second, the normalized view is the
@@ -186,7 +173,7 @@ class TestNormalizedView:
             ("a", "e"): [(2.5, 4.5)],
             ("b", "c"): [(4.5, 6.0)],
         }
-        stream = LinkStream.from_pair_intervals(list("abcde"), pairs, t_begin=0.0, t_end=6.0)
+        stream = from_pair_intervals(list("abcde"), pairs, t_begin=0.0, t_end=6.0)
         series = stream.mean_degree_per_second()
         assert len(series.values) == 6 and len(set(series.values.tolist())) == 1
         m = float(series.values[0])
@@ -224,7 +211,7 @@ class TestClassMembership:
         # K3 on [0, 4): the mean degree is 2 every second, so every
         # normalized degree is exactly 1.0, the lower edge of class 5
         pairs = {("a", "b"): [(0.0, 4.0)], ("a", "c"): [(0.0, 4.0)], ("b", "c"): [(0.0, 4.0)]}
-        stream = LinkStream.from_pair_intervals(list("abc"), pairs, t_begin=0.0, t_end=4.0)
+        stream = from_pair_intervals(list("abc"), pairs, t_begin=0.0, t_end=4.0)
         view = normalize_degrees(stream, stream.mean_degree_per_second())
         scheme = build_normalized_scheme(1.0, 0.1, min_value=0.5)
         grid = TimeSliceGrid(0.0, 4.0, 1)
@@ -468,9 +455,9 @@ class TestRowUpdate:
             attempts.append(rows)
             return out
 
-        def identify_checked(stream, event, grid, scheme, labels, view, active):
-            out = identify_event(stream, event, grid, scheme, labels, view, active)
-            assert out.entries == identify_event(stream, event, grid, scheme, labels, view).entries
+        def identify_checked(stream, event, grid, scheme, view, active):
+            out = identify_event(stream, event, grid, scheme, view, active)
+            assert out.entries == identify_event(stream, event, grid, scheme, view).entries
             return out
 
         monkeypatch.setattr(pipeline, "update_rows", checked)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from streamdeg.linkstream import LinkStream, build_stream, degree_segments
+from streamdeg.linkstream import build_stream, degree_segments
 from streamdeg.slicing import (
     SchemeRangeError,
     TimeSliceGrid,
@@ -20,6 +20,7 @@ from streamdeg.slicing import (
 from streamdeg.robust_stats import ks_two_sample
 from streamdeg.trace_io import ScenarioSpec, ScanInjection, generate_synthetic
 
+from streams import from_pair_intervals
 from test_linkstream import REF_PAIRS, random_stream, ref_stream
 
 
@@ -175,7 +176,7 @@ class TestNormalizedScheme:
 class TestFractionMatrix:
     def test_reference_first_slice(self):
         # degree-1 measure in [0,2) is 1.5 (a) + 1.5 (b) = 3.0 of 2*3 couple-seconds
-        stream = LinkStream.from_pair_intervals(
+        stream = from_pair_intervals(
             ["a", "b", "c"], REF_PAIRS, t_begin=0.0, t_end=7.0
         )
         grid = TimeSliceGrid(0.0, 2.0, 3)
@@ -185,7 +186,7 @@ class TestFractionMatrix:
         assert matrix.zero[0] == pytest.approx(0.5)
 
     def test_empty_stream_rows(self):
-        stream = LinkStream.from_pair_intervals(["a", "b"], {}, t_begin=0.0, t_end=4.0)
+        stream = from_pair_intervals(["a", "b"], {}, t_begin=0.0, t_end=4.0)
         grid = TimeSliceGrid(0.0, 2.0, 2)
         matrix = fraction_matrix(stream, grid, build_class_scheme(1, 0.1))
         assert (matrix.fractions == 0).all()
