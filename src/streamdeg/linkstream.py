@@ -30,9 +30,10 @@ from __future__ import annotations
 
 import math
 import struct
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from typing import BinaryIO, Iterable, NamedTuple, Sequence
+from typing import BinaryIO, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -49,6 +50,24 @@ _SWEEP_NODES = 1 << 16
 # Breakpoints above which ``degree_segments`` searches a node's window rather
 # than masking all of its segments.
 _LONG_PROFILE = 256
+# Cache words ``save`` and ``load`` move per block of records; bounds their temporaries.
+_CACHE_WORDS = 1 << 16
+# Profile breakpoints one block of matrix rows or normalized seconds reads,
+# taken as spread evenly over them (``read_blocks``); bounds its temporaries.
+_BLOCK_BREAKPOINTS = 1 << 18
+
+
+def _record_blocks(heads: np.ndarray, total: int) -> Iterator[tuple]:
+    """``(records, intervals, words, at, is_body)`` per block of the records at words
+    ``heads`` of ``total``: slices, heads from the block's start, interval words."""
+    bounds = np.append(heads, total)
+    cuts = np.unique(np.searchsorted(bounds, np.append(np.arange(0, total, _CACHE_WORDS), total)))
+    for i, j in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+        lo, hi = int(bounds[i]), int(bounds[j])
+        at = heads[i:j] - lo
+        is_body = np.ones(hi - lo, dtype=bool)
+        is_body[at[:, None] + np.arange(3)] = False
+        yield slice(i, j), slice((lo - 3 * i) // 2, (hi - 3 * j) // 2), slice(lo, hi), at, is_body
 
 
 class UnknownNodeError(KeyError):
@@ -292,7 +311,14 @@ class LinkStream:
         return list(zip(np.split(times, cut), np.split(levels, cut)))
 
     def max_degree(self) -> int:
-        return int(degree_segments(self, np.arange(self.num_nodes)).value.max(initial=0))
+        return max((int(k.max()) for _, k in self._degree_arrays() if len(k)), default=0)
+
+    def profile_bounds(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """First and last breakpoint and breakpoint count of each of ``nodes``."""
+        times = [self._degree_arrays()[n][0] for n in nodes.tolist()]
+        first = np.fromiter((t[0] if len(t) else np.inf for t in times), float, len(times))
+        last = np.fromiter((t[-1] if len(t) else -np.inf for t in times), float, len(times))
+        return first, last, np.fromiter(map(len, times), np.int64, len(times))
 
     # -- removal ------------------------------------------------------------
 
@@ -410,20 +436,18 @@ class LinkStream:
             head += [struct.pack("<H", len(raw)), raw]
         # dead pairs hold no intervals, so the alive pairs' intervals are all of them
         alive = np.flatnonzero(self._alive)
-        counts = np.diff(self._offsets)[alive]
+        counts = np.diff(self._offsets)
         head.append(struct.pack("<Q", len(alive)))
         out.write(b"".join(head))
 
-        heads = np.zeros(len(alive), dtype=np.int64)
-        np.cumsum(3 + 2 * counts[:-1], out=heads[1:])
-        words = np.empty(int(heads[-1] + 3 + 2 * counts[-1]) if len(alive) else 0, dtype="<u8")
-        is_head = np.zeros(len(words), dtype=bool)
-        for k, column in enumerate((self._table.u[alive], self._table.v[alive], counts)):
-            words[heads + k] = column
-            is_head[heads + k] = True
-        body = np.stack([self._starts, self._ends], axis=1).astype("<f8")
-        words[~is_head] = body.reshape(-1).view("<u8")
-        out.write(words.tobytes())
+        sizes = 3 + 2 * counts[alive]
+        heads = np.cumsum(sizes) - sizes
+        for pairs, ivs, _, at, is_body in _record_blocks(heads, int(sizes.sum())):
+            words = np.empty(len(is_body), dtype="<u8")
+            for k, column in enumerate((self._table.u, self._table.v, counts)):
+                words[at + k] = column[alive[pairs]]
+            words.view("<f8")[is_body] = np.stack([self._starts[ivs], self._ends[ivs]], axis=1).ravel()
+            out.write(words.tobytes())
 
     @classmethod
     def load(cls, src: BinaryIO) -> "LinkStream":
@@ -469,27 +493,27 @@ class LinkStream:
 
         # one hop per record: a head is three words, then 2n interval words
         words = np.frombuffer(buf, dtype="<u8", count=n_words, offset=pos)
-        hop = memoryview(words.astype(np.uint64))
-        heads = [0] * n_pairs
+        count_at = struct.Struct("<Q").unpack_from
+        heads = array("q", [0]) * n_pairs
         at = 0
         for r in range(n_pairs):
             if at + 3 > n_words:
                 raise ValueError(f"truncated at byte {len(buf)}")
             heads[r] = at
-            at += 3 + 2 * hop[at + 2]
+            at += 3 + 2 * count_at(buf, pos + 8 * at + 16)[0]
         if at > n_words:
             raise ValueError(f"truncated at byte {len(buf)}")
 
-        heads = np.array(heads, dtype=np.int64)
-        u, v, counts = (words[heads + k].astype(np.int64) for k in range(3))
+        floats = np.frombuffer(buf, dtype="<f8", count=at, offset=pos)
+        u, v, counts = (np.empty(n_pairs, dtype=np.int64) for _ in range(3))
+        starts, ends = (np.empty((at - 3 * n_pairs) // 2) for _ in range(2))
+        for pairs, ivs, block, rel, is_body in _record_blocks(np.frombuffer(heads, np.int64), at):
+            for k, column in enumerate((u, v, counts)):
+                column[pairs] = words[block][rel + k]
+            starts[ivs], ends[ivs] = floats[block][is_body].reshape(-1, 2).T
         ascending = (u[1:] > u[:-1]) | ((u[1:] == u[:-1]) & (v[1:] > v[:-1]))
         if not (((0 <= u) & (u < v) & (v < n_nodes)).all() and ascending.all()):
             raise ValueError(f"pair records not ascending (u, v) with 0 <= u < v < {n_nodes}")
-        is_body = np.ones(at, dtype=bool)
-        for k in range(3):
-            is_body[heads + k] = False
-        body = np.frombuffer(buf, dtype="<f8", count=at, offset=pos)[is_body].astype(np.float64)
-        starts, ends = body[0::2], body[1::2]
         offsets = np.zeros(n_pairs + 1, dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])
         # an interval inside the finite span is finite; one that is not the
@@ -562,6 +586,15 @@ def degree_segments(stream: LinkStream, nodes: np.ndarray, t0: float = -math.inf
     return Segments(node[at], lo[keep], hi[keep], value[at] / mean[keep])
 
 
+def read_blocks(stream: LinkStream, nodes: np.ndarray, span: int, over: range,
+                cap: float = math.inf) -> list[range]:
+    """``over`` in blocks of at most ``cap`` rows or seconds that hold about
+    ``_BLOCK_BREAKPOINTS`` breakpoints of ``nodes``, spread evenly over ``span``."""
+    breakpoints = int(stream.profile_bounds(nodes)[2].sum())
+    step = max(1, min(cap, _BLOCK_BREAKPOINTS * span // max(breakpoints, 1)))
+    return [range(i, min(i + step, over.stop)) for i in range(over.start, over.stop, step)]
+
+
 @dataclass
 class NormalizedDegrees:
     """A stream's degrees divided by the mean degree of each second.  Readers
@@ -572,8 +605,10 @@ class NormalizedDegrees:
     series: MeanDegreeSeries
 
     def max_value(self) -> float:
-        segs = degree_segments(self.stream, np.arange(self.stream.num_nodes), series=self.series)
-        return float(segs.value.max(initial=0.0))
+        nodes, first, span = np.arange(self.stream.num_nodes), self.series.start_second, len(self.series.values)
+        windows = read_blocks(self.stream, nodes, span, range(first, first + span))
+        return max((float(degree_segments(self.stream, nodes, w.start, w.stop, self.series)
+                          .value.max(initial=0.0)) for w in windows), default=0.0)
 
 
 def normalize_degrees(stream: LinkStream, series: MeanDegreeSeries) -> NormalizedDegrees:

@@ -457,21 +457,23 @@ class _PowerLawSampler:
         self.cdf = cdf[:stop]
         self.ks = np.arange(k_min, k_min + stop)
 
-    def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
+    def draw_table(self, rng: np.random.Generator, size: int) -> Table:
+        """(values, counts) of ``size`` draws: below ``cdf[0]``, k_min; up to
+        ``cdf[-1]``, counted by table entry; past it, the continuous tail."""
         u = rng.random(size)
-        # k_min is the likeliest draw; search the table only for the others
-        idx = np.zeros(size, dtype=np.intp)
-        past = u >= self.cdf[0]
-        idx[past] = np.searchsorted(self.cdf, u[past], side="right")
-        out = self.ks[np.minimum(idx, len(self.ks) - 1)]
-        overflow = u > self.cdf[-1]
-        if overflow.any():
-            with np.errstate(over="ignore"):  # an infinite draw is capped at TOP
-                tail = np.floor(
-                    (self.k_min - 0.5) * (1.0 - u[overflow]) ** (-1.0 / (self.alpha - 1.0)) + 0.5
-                )
-            out[overflow] = np.minimum(tail, self.TOP).astype(np.int64)  # out is a fresh copy
-        return out
+        past = u[u >= self.cdf[0]]
+        over = past[past > self.cdf[-1]]
+        with np.errstate(over="ignore"):  # an infinite draw is capped at TOP
+            tail = np.floor((self.k_min - 0.5) * (1.0 - over) ** (-1.0 / (self.alpha - 1.0)) + 0.5)
+        tail = np.minimum(tail, self.TOP).astype(np.int64)
+        near = tail <= self.ks[-1]
+        idx = np.searchsorted(self.cdf, past[past <= self.cdf[-1]], side="right")
+        idx = np.concatenate([np.minimum(idx, len(self.ks) - 1), tail[near] - self.k_min])
+        hits = np.bincount(idx, minlength=1)
+        hits[0] += size - len(past)
+        at = np.flatnonzero(hits)
+        far, far_counts = np.unique(tail[~near], return_counts=True)
+        return np.concatenate([self.ks[at], far]), np.concatenate([hits[at], far_counts])
 
 
 def _bootstrap_tables(
@@ -487,12 +489,10 @@ def _bootstrap_tables(
     for rep in range(count):
         rng = np.random.default_rng([seed, rep])
         n_tail = int(np.count_nonzero(rng.random(n) < p_tail))
-        parts = []
-        if n_tail:
-            parts.append(sampler.draw(rng, n_tail))
-        if n - n_tail:
-            parts.append(rng.choice(body, size=n - n_tail, replace=True))
-        tables.append(np.unique(np.concatenate(parts), return_counts=True))
+        parts = [sampler.draw_table(rng, n_tail)] if n_tail else []
+        if n - n_tail:  # the body lies below k_min, so its table comes first
+            parts.insert(0, np.unique(rng.choice(body, n - n_tail), return_counts=True))
+        tables.append(tuple(map(np.concatenate, zip(*parts))))
     return tables
 
 

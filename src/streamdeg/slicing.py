@@ -25,7 +25,8 @@ from typing import IO, NamedTuple, Sequence
 import numpy as np
 
 from .intervals import ordered_sum
-from .linkstream import LinkStream, NormalizedDegrees, _ranges, degree_segments, normalize_degrees
+from .linkstream import (LinkStream, NormalizedDegrees, _ranges, degree_segments, normalize_degrees,
+                         read_blocks)
 from .robust_stats import _weighted_cdf, two_sample_coefficient
 
 
@@ -176,7 +177,7 @@ def build_scheme(
 # ---------------------------------------------------------------------------
 
 
-# Rows of the full matrix measured at once; bounds the temporaries.
+# Rows of the matrix measured at once, at most (see ``read_blocks``); bounds the temporaries.
 _ROW_BLOCK = 256
 
 
@@ -192,11 +193,11 @@ def slice_value_measures(
     """
     nodes = np.arange(stream.num_nodes)
     out: list[dict[float, float]] = [{} for _ in range(grid.count)]
-    for i in range(0, grid.count, _ROW_BLOCK):
-        rows = range(i, min(i + _ROW_BLOCK, grid.count))
+    for rows in read_blocks(stream, nodes, grid.count, range(grid.count), _ROW_BLOCK):
         row, value, mass, first = _row_measures(stream, nodes, grid, rows, normalized)
         order = np.argsort(first)
-        for j, k, m in zip((row[order] + i).tolist(), value[order].tolist(), mass[order].tolist()):
+        for j, k, m in zip((row[order] + rows.start).tolist(), value[order].tolist(),
+                           mass[order].tolist()):
             out[j][k] = m
     return out
 
@@ -248,10 +249,7 @@ class ActiveNodes:
     """
 
     def __init__(self, stream: LinkStream, grid: TimeSliceGrid):
-        segs = degree_segments(stream, np.arange(stream.num_nodes))
-        first, last = np.full(stream.num_nodes, np.inf), np.full(stream.num_nodes, -np.inf)
-        np.minimum.at(first, segs.node, segs.start)
-        np.maximum.at(last, segs.node, segs.end)
+        first, last, _ = stream.profile_bounds(np.arange(stream.num_nodes))
         self._first_slice = np.floor((first - grid.origin) / grid.tau) - 1
         self._stop_slice = np.ceil((last - grid.origin) / grid.tau) + 1
 
@@ -347,8 +345,7 @@ def update_rows(
     """
     nodes = np.arange(stream.num_nodes) if active is None else active.nodes(rows)
     out = replace(matrix, fractions=matrix.fractions.copy(), zero=matrix.zero.copy())
-    for i in range(rows.start, rows.stop, _ROW_BLOCK):
-        block = range(i, min(i + _ROW_BLOCK, rows.stop))
+    for block in read_blocks(stream, nodes, out.grid.count, rows, _ROW_BLOCK):
         _fill_rows(out, block, *_row_measures(stream, nodes, out.grid, block, normalized)[:3])
     return out
 

@@ -20,7 +20,7 @@ import random
 from collections import defaultdict
 from contextlib import suppress
 from dataclasses import dataclass, field, fields
-from itertools import chain, compress, repeat
+from itertools import chain, compress, filterfalse, repeat
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -29,6 +29,8 @@ import numpy as np
 MAX_NAME_BYTES = 0xFFFF
 # the largest mean numpy's Generator.poisson accepts
 POISSON_LAM_MAX = (2**63 - 1) - math.sqrt(2**63 - 1) * 10
+# Characters of trace text one parse step reads; bounds its temporaries.
+_PARSE_CHARS = 1 << 18
 
 
 class TraceFormatError(ValueError):
@@ -127,16 +129,32 @@ def parse_trace(source: io.IOBase | bytes | str) -> tuple[Triplets, TraceMeta]:
     in UTF-8, reporting the 1-based number of the first bad line (checked in
     that order).  Triplets are returned in input order; duplicates are kept
     (they are harmless under interval-union semantics).  Names are indexed in
-    order of first appearance.
+    order of first appearance.  The text is read in steps of about
+    ``_PARSE_CHARS`` characters, each cut just after a line feed.
     """
-    if isinstance(source, bytes):
-        text = source.decode("utf-8")
-    elif isinstance(source, str):
-        text = source
+    text = source if isinstance(source, (bytes, str)) else source.read()
+    if isinstance(text, bytes):
+        text = text.decode("utf-8")
+    index: dict[str, int] = {}
+    columns = [(np.zeros(0), np.zeros(0, np.int64), np.zeros(0, np.int64))]
+    lines_before = pos = 0
+    while pos < len(text):
+        stop = text.find("\n", pos + _PARSE_CHARS - 1) + 1 or len(text)
+        lines_before += _parse_step(text[pos:stop], lines_before, index, columns)
+        pos = stop
+    del text
+    times, u, v = map(np.concatenate, zip(*columns))
+    if len(times):
+        t_min, t_max = float(times[times.argmin()]), float(times[times.argmax()])
     else:
-        raw = source.read()
-        text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
+        t_min = t_max = 0.0
+    meta = TraceMeta(len(times), len(index), t_min, t_max, list(index))
+    return Triplets(times, u, v), meta
 
+
+def _parse_step(text: str, lines_before: int, index: dict[str, int], columns: list) -> int:
+    """Check and parse ``text``, whole lines after ``lines_before`` others: add new
+    names to ``index`` and the ``(t, u, v)`` columns to ``columns``; count the lines."""
     # every line end is whitespace to str.split, so one split of the data
     # lines yields their fields in order
     lines = text.splitlines()
@@ -147,7 +165,7 @@ def parse_trace(source: io.IOBase | bytes | str) -> tuple[Triplets, TraceMeta]:
         data &= ~np.fromiter(comment, bool, len(lines))
         text = "\n".join(compress(lines, data.tolist()))
     del lines
-    line_nos = np.flatnonzero(data) + 1
+    line_nos = np.flatnonzero(data) + 1 + lines_before
     fields = fields[data]
 
     # Each check looks only at the lines before the earliest fault found so
@@ -176,31 +194,21 @@ def parse_trace(source: io.IOBase | bytes | str) -> tuple[Triplets, TraceMeta]:
     fail(_first(~np.isfinite(times)), lambda i: f"non-finite time {time_tokens[i]!r}")
 
     del tokens[0::3]  # leaves u0, v0, u1, v1, ...
-    index = dict.fromkeys(tokens)
-    for i, name in enumerate(index):
-        index[name] = i
-    names = list(index)
+    fresh = list(filterfalse(index.__contains__, dict.fromkeys(tokens)))
+    index.update(zip(fresh, range(len(index), len(index) + len(fresh))))
     ids = np.fromiter(map(index.__getitem__, tokens), np.int64, len(tokens))
     u, v = ids[0::2], ids[1::2]
-    fail(_first(u[:limit] == v[:limit]), lambda i: f"self-interaction {names[u[i]]!r}")
-    # a UTF-8 character takes at most 4 bytes, so only long names need encoding
-    name_lengths = np.fromiter(map(len, names), np.int64, len(names))
-    too_long = np.zeros(len(names), dtype=bool)
-    for i in np.flatnonzero(name_lengths > MAX_NAME_BYTES // 4):
-        too_long[i] = len(names[i].encode("utf-8")) > MAX_NAME_BYTES
-    fail(
-        _first(too_long[u[:limit]] | too_long[v[:limit]]),
-        lambda i: f"node name longer than {MAX_NAME_BYTES} UTF-8 bytes",
-    )
+    fail(_first(u[:limit] == v[:limit]), lambda i: f"self-interaction {tokens[2 * i]!r}")
+    # a UTF-8 character takes at most 4 bytes, so only long names need
+    # encoding; a name seen in an earlier step was checked there
+    too_long = [index[name] for name in fresh
+                if len(name) > MAX_NAME_BYTES // 4 and len(name.encode("utf-8")) > MAX_NAME_BYTES]
+    fail(_first(np.isin(u[:limit], too_long) | np.isin(v[:limit], too_long)),
+         lambda i: f"node name longer than {MAX_NAME_BYTES} UTF-8 bytes")
     if error is not None:
         raise error
-
-    if len(times):
-        t_min, t_max = float(times[times.argmin()]), float(times[times.argmax()])
-    else:
-        t_min = t_max = 0.0
-    meta = TraceMeta(len(times), len(names), t_min, t_max, names)
-    return Triplets(times, u, v), meta
+    columns.append((times, u, v))
+    return len(data)
 
 
 def format_time(t: float) -> str:

@@ -107,12 +107,16 @@ chained_removals = st.lists(
 )
 
 
-# 0 and 3: windowed reads cut every profile, or the longer ones, before masking
+# 0 and 3: windowed reads cut every profile, or the longer ones, before masking;
+# 0 breakpoints a block: every matrix block is one row, every normalized read one second
 @given(timed_streams(), chained_removals, st.booleans(), st.sampled_from([2.0, 0.7]),
-       st.sampled_from([0, 3, linkstream._LONG_PROFILE]))
+       st.sampled_from([0, 3, linkstream._LONG_PROFILE]),
+       st.sampled_from([0, linkstream._BLOCK_BREAKPOINTS]))
 @settings(max_examples=60, deadline=None)
-def test_read_path_equals_the_segment_loops(stream, removals, normalized, tau, long_profile):
-    with mock.patch.object(linkstream, "_LONG_PROFILE", long_profile):
+def test_read_path_equals_the_segment_loops(stream, removals, normalized, tau, long_profile,
+                                            block_breakpoints):
+    with mock.patch.object(linkstream, "_LONG_PROFILE", long_profile), \
+            mock.patch.object(linkstream, "_BLOCK_BREAKPOINTS", block_breakpoints):
         check_read_path(stream, removals, normalized, tau)
 
 
@@ -120,6 +124,8 @@ def check_read_path(stream, removals, normalized, tau):
     grid = TimeSliceGrid.covering(stream.t_begin, stream.t_end, tau)
     scheme, view = build_scheme(stream, 0.1, normalized)
     series = None if view is None else view.series
+    levels = [x for n in range(stream.num_nodes) for *_, x in reference_segments(stream, n, series=series)]
+    assert (stream.max_degree() if view is None else view.max_value()) == max(levels, default=0)
     active = ActiveNodes(stream, grid)
     streams = [stream]
     for victims in removals:

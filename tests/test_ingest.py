@@ -1,18 +1,26 @@
 """Differential tests of the columnar trace ingest.
 
 ``reference_parse`` is the line-by-line parser the columnar ``parse_trace``
-replaced, and ``reference_links`` the ``intervals.merge``-based construction
-of a stream's links that ``LinkStream.from_triplets`` replaced; both are kept
-here as the oracles.  ``reference_links`` lists the pairs in key order, the
-order every stream keeps.
+replaced, ``whole_text_parse`` the columnar parser that read the whole text
+in one step before ``parse_trace`` read it in steps, and ``reference_links``
+the ``intervals.merge``-based construction of a stream's links that
+``LinkStream.from_triplets`` replaced; all are kept here as the oracles.
+``reference_links`` lists the pairs in key order, the order every stream
+keeps.
 """
 
+import io
 import math
+from contextlib import suppress
+from itertools import compress, repeat
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from streamdeg import intervals as iv
+from streamdeg import trace_io
 from streamdeg.linkstream import build_stream
 from streamdeg.trace_io import (
     MAX_NAME_BYTES,
@@ -63,6 +71,87 @@ def reference_parse(text: str) -> tuple[list[Triplet], TraceMeta]:
     if not triplets:
         t_min = t_max = 0.0
     return triplets, TraceMeta(len(triplets), len(names), t_min, t_max, names)
+
+
+def first_of(mask: np.ndarray) -> int | None:
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if hits.size else None
+
+
+def whole_text_parse(source) -> tuple[Triplets, TraceMeta]:
+    """``parse_trace`` as it was when it read the whole text in one step."""
+    if isinstance(source, bytes):
+        text = source.decode("utf-8")
+    elif isinstance(source, str):
+        text = source
+    else:
+        raw = source.read()
+        text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
+
+    # every line end is whitespace to str.split, so one split of the data
+    # lines yields their fields in order
+    lines = text.splitlines()
+    fields = np.fromiter(map(len, map(str.split, lines)), np.int64, len(lines))
+    data = fields > 0
+    if "#" in text:
+        comment = map(str.startswith, map(str.lstrip, lines), repeat("#"))
+        data &= ~np.fromiter(comment, bool, len(lines))
+        text = "\n".join(compress(lines, data.tolist()))
+    del lines
+    line_nos = np.flatnonzero(data) + 1
+    fields = fields[data]
+
+    # Each check looks only at the lines before the earliest fault found so
+    # far, so the first bad line wins, and on one line the earlier check.
+    limit = len(fields)
+    error: TraceFormatError | None = None
+
+    def fail(i: int | None, message) -> None:
+        nonlocal limit, error
+        if i is not None:
+            limit = i
+            error = TraceFormatError(int(line_nos[i]), message(i))
+
+    fail(first_of(fields != 3), lambda i: f"expected 't u v', got {fields[i]} fields")
+    tokens = text.split()
+    del tokens[3 * limit:]
+    time_tokens = tokens[0::3]
+    try:
+        times = np.fromiter(map(float, time_tokens), np.float64, len(time_tokens))
+    except ValueError:
+        parsed: list[float] = []
+        with suppress(ValueError):
+            parsed.extend(map(float, time_tokens))  # stops at the bad token
+        fail(len(parsed), lambda i: f"cannot parse time {time_tokens[i]!r}")
+        times = np.array(parsed, dtype=np.float64)
+    fail(first_of(~np.isfinite(times)), lambda i: f"non-finite time {time_tokens[i]!r}")
+
+    del tokens[0::3]  # leaves u0, v0, u1, v1, ...
+    index = dict.fromkeys(tokens)
+    for i, name in enumerate(index):
+        index[name] = i
+    names = list(index)
+    ids = np.fromiter(map(index.__getitem__, tokens), np.int64, len(tokens))
+    u, v = ids[0::2], ids[1::2]
+    fail(first_of(u[:limit] == v[:limit]), lambda i: f"self-interaction {names[u[i]]!r}")
+    # a UTF-8 character takes at most 4 bytes, so only long names need encoding
+    name_lengths = np.fromiter(map(len, names), np.int64, len(names))
+    too_long = np.zeros(len(names), dtype=bool)
+    for i in np.flatnonzero(name_lengths > MAX_NAME_BYTES // 4):
+        too_long[i] = len(names[i].encode("utf-8")) > MAX_NAME_BYTES
+    fail(
+        first_of(too_long[u[:limit]] | too_long[v[:limit]]),
+        lambda i: f"node name longer than {MAX_NAME_BYTES} UTF-8 bytes",
+    )
+    if error is not None:
+        raise error
+
+    if len(times):
+        t_min, t_max = float(times[times.argmin()]), float(times[times.argmax()])
+    else:
+        t_min = t_max = 0.0
+    meta = TraceMeta(len(times), len(names), t_min, t_max, names)
+    return Triplets(times, u, v), meta
 
 
 def reference_links(triplets, delta: float) -> dict:
@@ -195,6 +284,51 @@ class TestParseMatchesReference:
             assert exc.value.line_no == 2
             assert_parses_alike(text)
             assert_parses_alike(f"1 a b\n{second}\n{first}\n")
+
+
+def parse_outcome(parser, source) -> tuple:
+    """What ``parser`` makes of ``source``: exact triplets and metadata, or
+    the error's line and message."""
+    try:
+        triplets, meta = parser(source)
+    except TraceFormatError as exc:
+        return "rejected", exc.line_no, str(exc)
+    return exact(triplets), meta, repr(meta.t_min), repr(meta.t_max)
+
+
+def as_source(text: str, kind: str):
+    return {"str": text, "bytes": text.encode("utf-8"),
+            "file": io.BytesIO(text.encode("utf-8"))}[kind]
+
+
+class TestStepsMatchWholeText:
+    """``parse_trace`` with steps of a few characters against ``whole_text_parse``."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(trace_texts(), trace_texts(valid=True)), st.integers(1, 8),
+           st.sampled_from(["str", "bytes", "file"]))
+    @example("1 a b\r\n2 b c\r\n3 c c\r\n", 3, "str")  # every step ends in a \r\n
+    @example("1 a b\r2 b c\n3 c a\r\n", 1, "bytes")
+    @example("# c\n1\xa0a b\x852 b c\n#\n3 c a\n", 2, "file")
+    @example("1 a b\n2 b c\nx c a\n4 d d\n", 4, "str")
+    @example("1 a b\n2 b c\n3 c\n", 2, "str")
+    @example("1 a b\n2 b c\n3 d d\n", 2, "str")
+    @example("1 a b\n\n\n2 b c\ninf c a\n", 1, "str")
+    def test_parse(self, text, step, kind):
+        want = parse_outcome(whole_text_parse, as_source(text, kind))
+        with mock.patch.object(trace_io, "_PARSE_CHARS", step):
+            assert parse_outcome(parse_trace, as_source(text, kind)) == want
+
+    @pytest.mark.parametrize("text", [
+        f"1 a b\n2 c {'x' * (MAX_NAME_BYTES + 1)}\n",
+        f"1 a b\n2 c d\n3 {'€' * 21846} c\n",
+        f"1 {'x' * (MAX_NAME_BYTES + 1)} b\n2 a b\n",
+        f"1 a {'é' * (MAX_NAME_BYTES // 2)}\n2 {'é' * (MAX_NAME_BYTES // 2)} b\n3 c c\n",
+    ])
+    def test_name_length_limit(self, text):
+        want = parse_outcome(whole_text_parse, text)
+        with mock.patch.object(trace_io, "_PARSE_CHARS", 4):
+            assert parse_outcome(parse_trace, text) == want
 
 
 class TestTriplets:

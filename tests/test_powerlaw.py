@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import special
 
@@ -65,6 +65,68 @@ def assert_fits_match(tables) -> None:
         if want is not None:
             assert fit[1] == want[1]
             assert abs(fit[0] - want[0]) <= ALPHA_XATOL
+
+
+def assert_tables_equal(got, want) -> None:
+    assert len(got) == len(want) == 2
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        np.testing.assert_array_equal(g, w)
+
+
+def reference_bootstrap_tables(samples, alpha: float, k_min: int, count: int, seed: int) -> list:
+    """``_bootstrap_tables`` as it was before it counted the tail draws: each
+    replicate's draws in full, sorted by ``np.unique``."""
+    n = len(samples)
+    body = samples[samples < k_min]
+    p_tail = 1.0 - len(body) / n
+    sampler = _PowerLawSampler(alpha, k_min)
+
+    def draw(rng, size):
+        u = rng.random(size)
+        idx = np.zeros(size, dtype=np.intp)
+        past = u >= sampler.cdf[0]
+        idx[past] = np.searchsorted(sampler.cdf, u[past], side="right")
+        out = sampler.ks[np.minimum(idx, len(sampler.ks) - 1)]
+        overflow = u > sampler.cdf[-1]
+        if overflow.any():
+            with np.errstate(over="ignore"):
+                tail = np.floor((k_min - 0.5) * (1.0 - u[overflow]) ** (-1.0 / (alpha - 1.0)) + 0.5)
+            out[overflow] = np.minimum(tail, sampler.TOP).astype(np.int64)
+        return out
+
+    tables = []
+    for rep in range(count):
+        rng = np.random.default_rng([seed, rep])
+        n_tail = int(np.count_nonzero(rng.random(n) < p_tail))
+        parts = []
+        if n_tail:
+            parts.append(draw(rng, n_tail))
+        if n - n_tail:
+            parts.append(rng.choice(body, size=n - n_tail, replace=True))
+        tables.append(np.unique(np.concatenate(parts), return_counts=True))
+    return tables
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.floats(1.01, 20.0),
+    st.integers(1, 6),
+    st.lists(st.integers(1, 40), min_size=1, max_size=300),
+    st.integers(0, 2**32 - 1),
+)
+@example(1.01, 1, [1, 2, 3], 0)  # no body, and most tail draws past the table
+@example(1.2, 1, list(range(1, 41)) * 10, 2)  # a draw past the table below its last entry
+@example(1.01, 6, [1, 2, 6, 7, 7, 90], 3)  # a body, and draws past the table
+@example(20.0, 4, [4, 4, 4, 5], 1)  # no body, nearly every draw at k_min
+@example(20.0, 6, [1, 1, 2], 2)  # every sample in the body: no tail draw
+def test_bootstrap_tables_match_reference(alpha, k_min, samples, seed):
+    samples = np.array(samples, dtype=np.int64)
+    got = _bootstrap_tables(samples, alpha, k_min, 3, seed)
+    want = reference_bootstrap_tables(samples, alpha, k_min, 3, seed)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert_tables_equal(g, w)
 
 
 def test_zipf_not_rejected():
@@ -152,9 +214,9 @@ def test_sampler_table_cut_draws_the_same(alpha, k_min):
         return out
 
     for seed in range(8):
-        got = sampler.draw(np.random.default_rng(seed), 5000)
-        want = full_table_draw(np.random.default_rng(seed), 5000)
-        np.testing.assert_array_equal(got, want)
+        got = sampler.draw_table(np.random.default_rng(seed), 5000)
+        want = np.unique(full_table_draw(np.random.default_rng(seed), 5000), return_counts=True)
+        assert_tables_equal(got, want)
 
 
 @pytest.mark.parametrize("alpha", [1.01, 1.5, 2.5, 20.0])
@@ -205,15 +267,17 @@ def test_sampler_tail_fallback_stays_finite(alpha):
     sampler = _PowerLawSampler(alpha, 1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = sampler.draw(np.random.default_rng(0), 200_000)
-    assert got.dtype == np.int64
-    assert (got >= 1).all()
+        got = sampler.draw_table(np.random.default_rng(0), 200_000)
+    assert got[0].dtype == np.int64
+    assert (got[0] >= 1).all()
     u = np.random.default_rng(0).random(200_000)
+    draws = sampler.ks[np.minimum(np.searchsorted(sampler.cdf, u, side="right"), len(sampler.ks) - 1)]
     tail = u > sampler.cdf[-1]
     with np.errstate(over="ignore"):
         want = np.floor(0.5 * (1.0 - u[tail]) ** (-1.0 / (alpha - 1.0)) + 0.5)
     held = want < 2.0**63
-    np.testing.assert_array_equal(got[tail][held], want[held])
-    assert (got[tail][~held] == _PowerLawSampler.TOP).all()
+    draws[tail] = np.where(held, want, _PowerLawSampler.TOP)
+    assert_tables_equal(got, np.unique(draws, return_counts=True))
+    assert got[1][got[0] == _PowerLawSampler.TOP].sum() == (~held).sum()
     if alpha == 1.01:
         assert (~held).sum() > 100_000
