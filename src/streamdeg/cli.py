@@ -138,7 +138,10 @@ def _load_stream(path: str, cfg: RunConfig) -> LinkStream:
 
 
 def _grid_for(stream: LinkStream, cfg: RunConfig) -> TimeSliceGrid:
-    grid = TimeSliceGrid.covering(stream.t_begin, stream.t_end, cfg.tau)
+    try:
+        grid = TimeSliceGrid.covering(stream.t_begin, stream.t_end, cfg.tau)
+    except OverflowError:  # the span over tau is infinite
+        raise DataError(f"the trace span needs infinitely many slices of tau {cfg.tau:g} s") from None
     span = stream.t_end - grid.origin
     if span - grid.count * cfg.tau > 1e-12:
         print(
@@ -156,7 +159,8 @@ def _span_in_memory(grid: TimeSliceGrid):
     try:
         yield
     except MemoryError as exc:
-        raise DataError(f"the trace span needs {grid.count} slices of tau {grid.tau:g} s, "
+        count = grid.count if grid.count <= np.iinfo(np.intp).max else "at least 2^63"
+        raise DataError(f"the trace span needs {count} slices of tau {grid.tau:g} s, "
                         f"more than numpy can allocate ({exc})") from exc
 
 

@@ -39,6 +39,8 @@ class RunConfig:
             raise ValueError(f"unknown ks_size_mode {self.ks_size_mode!r}")
         if self.rollback_fit not in ("refit", "frozen"):
             raise ValueError(f"unknown rollback_fit {self.rollback_fit!r}")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if self.threads < 1:
             raise ValueError("threads must be at least 1")
 

@@ -8,8 +8,8 @@ All procedures are pure functions; randomized ones take an explicit seed and
 derive one child generator per bootstrap replicate, so results do not depend
 on evaluation order.
 
-The class fits need two special functions, both computed here so that the
-pipeline does not import scipy:
+The fits need three special functions, all computed here so that no command
+imports scipy:
 
 - ``_ndtr``, the standard normal CDF, is a port of Cephes ``ndtr``, ``erf``
   and ``erfc`` (S. L. Moshier, Cephes Math Library): the same rational
@@ -21,9 +21,10 @@ pipeline does not import scipy:
   continued fraction, evaluated by the modified Lentz method.  Against
   ``scipy.special.stdtrit`` the relative error stays below 1e-13 for the
   Grubbs tails ``alpha / (2 n)``, n up to 1e5, alpha 0.01 to 0.1.
-
-Only the power-law fit needs the Hurwitz zeta function; ``_zeta`` imports
-``scipy.special`` when it is first called.
+- ``_zeta``, the Hurwitz zeta function of the power-law fit, ports Cephes
+  ``zeta`` step for step, so it returns the bits of ``scipy.special.zeta``.
+  Its powers come from ``np.float_power``, which calls libm ``pow``; ``np.power``
+  may run SIMD code (SVML on AVX-512) that differs from libm in the last bit.
 """
 
 from __future__ import annotations
@@ -349,11 +350,72 @@ KS_CELLS = 1 << 18
 Table = tuple[np.ndarray, np.ndarray]  # sorted distinct values, their counts
 
 
-def _zeta(a, q):
-    """Hurwitz zeta function; scipy is imported here, by the power-law fit alone."""
-    from scipy import special
+# Cephes zeta.c: the Euler-Maclaurin coefficients (2k)! / B_2k, and MACHEP
+_ZETA_A = (12.0, -720.0, 30240.0, -1209600.0, 47900160.0, -1.8924375803183791606e9,
+           7.47242496e10, -2.950130727918164224e12, 1.1646782814350067249e14,
+           -4.5979787224074726105e15, 1.8152105401943546773e17, -7.1661652561756670113e18)
+_MACHEP = 1.11022302462515654042e-16
+ZETA_BLOCK = 1 << 14
 
-    return special.zeta(a, q)
+
+def _zeta(x, q):
+    """Hurwitz zeta function for x > 1 and q >= 1: Cephes ``zeta`` on arrays,
+    in blocks of ZETA_BLOCK elements so that the temporaries stay in cache."""
+    x, q = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(q, dtype=float))
+    if not ((x > 1.0).all() and (q >= 1.0).all()):  # nan fails too
+        raise ValueError("zeta needs x > 1 and q >= 1")
+    shape, x, q = x.shape, x.ravel(), q.ravel()
+    out = np.empty(len(q))
+    for i in range(0, len(q), ZETA_BLOCK):
+        _zeta_block(x[i:i + ZETA_BLOCK], q[i:i + ZETA_BLOCK], out[i:i + ZETA_BLOCK])
+    return out.reshape(shape)[()]
+
+
+@np.errstate(divide="ignore", invalid="ignore")  # 0 / 0 where a term underflows
+def _zeta_block(x: np.ndarray, q: np.ndarray, out: np.ndarray) -> None:
+    """Fill ``out`` with zeta(x, q), each sum stopping at the term where Cephes stops."""
+    big = q > 1e8
+    xb, qb = x[big], q[big]  # asymptotic expansion, DLMF 25.11.43
+    out[big] = (1.0 / (xb - 1.0) + 1.0 / (2.0 * qb)) * np.float_power(qb, 1.0 - xb)
+    idx = np.flatnonzero(~big)
+    x, w = x[idx], q[idx]
+    nx = -x
+    s, b = np.float_power(w, nx), np.empty(len(idx))
+    for _ in range(9):  # for q >= 1 the direct sum ends at q + 9
+        w += 1.0
+        np.float_power(w, nx, out=b)
+        s += b
+    # the positive ratio b / s only falls along the sum: a sum that Cephes
+    # stops early is below MACHEP at the last term too, and is redone in full
+    early = b / s < _MACHEP
+    if early.any():
+        terms = np.float_power(np.cumsum(np.column_stack([q[idx[early]], np.ones((early.sum(), 9))]), axis=1),
+                               nx[early, None])
+        sums = np.cumsum(terms, axis=1)  # sequential, as the loop adds
+        out[idx[early]] = sums[np.arange(len(sums)), np.argmax(terms / sums < _MACHEP, axis=1)]
+        idx, x, w, b, s = (v[~early] for v in (idx, x, w, b, s))
+    # Euler-Maclaurin tail from w = q + 9; a finished sum is stored in res and
+    # computed on until most are finished, which is cheaper than dropping it
+    s = s + b * w / (x - 1.0) - 0.5 * b
+    fact, k, res, done = np.ones(len(idx)), 0.0, np.empty(len(idx)), np.zeros(len(idx), dtype=bool)
+    for coef in _ZETA_A:
+        fact *= x + k
+        b /= w
+        t = fact * b / coef
+        s += t
+        stop = np.abs(t / s) < _MACHEP
+        np.copyto(res, s, where=stop & ~done)
+        done |= stop
+        if np.count_nonzero(done) * 8 > 7 * len(done):
+            out[idx[done]] = res[done]
+            idx, x, w, b, s, fact, res, done = (v[~done] for v in (idx, x, w, b, s, fact, res, done))
+            if not len(idx):
+                break
+        fact *= x + (k + 1.0)
+        b /= w
+        k += 2.0
+    np.copyto(res, s, where=~done)
+    out[idx] = res
 
 
 @dataclass

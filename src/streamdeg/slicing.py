@@ -326,9 +326,11 @@ def fraction_matrix(
     normalized degrees when a normalized view is given."""
     if stream.num_nodes == 0:
         raise ValueError("fraction matrix undefined for an empty node set")
-    blank = FractionMatrix(
-        grid, scheme, np.zeros((grid.count, len(scheme))), np.zeros(grid.count), stream.num_nodes
-    )
+    try:
+        rows = np.zeros((grid.count, len(scheme)))
+    except ValueError as exc:  # a shape past numpy's index range
+        raise MemoryError(str(exc)) from exc
+    blank = FractionMatrix(grid, scheme, rows, np.zeros(grid.count), stream.num_nodes)
     return update_rows(blank, stream, range(grid.count), None, normalized)
 
 

@@ -105,13 +105,23 @@ class TestExitCodes:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["analyze", "identify", "validate"])
-    def test_data_error_span_needs_too_many_slices(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize("trace_text,flags,message", [
         # numpy refuses the 3.55 PiB fraction matrix outright
+        ("0 a b\n1e15 a c\n", [], "needs 500000000000500 slices of tau 2 s"),
+        # a shape past numpy's index range: a dimension, or a byte count
+        ("0 a b\n1 a c\n2 b c\n", ["--tau", "1e-20"], "needs at least 2^63 slices of tau 1e-20 s"),
+        ("0 a b\n1 a c\n2 b c\n", ["--tau", "1e-20", "--normalized"], "needs at least 2^63 slices of tau 1e-20 s"),
+        ("0 a b\n1 a c\n2 b c\n", ["--tau", "1e-18"], "needs 3500000000003500544 slices of tau 1e-18 s"),
+        ("0 a b\n1 a c\n2 b c\n", ["--tau", "1e-300"], "needs at least 2^63 slices of tau 1e-300 s, more than numpy"),
+        ("0 a b\n1 a c\n2 b c\n", ["--tau", "5e-324"], "needs infinitely many slices of tau 4.94066e-324 s"),
+    ], ids=["long-span", "tau-1e-20", "tau-1e-20-normalized", "tau-1e-18", "tau-1e-300", "tau-5e-324"])
+    def test_data_error_span_needs_too_many_slices(self, tmp_path, capsys, command, trace_text, flags,
+                                                   message):
         trace = tmp_path / "huge.txt"
-        trace.write_text("0 a b\n1e15 a c\n")
-        rc = main([command, "--trace", str(trace), "--output-dir", str(tmp_path / "out")])
+        trace.write_text(trace_text)
+        rc = main([command, "--trace", str(trace), *flags, "--output-dir", str(tmp_path / "out")])
         assert rc == 2
-        assert "needs 500000000000500 slices of tau 2 s" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_data_error_cache_span_needs_too_many_slices(self, tmp_path, capsys):
@@ -246,6 +256,28 @@ class TestExitCodes:
             argv += ["--config", str(cfg)]
         assert main(argv) == 1
         assert f"{name} must be finite and positive" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("source", ["flag", "environment", "config file"])
+    @pytest.mark.parametrize("command", ["analyze", "synth"])
+    def test_usage_error_negative_seed(self, synth_dir, scenario_file, tmp_path, capsys, monkeypatch,
+                                       source, command):
+        if command == "synth":
+            argv = ["synth", "--scenario", str(scenario_file)]
+        else:
+            argv = ["analyze", "--trace", str(synth_dir / "trace.txt"), "--power-law",
+                    "--bootstrap-count", "100"]
+        argv += ["--output-dir", str(tmp_path / "out")]
+        if source == "flag":
+            argv += ["--seed", "-1"]
+        elif source == "environment":
+            monkeypatch.setenv("STREAMDEG_SEED", "-1")
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text('{"seed": -1}')
+            argv += ["--config", str(cfg)]
+        assert main(argv) == 1
+        assert "seed must be non-negative" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_usage_error_bootstrap_count_too_small(self, synth_dir, tmp_path, capsys):
@@ -670,8 +702,8 @@ class TestCompare:
 
 # Modules that cost most of a fresh import and that identify and analyze never call.
 HEAVY_MODULES = ("scipy.stats", "scipy.optimize", "networkx")
-# Every command but analyze --power-law (scipy.special) runs without these;
-# synth pairs a regular background's stubs in-repo.
+# Every command runs without these: the special functions of the fits are
+# computed in-repo, and synth pairs a regular background's stubs in-repo.
 NO_SCIPY = ("scipy", "networkx")
 
 
@@ -705,12 +737,25 @@ def test_identify_imports_no_heavy_modules(tmp_path):
     assert heavy_modules_in_fresh_run(args) == ["[]", "0 []"]
 
 
-def test_analyze_power_law_imports_no_heavy_modules(synth_dir, tmp_path):
-    out = tmp_path / "pl"
-    args = ["analyze", "--trace", str(synth_dir / "trace.txt"), "--power-law",
-            "--bootstrap-count", "100", "--output-dir", str(out)]
-    assert heavy_modules_in_fresh_run(args) == ["[]", "0 []"]
-    assert "alpha_hat" in json.loads((out / "report.json").read_text())["power_law"]
+def test_analyze_power_law_runs_with_scipy_blocked(synth_dir, tmp_path):
+    """A fresh interpreter in which ``import scipy`` fails writes the report
+    of a normal run."""
+    args = ["analyze", "--trace", str(synth_dir / "trace.txt"), "--power-law", "--bootstrap-count", "100"]
+    blocked = [*args, "--output-dir", str(tmp_path / "blocked")]
+    script = textwrap.dedent(f"""
+        import sys
+        sys.modules["scipy"] = None
+        import streamdeg.cli
+        sys.exit(streamdeg.cli.main({blocked!r}))
+    """)
+    src = str(Path(streamdeg.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert main([*args, "--output-dir", str(tmp_path / "normal")]) == 0
+    report = read_bytes(tmp_path / "blocked" / "report.json")
+    assert report == read_bytes(tmp_path / "normal" / "report.json")
+    assert "alpha_hat" in json.loads(report)["power_law"]
 
 
 def test_synth_regular_imports_no_heavy_modules(scenario_file, tmp_path):
@@ -732,6 +777,8 @@ SCIPY_FREE_COMMANDS = {
     "identify": lambda trace, run: ["identify", "--trace", str(trace)],
     "identify-cache": lambda trace, run: ["identify", "--trace", str(run / "cleaned_stream.bin")],
     "analyze": lambda trace, run: ["analyze", "--trace", str(trace), "--ks-report"],
+    "analyze-power-law": lambda trace, run: ["analyze", "--trace", str(trace), "--power-law",
+                                             "--bootstrap-count", "100"],
     "validate": lambda trace, run: ["validate", "--trace", str(trace)],
     "compare": lambda trace, run: ["compare", "--identified", str(run / "identified.csv"),
                                    "--truth", str(trace.parent / "truth.csv")],

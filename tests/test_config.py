@@ -59,6 +59,7 @@ def test_unknown_config_key_rejected(tmp_path):
         ("ks_size_mode", "bogus"),
         ("rollback_fit", "sometimes"),
         ("threads", 0),
+        ("seed", -1),
     ],
 )
 def test_validation(field, value):

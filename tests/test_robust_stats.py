@@ -4,12 +4,14 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy import special
 from scipy import stats as sp_stats
 
 from streamdeg import robust_stats
 from streamdeg.robust_stats import (
     NormalFit,
     _ks_against_normal,
+    _zeta,
     fit_homogeneous,
     grubbs_critical,
     grubbs_prune,
@@ -155,11 +157,11 @@ def scipy_grubbs_critical(n: int, alpha: float) -> float:
 
 
 class TestScipySpecialEquivalence:
-    """grubbs_critical and _ks_against_normal compute their special functions
-    in-repo (so no command but analyze --power-law imports scipy); scipy's
-    distribution objects stay the reference.  The normal CDF must give the
-    same bits, the Student-t quantile a critical value within 1e-12 relative
-    and the same pruning and fits."""
+    """grubbs_critical, _ks_against_normal and the power-law fit compute
+    their special functions in-repo (so no command imports scipy); scipy
+    stays the reference.  The normal CDF and the Hurwitz zeta function must
+    give the same bits, the Student-t quantile a critical value within 1e-12
+    relative and the same pruning and fits."""
 
     def test_grubbs_critical_matches_t_ppf(self):
         for alpha in (0.01, 0.05, 0.1):
@@ -281,3 +283,101 @@ def test_two_sample_coefficient_values():
     assert two_sample_coefficient(0.1) == 1.073
     # other significances fall back to the one-sided asymptotic form
     assert two_sample_coefficient(0.05) == pytest.approx(math.sqrt(-math.log(0.05) / 2))
+
+
+def zeta_branch(x: float, q: float) -> str:
+    """Where Cephes ``zeta(x, q)`` returns, for x > 1 and q >= 1: the
+    asymptotic expansion, term i of the direct sum ("direct i"), or step i of
+    the Euler-Maclaurin tail ("tail i").  A scalar transliteration of Cephes."""
+    if q > 1e8:
+        return "asymptotic"
+    a, s = q, math.pow(q, -x)
+    for i in range(1, 10):
+        a += 1.0
+        b = math.pow(a, -x)
+        s += b
+        if abs(b / s) < robust_stats._MACHEP:
+            return f"direct {i}"
+    w, k, fact = a, 0.0, 1.0
+    s += b * w / (x - 1.0)
+    s -= 0.5 * b
+    for i, coef in enumerate(robust_stats._ZETA_A):
+        fact *= x + k
+        b /= w
+        t = fact * b / coef
+        s += t
+        if abs(t / s) < robust_stats._MACHEP:
+            return f"tail {i}"
+        k += 1.0
+        fact *= x + k
+        b /= w
+        k += 1.0
+    return "tail 12"
+
+
+def assert_same_bits(got, want) -> None:
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes(), (got, want)
+
+
+ZETA_XS = (1.0000001, 1.0001, 1.01, 1.05, 1.3, 1.8, 2.0, 2.2, 3.7, 7.0, 12.5, 19.999999999999996, 20.0)
+ZETA_QS = (1.0, 1.5, 2.0, 3.0, 8.5, 9.0, 10.0, 11.0, 57.0, 1e3, 3.3e4, 1e6, 1e7, 1e8 - 1, 1e8,
+           1e8 + 1, 1e9, 2.0**53, 2.0**63 - 1024)
+
+
+class TestZeta:
+    """``_zeta`` ports Cephes ``zeta``, which ``scipy.special.zeta`` runs."""
+
+    def test_grid_matches_scipy_bit_for_bit(self):
+        x, q = np.meshgrid(ZETA_XS, ZETA_QS)
+        assert_same_bits(_zeta(x, q), special.zeta(x, q))
+        # the grid reaches both branches and the early exits of both loops
+        # (none of its points runs the tail past its ninth step)
+        labels = [zeta_branch(a, b) for a, b in zip(x.ravel().tolist(), q.ravel().tolist())]
+        branches = {"direct" if label.startswith("direct") else label for label in labels}
+        assert branches == {"asymptotic", "direct", *(f"tail {i}" for i in range(9))}
+
+    def test_direct_sum_exit_at_every_term_matches_scipy(self):
+        # the port finds a sum that Cephes stops in the direct part by its last
+        # term, where the falling ratio term / sum is below MACHEP too, and
+        # redoes it; each of the nine terms is the exit of some point here,
+        # in one batch with sums that go on to the tail
+        x = np.concatenate([np.linspace(15.0, 70.0, 3000), np.full(3000, 1.7)])
+        q = np.tile([1.0, 1.5, 2.0], 2000)
+        exits = {zeta_branch(a, b) for a, b in zip(x.tolist(), q.tolist())}
+        assert {f"direct {i}" for i in range(1, 10)} <= exits
+        assert_same_bits(_zeta(x, q), special.zeta(x, q))
+
+    @given(st.lists(st.tuples(st.floats(1.0, 30.0, exclude_min=True),
+                              st.one_of(st.floats(1.0, 1e10),
+                                        st.integers(1, 2**63 - 1024).map(float))),
+                    min_size=1, max_size=40))
+    @settings(max_examples=300, deadline=None)
+    @example([(20.0, 1.0), (2.0, 1e7), (1.01, 9.0), (3.0, 1e8 + 1)])
+    def test_matches_scipy_bit_for_bit(self, points):
+        x, q = np.array(points).T
+        assert_same_bits(_zeta(x, q), special.zeta(x, q))  # a batch with mixed branches
+        for a, b in points:
+            assert_same_bits(_zeta(a, b), special.zeta(a, b))
+
+    def test_random_points_match_scipy_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        x = np.concatenate([rng.uniform(1.01, 20.0, 40_000), rng.uniform(1.0000001, 1.05, 10_000)])
+        q = np.floor(2.0 ** rng.uniform(0.0, 63.0, len(x)))
+        assert_same_bits(_zeta(x, q), special.zeta(x, q))
+
+    def test_shapes(self):
+        assert isinstance(_zeta(2.0, 1), np.float64)
+        assert _zeta(2.0, 1) == special.zeta(2.0, 1)
+        got = _zeta(np.array([[2.0], [3.0]]), np.arange(1, 4))
+        assert_same_bits(got, special.zeta(np.array([[2.0], [3.0]]), np.arange(1, 4)))
+        assert _zeta(np.zeros((0,)) + 2.0, 1.0).shape == (0,)
+
+    @pytest.mark.parametrize("x,q", [
+        (1.0, 1.0), (0.5, 2.0), (-3.0, 2.0), (math.nan, 2.0), (2.0, 0.999), (2.0, 0.0),
+        (2.0, -1.5), (2.0, math.nan), ([2.0, 1.0], 3.0), (2.0, [3.0, 0.5]),
+    ])
+    def test_domain(self, x, q):
+        with pytest.raises(ValueError, match="x > 1 and q >= 1"):
+            _zeta(x, q)
