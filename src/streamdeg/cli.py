@@ -142,13 +142,10 @@ def _grid_for(stream: LinkStream, cfg: RunConfig) -> TimeSliceGrid:
         grid = TimeSliceGrid.covering(stream.t_begin, stream.t_end, cfg.tau)
     except OverflowError:  # the span over tau is infinite
         raise DataError(f"the trace span needs infinitely many slices of tau {cfg.tau:g} s") from None
-    span = stream.t_end - grid.origin
-    if span - grid.count * cfg.tau > 1e-12:
-        print(
-            f"warning: dropping trailing partial slice "
-            f"({span - grid.count * cfg.tau:.6g} s of {span:.6g} s)",
-            file=sys.stderr,
-        )
+    rest = stream.t_end - grid.end
+    if rest > 1e-12:
+        print(f"warning: dropping trailing partial slice "
+              f"({rest:.6g} s of {stream.t_end - grid.origin:.6g} s)", file=sys.stderr)
     return grid
 
 
@@ -168,14 +165,17 @@ def _pipeline_params(cfg: RunConfig) -> PipelineParams:
     return PipelineParams(**{f.name: getattr(cfg, f.name) for f in dataclasses.fields(PipelineParams)})
 
 
-def _outdir(args) -> Path:
-    out = Path(args.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _create(path: Path, mode: str, **kwargs):
+    """``open`` for an output file, making its directory; a failure is a data error."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        return open(path, mode, **kwargs)
+    except OSError as exc:  # a file on the path, a directory of the file's name, ...
+        raise DataError(f"cannot write output {exc.filename or path}: {exc.strerror}") from exc
 
 
 def _write_report(out: Path, cfg: RunConfig, blocks: dict) -> None:
-    with open(out / "report.json", "w", encoding="utf-8") as fh:
+    with _create(out / "report.json", "w", encoding="utf-8") as fh:
         write_report(build_report(cfg.to_dict(), blocks), fh)
 
 
@@ -226,10 +226,10 @@ def cmd_synth(args) -> int:
         triplets, meta, truth = generate_synthetic(spec, cfg.seed)
     except (ValueError, MemoryError) as exc:  # numpy cannot size or allocate an array
         raise DataError(f"bad scenario {args.scenario}: too large to build: {exc}") from exc
-    out = _outdir(args)
-    with open(out / "trace.txt", "w", encoding="utf-8") as fh:
+    out = Path(args.output_dir)
+    with _create(out / "trace.txt", "w", encoding="utf-8") as fh:
         write_trace(triplets, meta.node_names, fh)
-    with open(out / "truth.csv", "w", encoding="utf-8", newline="") as fh:
+    with _create(out / "truth.csv", "w", encoding="utf-8", newline="") as fh:
         write_ground_truth(truth, fh)
     _write_report(out, cfg, {
         "synth": {
@@ -272,25 +272,25 @@ def cmd_analyze(args) -> int:
     labels = classify_classes(matrix, cfg.grubbs_alpha, cfg.ks_alpha, cfg.zero_majority)
     events = detect_events(matrix, labels, cfg.sigma_mult)
 
-    out = _outdir(args)
-    with open(out / "matrix.csv", "w", encoding="utf-8", newline="") as fh:
+    out = Path(args.output_dir)
+    with _create(out / "matrix.csv", "w", encoding="utf-8", newline="") as fh:
         matrix.write_csv(fh)
-    with open(out / "matrix_meta.json", "w", encoding="utf-8") as fh:
+    with _create(out / "matrix_meta.json", "w", encoding="utf-8") as fh:
         matrix.write_sidecar(fh)
-    with open(out / "labels.csv", "w", encoding="utf-8") as fh:
+    with _create(out / "labels.csv", "w", encoding="utf-8") as fh:
         fh.write("class,verdict,zero_share,mu,sigma\n")
         for lab in labels:
             mu = repr(lab.fit.mu) if lab.fit else ""
             sigma = repr(lab.fit.sigma) if lab.fit else ""
             fh.write(f"{lab.class_index},{lab.verdict},{lab.zero_share!r},{mu},{sigma}\n")
-    with open(out / "events.csv", "w", encoding="utf-8") as fh:
+    with _create(out / "events.csv", "w", encoding="utf-8") as fh:
         write_events_csv(events, {}, fh)
 
     blocks = _analysis_blocks(stream, grid, scheme, labels, events)
     if args.ks_report:
         sim = ks_similarity_report(slice_value_measures(stream, grid, view), cfg.two_sample_alpha,
                                    cfg.ks_size_mode, cfg.delta)
-        with open(out / "ks_ratios.csv", "w", encoding="utf-8") as fh:
+        with _create(out / "ks_ratios.csv", "w", encoding="utf-8") as fh:
             fh.write("slice_a,slice_b,ratio\n")
             for (a, b), ratio in zip(sim.pairs, sim.ratios):
                 fh.write(f"{a},{b},{float(ratio)!r}\n")
@@ -333,15 +333,15 @@ def _run_identify(args, cfg):
 def cmd_identify(args) -> int:
     cfg = _config_from_args(args)
     stream, result = _run_identify(args, cfg)
-    out = _outdir(args)
+    out = Path(args.output_dir)
     names = stream.node_names
-    with open(out / "removal_log.jsonl", "w", encoding="utf-8") as fh:
+    with _create(out / "removal_log.jsonl", "w", encoding="utf-8") as fh:
         write_removal_log(result.log, names, fh)
-    with open(out / "identified.csv", "w", encoding="utf-8") as fh:
+    with _create(out / "identified.csv", "w", encoding="utf-8") as fh:
         write_identified_csv(result.identified_set, names, fh)
-    with open(out / "events.csv", "w", encoding="utf-8") as fh:
+    with _create(out / "events.csv", "w", encoding="utf-8") as fh:
         write_events_csv(result.detected_events, event_statuses(result), fh)
-    with open(out / "cleaned_stream.bin", "wb") as fh:
+    with _create(out / "cleaned_stream.bin", "wb") as fh:
         result.final_stream.save(fh)
     blocks = {
         "identification": {
@@ -370,10 +370,10 @@ def cmd_validate(args) -> int:
     cfg = _config_from_args(args)
     stream, result = _run_identify(args, cfg)
     report_block = validate_removal(stream, result.final_stream, result, cfg.grubbs_alpha, cfg.ks_alpha)
-    out = _outdir(args)
-    with open(out / "series_before.csv", "w", encoding="utf-8", newline="") as fh:
+    out = Path(args.output_dir)
+    with _create(out / "series_before.csv", "w", encoding="utf-8", newline="") as fh:
         write_series_csv(report_block.before.series, fh)
-    with open(out / "series_after.csv", "w", encoding="utf-8", newline="") as fh:
+    with _create(out / "series_after.csv", "w", encoding="utf-8", newline="") as fh:
         write_series_csv(report_block.after.series, fh)
     _write_report(out, cfg, {"validation": report_block.to_dict()})
     print(
@@ -407,8 +407,8 @@ def cmd_sweep(args) -> int:
     if ref_error:
         raise DataError(f"reference point {args.reference!r} failed, so no Jaccard value exists: "
                         f"{ref_error}")
-    out = _outdir(args)
-    with open(out / "sweep.csv", "w", encoding="utf-8", newline="") as fh:
+    out = Path(args.output_dir)
+    with _create(out / "sweep.csv", "w", encoding="utf-8", newline="") as fh:
         report.write_csv(fh)
     _write_report(out, cfg, {"sweep": report.to_dict(include_runtime=False)})
     print(f"swept {args.axis} over {len(values)} values")
@@ -438,7 +438,7 @@ def cmd_compare(args) -> int:
         raise DataError(f"truth file {args.truth} is not UTF-8 text: {exc}") from exc
     slack = args.slack if args.slack is not None else cfg.delta
     overlap = label_overlap(identified, names, truth, slack)
-    out = _outdir(args)
+    out = Path(args.output_dir)
     _write_report(out, cfg, {"label_overlap": overlap.to_dict(), "slack": slack})
     print(f"precision {overlap.precision:.3f}, recall {overlap.recall:.3f}")
     return EXIT_OK

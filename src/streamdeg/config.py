@@ -54,6 +54,9 @@ _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
 def _coerce(name: str, raw: str):
     kind = _FIELD_TYPES[name]
     if kind == "bool":
+        if raw.lower() not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
+            raise ValueError(f"{ENV_PREFIX}{name.upper()} must be 1/true/yes/on or 0/false/no/off, "
+                             f"got {raw!r}")
         return raw.lower() in ("1", "true", "yes", "on")
     if kind == "int":
         return int(raw)

@@ -17,7 +17,9 @@ move; ``links`` is a dict of the alive pairs.
 The instantaneous degree of a node is the number of distinct neighbours whose
 pair interval covers t.  Degree profiles are computed exactly by a sweep over
 interval endpoints and kept as per-node arrays; ``degree_segments`` reads them
-as columns, raw or divided by the mean degree of each second.
+as columns, raw or divided by the mean degree of each second.  ``grid_cells``
+and ``grid_pieces`` are the one place where time meets a grid of seconds or
+slices; consecutive cells share their ``grid_bound``, so cells tile time.
 
 Streams are immutable.  ``remove_interactions`` trims pairs with the same
 endpoint sweep, ``_sweep``, the one place where interval endpoints meet, and
@@ -109,6 +111,39 @@ def _ranges(first: np.ndarray, counts: np.ndarray) -> np.ndarray:
     if len(ends) == 0 or ends[-1] == 0:
         return np.zeros(0, dtype=np.int64)
     return np.repeat(first - (ends - counts), counts) + np.arange(ends[-1])
+
+
+def grid_bound(origin: float, step: float, i):
+    """Bound ``i`` of a grid, between its cells ``i - 1`` and ``i``: the one formula of a cell bound."""
+    return origin + i * step
+
+
+def grid_cells(start: np.ndarray, end: np.ndarray, origin: float, step: float) -> tuple[np.ndarray, ...]:
+    """``(first, stop)``: ``[start, end)`` meets the cells ``[grid_bound(i), grid_bound(i + 1))``
+    for ``first <= i < stop``.  A division guesses each index, and the guessed cell's own
+    bound corrects it by one: exact while ``step`` is far above the float spacing of the bounds."""
+    first = np.floor((start - origin) / step)
+    first += grid_bound(origin, step, first + 1) <= start
+    first -= grid_bound(origin, step, first) > start
+    stop = np.ceil((end - origin) / step)
+    stop -= grid_bound(origin, step, stop - 1) >= end
+    stop += grid_bound(origin, step, stop) < end
+    return first.astype(np.int64), stop.astype(np.int64)
+
+
+def grid_pieces(start: np.ndarray, end: np.ndarray, origin: float, step: float,
+                cells: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, ...]:
+    """``(at, cell, lo, hi)``: the piece ``[lo, hi)`` of interval ``at`` in each cell
+    ``first <= cell < stop`` of ``cells = (first, stop)``, arrays or one pair for all,
+    where it has positive length, in interval order, then cell order."""
+    first, stop = (np.broadcast_to(c, start.shape) for c in cells)
+    counts = np.maximum(stop - first, 0)
+    at = np.repeat(np.arange(len(first)), counts)
+    cell = _ranges(first, counts)
+    lo = np.maximum(start[at], grid_bound(origin, step, cell))
+    hi = np.minimum(end[at], grid_bound(origin, step, cell + 1))
+    keep = hi > lo
+    return at[keep], cell[keep], lo[keep], hi[keep]
 
 
 def _bounds(key: np.ndarray, starts: np.ndarray, ends: np.ndarray, step: int) -> tuple:
@@ -401,21 +436,12 @@ class LinkStream:
         if self._series is not None:
             return self._series
         start = int(math.floor(self.t_begin))
-        stop = int(math.ceil(self.t_end))
-        n_seconds = max(stop - start, 0)
-        acc = np.zeros(n_seconds)
-        # one (interval, second) pair per second an interval meets, in pair
-        # order, then time order, then second order (dead pairs hold no
-        # intervals), added one by one by np.add.at; seconds count from
-        # ``start`` in whole floats, exact where int64 seconds could overflow
-        first = np.floor(self._starts)
-        counts = (np.ceil(self._ends) - first).astype(np.int64)
-        rel = _ranges((first - start).astype(np.int64), counts)
-        seconds = rel + float(start)
-        at = np.repeat(np.arange(len(first)), counts)
-        ov = np.minimum(self._ends[at], seconds + 1.0) - np.maximum(self._starts[at], seconds)
-        keep = ov > 0
-        np.add.at(acc, rel[keep], 2.0 * ov[keep])
+        acc = np.zeros(max(int(math.ceil(self.t_end)) - start, 0))
+        # pieces in pair order, then time order, then second order (dead pairs
+        # hold no intervals), added one by one by np.add.at
+        _, cell, lo, hi = grid_pieces(self._starts, self._ends, float(start), 1.0,
+                                      grid_cells(self._starts, self._ends, float(start), 1.0))
+        np.add.at(acc, cell, 2.0 * (hi - lo))
         self._series = MeanDegreeSeries(start, acc / self.num_nodes)
         return self._series
 
@@ -571,19 +597,14 @@ def degree_segments(stream: LinkStream, nodes: np.ndarray, t0: float = -math.inf
     if series is None:
         return Segments(node, start, end, value)
 
-    # seconds count from the series' start in whole floats, as in ``mean_degree_per_second``
+    # the seconds of the series that each segment's part in (t0, t1) meets
     base = float(series.start_second)
-    first = np.floor(np.maximum(start, t0))
-    counts = (np.ceil(np.minimum(end, t1)) - first).astype(np.int64)
-    rel = _ranges((first - base).astype(np.int64), counts)
-    seconds = rel + base
-    at = np.repeat(np.arange(len(start)), counts)
-    lo, hi = np.maximum(start[at], seconds), np.minimum(end[at], seconds + 1.0)
-    mean = np.append(series.values, 0.0)[
-        np.where((rel >= 0) & (rel < len(series.values)), rel, len(series.values))]
-    keep = (hi > lo) & (mean > 0)
+    first, stop = grid_cells(np.maximum(start, t0), np.minimum(end, t1), base, 1.0)
+    cells = np.maximum(first, 0), np.minimum(stop, len(series.values))
+    at, second, lo, hi = grid_pieces(start, end, base, 1.0, cells)
+    keep = series.values[second] > 0
     at = at[keep]
-    return Segments(node[at], lo[keep], hi[keep], value[at] / mean[keep])
+    return Segments(node[at], lo[keep], hi[keep], value[at] / series.values[second[keep]])
 
 
 def read_blocks(stream: LinkStream, nodes: np.ndarray, span: int, over: range,

@@ -28,7 +28,7 @@ from typing import IO, Iterable, Sequence
 import numpy as np
 
 from . import intervals as iv
-from .linkstream import LinkStream, NormalizedDegrees, degree_segments, normalize_degrees
+from .linkstream import LinkStream, NormalizedDegrees, degree_segments, grid_pieces, normalize_degrees
 from .robust_stats import NormalFit, fit_homogeneous, three_sigma_outliers
 from .slicing import (
     ActiveNodes,
@@ -36,7 +36,6 @@ from .slicing import (
     FractionMatrix,
     TimeSliceGrid,
     fraction_matrix,
-    rows_reached,
     update_rows,
 )
 
@@ -159,14 +158,14 @@ def identify_event(
     Only the nodes ``active`` lists for the slice are examined; all nodes when
     it is None.
     """
-    lo, hi = grid.bounds(event.slice_index)
+    i = event.slice_index
     k_lo, k_hi = scheme.edges[event.class_index - 1:event.class_index + 1].tolist()
-    rows = range(event.slice_index, event.slice_index + 1)
-    nodes = np.arange(stream.num_nodes) if active is None else active.nodes(rows)
-    segs = degree_segments(stream, nodes, lo, hi, None if normalized is None else normalized.series)
-    start, end = np.maximum(segs.start, lo), np.minimum(segs.end, hi)
-    hit = (k_lo <= segs.value) & (segs.value < k_hi) & (end > start)
-    node, start, end = segs.node[hit], start[hit], end[hit]
+    nodes = np.arange(stream.num_nodes) if active is None else active.nodes(range(i, i + 1))
+    segs = degree_segments(stream, nodes, *grid.bounds(i),
+                           None if normalized is None else normalized.series)
+    at, _, start, end = grid_pieces(segs.start, segs.end, grid.origin, grid.tau, (i, i + 1))
+    hit = (k_lo <= segs.value[at]) & (segs.value[at] < k_hi)
+    node, start, end = segs.node[at][hit], start[hit], end[hit]
     # one interval per run of a node's touching pieces
     heads = np.ones(len(node), dtype=bool)
     heads[1:] = (node[1:] != node[:-1]) | (start[1:] > end[:-1])
@@ -264,7 +263,7 @@ def run_identification(
     removal only if it creates no new negative outlier.  Every (class, slice)
     event is attempted at most once, so the loop always terminates.  The
     original stream object is never mutated.  A removal is re-detected by
-    recomputing only the fraction-matrix rows its slice reaches, so an attempt
+    recomputing only the fraction-matrix row of its slice, so an attempt
     costs what the nodes active in that slice cost; the class labels are then
     refit on the full columns.
 
@@ -298,11 +297,9 @@ def run_identification(
             log.append(RemovalRecord(event, victims, "cascade", "already removed"))
             continue
         tentative = stream.remove_interactions(victims.victims())
-        # victims lie inside the event's slice, so only the rows it reaches change
-        rows = rows_reached(grid, event.slice_index)
-        tent_state = _detect_state(
-            update_rows(state.matrix, tentative, rows, active, normalized), params
-        )
+        # victims lie inside the event's slice, and slices tile time, so only its row changes
+        rows = range(event.slice_index, event.slice_index + 1)
+        tent_state = _detect_state(update_rows(state.matrix, tentative, rows, active, normalized), params)
         if params.rollback_fit == "frozen":
             before = negative_outliers(state.matrix, initial.labels, params.sigma_mult)
             after = negative_outliers(tent_state.matrix, initial.labels, params.sigma_mult)

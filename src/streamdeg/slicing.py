@@ -1,7 +1,9 @@
 """Time slices, logarithmic degree classes and the fraction matrix.
 
-The analysis window is cut into consecutive slices of duration tau.  Degrees
-are grouped into half-open classes [10**(b*r), 10**((b+1)*r)) of the lattice
+The analysis window is cut into consecutive slices of duration tau by the grid
+cut of ``linkstream``: at any tau, slice i ends exactly where slice i + 1 starts,
+so a change of degrees inside one slice changes only its row.  Degrees are
+grouped into half-open classes [10**(b*r), 10**((b+1)*r)) of the lattice
 bucket b, numbered consecutively from 1.  For integer degrees the empty
 buckets are dropped; with r = 0.1 this yields {1}, {2}, {3}, {4,5}, ... and
 the class widths grow geometrically.
@@ -25,8 +27,8 @@ from typing import IO, NamedTuple, Sequence
 import numpy as np
 
 from .intervals import ordered_sum
-from .linkstream import (LinkStream, NormalizedDegrees, _ranges, degree_segments, normalize_degrees,
-                         read_blocks)
+from .linkstream import (LinkStream, NormalizedDegrees, degree_segments, grid_bound, grid_cells,
+                         grid_pieces, normalize_degrees, read_blocks)
 from .robust_stats import _weighted_cdf, two_sample_coefficient
 
 
@@ -47,11 +49,11 @@ class TimeSliceGrid:
             raise ValueError("count must be non-negative")
 
     def bounds(self, i: int) -> tuple[float, float]:
-        return self.origin + i * self.tau, self.origin + (i + 1) * self.tau
+        return grid_bound(self.origin, self.tau, i), grid_bound(self.origin, self.tau, i + 1)
 
     @property
     def end(self) -> float:
-        return self.origin + self.count * self.tau
+        return grid_bound(self.origin, self.tau, self.count)
 
     @classmethod
     def covering(cls, t_begin: float, t_end: float, tau: float) -> "TimeSliceGrid":
@@ -213,21 +215,12 @@ def _row_measures(stream: LinkStream, nodes: np.ndarray, grid: TimeSliceGrid, ro
     the same terms in the same order whichever rows are asked for, as long as
     ``nodes`` is ascending and holds every node active in the row.
     """
-    origin, tau = grid.origin, grid.tau
-    # every segment with a positive overlap below ends after t0 and starts before t1
-    t0, t1 = origin + rows.start * tau, origin + (rows.stop - 1) * tau + tau
+    t0, t1 = grid.bounds(rows.start)[0], grid.bounds(rows.stop - 1)[1]
     segs = degree_segments(stream, nodes, t0, t1, None if normalized is None else normalized.series)
-    # clip to the grid and cut at the slices met; outside the grid no overlap is positive
-    a, b = np.maximum(segs.start, origin), np.minimum(segs.end, grid.end)
-    i0 = np.maximum(np.floor((a - origin) / tau), rows.start).astype(np.int64)
-    i1 = np.minimum(np.ceil((b - origin) / tau), rows.stop).astype(np.int64)
-    counts = np.maximum(i1 - i0, 0)
-    at = np.repeat(np.arange(len(a)), counts)
-    i = _ranges(i0, counts)
-    lo = origin + i * tau
-    ov = np.minimum(b[at], lo + tau) - np.maximum(a[at], lo)
-    pos = ov > 0
-    row, value, ov = i[pos] - rows.start, segs.value[at[pos]], ov[pos]
+    first, stop = grid_cells(segs.start, segs.end, grid.origin, grid.tau)
+    cells = np.maximum(first, rows.start), np.minimum(stop, rows.stop)
+    at, i, lo, hi = grid_pieces(segs.start, segs.end, grid.origin, grid.tau, cells)
+    row, value, ov = i - rows.start, segs.value[at], hi - lo
 
     order = np.argsort(value, kind="stable")
     order = order[np.argsort(row[order], kind="stable")]
@@ -240,37 +233,21 @@ def _row_measures(stream: LinkStream, nodes: np.ndarray, grid: TimeSliceGrid, ro
 
 
 class ActiveNodes:
-    """For each slice, a superset of the nodes with activity in it.
-
-    Built from the first and last breakpoint of every degree profile,
-    widened by one slice on each side against rounding at slice edges.
-    Removals only shrink activity, so the index stays a superset for every
-    stream derived from ``stream`` by ``remove_interactions``.
-    """
+    """For each slice, the nodes whose span from the first to the last breakpoint
+    of their degree profile meets it, a superset of those active in it.  Removals
+    only shrink activity, so it stays a superset for every stream derived from
+    ``stream`` by ``remove_interactions``."""
 
     def __init__(self, stream: LinkStream, grid: TimeSliceGrid):
-        first, last, _ = stream.profile_bounds(np.arange(stream.num_nodes))
-        self._first_slice = np.floor((first - grid.origin) / grid.tau) - 1
-        self._stop_slice = np.ceil((last - grid.origin) / grid.tau) + 1
+        first, last, count = stream.profile_bounds(np.arange(stream.num_nodes))
+        # a node without breakpoints meets no slice: the empty span at the origin
+        first[count == 0] = last[count == 0] = grid.origin
+        self._first_slice, self._stop_slice = grid_cells(first, last, grid.origin, grid.tau)
 
     def nodes(self, rows: range) -> np.ndarray:
         """Ascending indices of the nodes that may be active in ``rows``."""
         mask = (self._first_slice < rows.stop) & (rows.start < self._stop_slice)
         return np.flatnonzero(mask)
-
-
-def rows_reached(grid: TimeSliceGrid, slice_index: int) -> range:
-    """Rows of the fraction matrix that a change of degrees inside
-    ``grid.bounds(slice_index)`` can alter.
-
-    Row i + 1 starts exactly where the change stops.  Row i - 1 is measured up
-    to ``origin + (i - 1) * tau + tau``, which rounding can place after
-    ``origin + i * tau`` when tau is not dyadic; only then can it change.
-    """
-    i = slice_index
-    lo = grid.origin + i * grid.tau
-    reaches_back = i > 0 and grid.origin + (i - 1) * grid.tau + grid.tau > lo
-    return range(i - 1 if reaches_back else i, i + 1)
 
 
 @dataclass

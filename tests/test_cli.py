@@ -280,6 +280,28 @@ class TestExitCodes:
         assert "seed must be non-negative" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_usage_error_unrecognized_bool_in_environment(self, synth_dir, tmp_path, capsys,
+                                                          monkeypatch):
+        monkeypatch.setenv("STREAMDEG_NORMALIZED", "ture")
+        rc = main(["analyze", "--trace", str(synth_dir / "trace.txt"),
+                   "--output-dir", str(tmp_path / "out")])
+        assert rc == 1
+        assert "STREAMDEG_NORMALIZED must be 1/true/yes/on or 0/false/no/off, got 'ture'" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("where", ["a file", "under a file", "an output is a directory"])
+    @pytest.mark.parametrize("command", ["analyze", "identify"])
+    def test_data_error_cannot_write_output(self, synth_dir, tmp_path, capsys, command, where):
+        trace = synth_dir / "trace.txt"
+        out = {"a file": trace, "under a file": trace / "out",
+               "an output is a directory": tmp_path / "out"}[where]
+        if where == "an output is a directory":
+            (out / "report.json").mkdir(parents=True)
+        rc = main([command, "--trace", str(trace), "--output-dir", str(out)])
+        assert rc == 2
+        assert "data error: cannot write output" in capsys.readouterr().err
+
     def test_usage_error_bootstrap_count_too_small(self, synth_dir, tmp_path, capsys):
         rc = main(["analyze", "--trace", str(synth_dir / "trace.txt"), "--power-law",
                    "--bootstrap-count", "10", "--output-dir", str(tmp_path / "out")])

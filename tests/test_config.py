@@ -40,6 +40,20 @@ def test_bool_env_coercion():
     assert cfg.normalized is False
 
 
+@pytest.mark.parametrize("raw,value", [
+    ("1", True), ("TRUE", True), ("Yes", True), ("on", True),
+    ("0", False), ("False", False), ("NO", False), ("oFF", False),
+])
+def test_bool_env_coercion_any_case(raw, value):
+    assert load_config(environ={"STREAMDEG_NORMALIZED": raw}).normalized is value
+
+
+@pytest.mark.parametrize("raw", ["ture", "", "2", "y", " true"])
+def test_bool_env_unrecognized_rejected(raw):
+    with pytest.raises(ValueError, match="STREAMDEG_NORMALIZED must be"):
+        load_config(environ={"STREAMDEG_NORMALIZED": raw})
+
+
 def test_unknown_config_key_rejected(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"no_such_option": 1}))

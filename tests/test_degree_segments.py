@@ -55,20 +55,19 @@ def reference_segments(stream, node, t0=-math.inf, t1=math.inf, series=None):
 
 def reference_measures(stream, grid, series):
     """Measure per degree value in each slice, one segment and one slice at
-    a time."""
+    a time; slice i is ``grid.bounds(i)``, and a division guesses the slices
+    a segment meets to within one."""
     per_slice = [dict() for _ in range(grid.count)]
     origin, tau, end = grid.origin, grid.tau, grid.end
     for node in range(stream.num_nodes):
         for a, b, val in reference_segments(stream, node, series=series):
             if val <= 0 or b <= origin or a >= end:
                 continue
-            a = max(a, origin)
-            b = min(b, end)
-            i0 = int(math.floor((a - origin) / tau))
-            i1 = min(int(math.ceil((b - origin) / tau)), grid.count)
+            i0 = max(int(math.floor((a - origin) / tau)) - 1, 0)
+            i1 = min(int(math.ceil((b - origin) / tau)) + 1, grid.count)
             for i in range(i0, i1):
-                lo = origin + i * tau
-                ov = min(b, lo + tau) - max(a, lo)
+                lo, hi = grid.bounds(i)
+                ov = min(b, hi) - max(a, lo)
                 if ov > 0:
                     per_slice[i][val] = per_slice[i].get(val, 0.0) + ov
     return per_slice

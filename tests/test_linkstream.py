@@ -418,17 +418,63 @@ class TestRemoval:
         assert len(streams[-1].links) < len(stream.links)
 
 
+@st.composite
+def grid_intervals(draw):
+    """A grid of a non-dyadic or dyadic step from a random origin, and
+    intervals whose ends lie anywhere, on a cell bound or one float step
+    either side of it, where a division guesses the wrong cell."""
+    step = draw(st.sampled_from([2.0, 0.7, 0.3, 0.1]))
+    origin = draw(st.floats(-1e6, 1e6))
+    bounds = st.integers(-50, 2000).map(lambda i: linkstream.grid_bound(origin, step, i))
+    ends = st.one_of(st.floats(-40.0, 400.0).map(lambda x: origin + x), bounds,
+                     st.tuples(bounds, st.sampled_from([-math.inf, math.inf]))
+                     .map(lambda b: float(np.nextafter(*b))))
+    spans = draw(st.lists(st.tuples(ends, ends), min_size=1, max_size=20))
+    return step, origin, np.array([min(span) for span in spans]), np.array([max(span) for span in spans])
+
+
+class TestGridCut:
+    @given(grid_intervals())
+    @settings(max_examples=300, deadline=None)
+    def test_pieces_tile_each_interval_within_its_cells(self, grid):
+        step, origin, start, end = grid
+        bound = lambda i: linkstream.grid_bound(origin, step, i)  # noqa: E731
+        first, stop = linkstream.grid_cells(start, end, origin, step)
+        at, cell, lo, hi = linkstream.grid_pieces(start, end, origin, step, (first, stop))
+        for k in range(len(start)):
+            mine = at == k
+            c, a, b = cell[mine], lo[mine], hi[mine]
+            if end[k] == start[k]:
+                assert not mine.any()
+                continue
+            # the cells met are exactly those from the one holding start to
+            # the one holding the instant before end
+            assert bound(first[k]) <= start[k] < bound(first[k] + 1)
+            assert bound(stop[k] - 1) < end[k] <= bound(stop[k])
+            assert c.tolist() == list(range(first[k], stop[k]))
+            # the pieces chain, and each lies in its own cell
+            assert (a[1:] == b[:-1]).all()
+            assert a[0] == max(start[k], bound(c[0])) == start[k]
+            assert b[-1] == min(end[k], bound(c[-1] + 1)) == end[k]
+            assert ((bound(c) <= a) & (b <= bound(c + 1))).all()
+            # consecutive cells share their bound
+            assert (bound(c[1:]) == bound(c[:-1] + 1)).all()
+
+
 def reference_mean_degree(stream: LinkStream) -> tuple[int, np.ndarray]:
     """The per-second loop the array pass replaced: each interval's overlap
-    with every second it meets, added in pair order, then time order."""
+    with every second it meets, added in pair order, then time order.
+    Second i is ``[origin + i, origin + (i + 1))`` from the whole-second
+    ``origin``, so consecutive seconds share their bound."""
     start = int(math.floor(stream.t_begin))
+    origin = float(start)
     acc = np.zeros(max(int(math.ceil(stream.t_end)) - start, 0))
     for ivs in stream.links.values():
         for a, b in ivs:
-            for s in range(int(math.floor(a)), int(math.ceil(b))):
-                ov = min(b, s + 1.0) - max(a, float(s))
+            for i in range(int(math.floor(a)) - start, int(math.ceil(b)) - start):
+                ov = min(b, origin + (i + 1)) - max(a, origin + i)
                 if ov > 0:
-                    acc[s - start] += 2.0 * ov
+                    acc[i] += 2.0 * ov
     return start, acc / stream.num_nodes
 
 
@@ -459,7 +505,8 @@ class TestMeanDegree:
 
     @pytest.mark.parametrize("origin", [0.0, 1e19, -1e19])
     def test_matches_per_second_loop_beyond_int64_seconds(self, origin):
-        # 2048 apart is one float step at 1e19, so ``s + 1.0`` rounds there
+        # 2048 apart is one float step at 1e19, so most second bounds there
+        # round onto one another and a few seconds hold all the link measure
         pairs = {("a", "b"): [(origin, origin + 4096.0)],
                  ("b", "c"): [(origin + 2048.0, origin + 8192.0)]}
         stream = from_pair_intervals(["a", "b", "c"], pairs)
@@ -467,6 +514,9 @@ class TestMeanDegree:
         series = stream.mean_degree_per_second()
         assert series.start_second == start
         assert series.values.tobytes() == values.tobytes()
+        # the series conserves link measure: every link-second lies in some second
+        assert stream.total_link_seconds() == 10240.0
+        assert series.values.sum() * stream.num_nodes / 2 == pytest.approx(10240.0, rel=1e-12)
 
     def test_single_link_single_second(self):
         stream = from_pair_intervals(["a", "b"], {("a", "b"): [(0.0, 1.0)]})

@@ -425,6 +425,20 @@ class TestRunIdentification:
             got[tau] = result.identified_set.entries.get(burst)
         assert all(v == [(60.0, 62.0)] for v in got.values()), got
 
+    def test_spike_ending_just_past_a_slice_edge_is_identified_whole(self):
+        # at tau 0.7, 231.0 / 0.7 rounds to 330.0 but slice 330 starts at
+        # 330 * 0.7 = 230.99999999999997: the spike's last 2.8e-14 s lies in
+        # slice 330, and only slices that tile time put it in a row
+        spec = ScenarioSpec(duration=240, background_nodes=60, background_degree=4,
+                            injections=[SpikeInjection("burst", 40, (229.0, 231.0))])
+        triplets, meta, _ = generate_synthetic(spec, seed=1)
+        stream = build_stream(triplets, meta.node_names, 1.0)
+        grid = TimeSliceGrid.covering(stream.t_begin, stream.t_end, 0.7)
+        assert grid.bounds(330)[0] == 230.99999999999997
+        result = run_identification(stream, grid, build_class_scheme(stream.max_degree(), 0.1))
+        assert result.identified_set.entries[meta.node_names.index("burst")] == [(229.0, 231.0)]
+        assert result.identified_set.measure == 2.0
+
 
 class TestRowUpdate:
     """The removal loop recomputes only the rows an attempt reaches and looks
