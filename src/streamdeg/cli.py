@@ -165,13 +165,20 @@ def _pipeline_params(cfg: RunConfig) -> PipelineParams:
     return PipelineParams(**{f.name: getattr(cfg, f.name) for f in dataclasses.fields(PipelineParams)})
 
 
+# the files that the command ``main`` runs has opened for writing: ``main``
+# removes them when the command ends in a data error, so it leaves no output
+_created: list[Path] = []
+
+
 def _create(path: Path, mode: str, **kwargs):
     """``open`` for an output file, making its directory; a failure is a data error."""
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        return open(path, mode, **kwargs)
+        fh = open(path, mode, **kwargs)
     except OSError as exc:  # a file on the path, a directory of the file's name, ...
         raise DataError(f"cannot write output {exc.filename or path}: {exc.strerror}") from exc
+    _created.append(path)
+    return fh
 
 
 def _write_report(out: Path, cfg: RunConfig, blocks: dict) -> None:
@@ -497,11 +504,14 @@ def main(argv=None) -> int:
     parser = make_parser()
     try:
         args = parser.parse_args(argv)
+        _created.clear()
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DataError as exc:
+        for path in _created:
+            path.unlink(missing_ok=True)
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -16,16 +16,16 @@ move; ``links`` is a dict of the alive pairs.
 
 The instantaneous degree of a node is the number of distinct neighbours whose
 pair interval covers t.  Degree profiles are computed exactly by a sweep over
-interval endpoints and kept as per-node arrays; ``degree_segments`` reads them
+interval endpoints and kept in one CSR store; ``degree_segments`` reads them
 as columns, raw or divided by the mean degree of each second.  ``grid_cells``
 and ``grid_pieces`` are the one place where time meets a grid of seconds or
 slices; consecutive cells share their ``grid_bound``, so cells tile time.
 
 Streams are immutable.  ``remove_interactions`` trims pairs with the same
 endpoint sweep, ``_sweep``, the one place where interval endpoints meet, and
-returns a new stream sharing the pair endpoints, the node-to-pair adjacency
-and every untouched degree profile, so speculative removals can be rolled
-back by simply dropping the new value.
+returns a new stream sharing the pair endpoints and the node-to-pair
+adjacency, so speculative removals can be rolled back by simply dropping the
+new value; its profile store is the parent's, re-swept inside the cut window.
 """
 
 from __future__ import annotations
@@ -113,6 +113,43 @@ def _ranges(first: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.repeat(first - (ends - counts), counts) + np.arange(ends[-1])
 
 
+def _search(values: np.ndarray, lo: np.ndarray, hi: np.ndarray, t, side: str = "left") -> np.ndarray:
+    """``lo + np.searchsorted(values[lo:hi], t, side)`` for every ascending range
+    ``[lo, hi)`` of ``values`` and each ``t`` (or one for all): one bisection of all."""
+    below = np.less if side == "left" else np.less_equal
+    out, live = lo.copy(), np.flatnonzero(lo < hi)
+    lo, size, t = lo[live], hi[live] - lo[live], (np.zeros(len(out)) + t)[live]
+    while len(live):
+        half = size // 2
+        go = below(values[lo + half], t)
+        out[live] = lo = np.where(go, lo + half + 1, lo)
+        size = np.where(go, size - half - 1, half)
+        live, lo, size, t = (x[size > 0] for x in (live, lo, size, t))
+    return out
+
+
+def _splice(first: np.ndarray, columns: Sequence[np.ndarray], rows: np.ndarray, lo: np.ndarray,
+            hi: np.ndarray, counts: np.ndarray, *new: np.ndarray) -> list[np.ndarray]:
+    """``[first, *columns]`` of a CSR table whose entries ``[lo[i], hi[i])``, of row
+    ``rows[i]`` (ascending), give way to the next ``counts[i]`` of ``new``: one copy
+    of each column, in pieces between the ranges, where touching ranges join."""
+    if not len(rows):
+        return [first, *columns]
+    shift = np.zeros(len(first), dtype=np.int64)
+    shift[rows + 1] = counts - (hi - lo)
+    heads = np.append(True, lo[1:] != hi[:-1])
+    at, last = np.cumsum(counts), np.append(heads[1:], True)
+    bounds = list(zip(*(x.tolist() for x in (lo[heads], hi[last], (at - counts)[heads], at[last]))))
+    out = [first + np.cumsum(shift)]
+    for column, add in zip(columns, new):
+        parts, done = [], 0
+        for a, b, x, y in bounds:
+            parts += [column[done:a], add[x:y]]
+            done = b
+        out.append(np.concatenate(parts + [column[done:]]))
+    return out
+
+
 def grid_bound(origin: float, step: float, i):
     """Bound ``i`` of a grid, between its cells ``i - 1`` and ``i``: the one formula of a cell bound."""
     return origin + i * step
@@ -158,19 +195,19 @@ def _sweep(key: np.ndarray, times: np.ndarray, steps: np.ndarray) -> tuple[np.nd
     order: sorts by time and then, stably, by key; sums the steps of each
     (key, time) and drops zero sums, so an end meeting a start leaves no
     breakpoint; and accumulates the levels.  A key's steps sum to 0, so one
-    running sum restarts at 0 for every key, and its last level is 0.  Ties
-    keep gather order, so a breakpoint is the first of its equal times, as a
-    dict keyed by time keeps.
+    running sum restarts at 0 for every key, and its last level is 0.  A
+    breakpoint takes the first of its equal times in gather order, as a dict
+    keyed by time keeps, so the time sort need not be stable.
     """
-    order = np.argsort(times, kind="stable")
+    if not len(times):
+        return key, times, steps
+    order = np.argsort(times)
     order = order[np.argsort(key[order], kind="stable")]
-    key, times, steps = key[order], times[order], steps[order]
-    heads = np.ones(len(times), dtype=bool)
-    heads[1:] = (key[1:] != key[:-1]) | (times[1:] != times[:-1])
-    at = np.flatnonzero(heads)
-    sums = np.add.reduceat(steps, at) if len(at) else steps
-    kept = at[sums != 0]
-    return key[kept], times[kept], np.cumsum(sums[sums != 0])
+    k, t = key[order], times[order]
+    at = np.flatnonzero(np.append(True, (k[1:] != k[:-1]) | (t[1:] != t[:-1])))
+    sums = np.add.reduceat(steps[order], at)
+    first = np.minimum.reduceat(order, at)[sums != 0]
+    return key[first], times[first], np.cumsum(sums[sums != 0])
 
 
 class _PairTable:
@@ -214,8 +251,9 @@ class LinkStream:
         self._ends = ends
         self._alive = alive
         self.num_pairs = int(np.count_nonzero(alive))
-        # one (breakpoints, levels) pair per node, built on first use or copied from a parent
-        self._profiles: list[tuple[np.ndarray, np.ndarray]] | None = None
+        # (first, times, levels): node n's breakpoints are times[first[n]:first[n + 1]], its
+        # levels alike, the last the 0 after its last end; swept or spliced from a parent's
+        self._profiles: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._series: MeanDegreeSeries | None = None
 
     # -- basic queries ------------------------------------------------------
@@ -299,127 +337,142 @@ class LinkStream:
     # -- degree profiles ----------------------------------------------------
 
     def degree_profile(self, node: int) -> DegreeProfile:
-        """Exact piecewise-constant degree of ``node``, a view of its arrays."""
+        """Exact piecewise-constant degree of ``node``, a view of the profile store."""
         if not 0 <= node < self.num_nodes:
             raise UnknownNodeError(node)
-        times, levels = self._degree_arrays()[node]
-        return DegreeProfile(times, levels[:-1])
+        first, times, levels = self._degree_arrays()
+        a, b = int(first[node]), int(first[node + 1])
+        profile = DegreeProfile(times[a:b], levels[a:b][:-1])
+        profile.times.flags.writeable = profile.values.flags.writeable = False
+        return profile
 
-    def _degree_arrays(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """``(breakpoints, levels)`` of every node; a node's last level is 0."""
+    def _degree_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if self._profiles is None:
-            self._profiles = self._sweep_profiles(np.arange(self.num_nodes))
+            counts, times, levels = self._sweep_profiles(np.arange(self.num_nodes))
+            self._profiles = np.concatenate([[0], np.cumsum(counts)]), times, levels
         return self._profiles
 
-    def _sweep_profiles(self, nodes: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Exact degree profiles of ``nodes`` (ascending): one ``_sweep`` per block
-        of +1 at each start and -1 at each end, in pair order, then time order."""
+    def _sweep_profiles(self, nodes: np.ndarray, t0: float = -math.inf, t1: float = math.inf,
+                        outside: tuple[np.ndarray, np.ndarray] | None = None) -> tuple[np.ndarray, ...]:
+        """``(counts, times, levels)`` of the breakpoints of ``nodes`` (ascending) in
+        ``[t0, t1]``: one ``_sweep`` per block of +1 at each start and -1 at each end of
+        the intervals that meet ``[t0, t1)``, clipped to it, in pair order, then time
+        order.  ``outside = (left, right)`` levels before t0 and from t1 on are steps
+        at -inf, t0, t1 and +inf, and no breakpoint is kept at -inf or +inf."""
         first, pair_ids = self._table.adjacency()
-        acc = np.zeros(len(pair_ids) + 1, dtype=np.int64)
+        n_adj = first[nodes + 1] - first[nodes]
+        pairs = pair_ids[_ranges(first[nodes], n_adj)]
         # dead pairs hold no intervals, so they add no endpoints
-        np.cumsum(np.diff(self._offsets)[pair_ids], out=acc[1:])
-        bound = np.cumsum(2 * (acc[first[nodes + 1]] - acc[first[nodes]]))
-        out: list[tuple[np.ndarray, np.ndarray]] = []
+        lo, hi = self._offsets[pairs], self._offsets[pairs + 1]
+        if outside is not None:
+            lo = _search(self._ends, lo, hi, t0, "right")
+            hi = _search(self._starts, lo, hi, t1)
+        n_iv = hi - lo
+        at = np.concatenate([[0], np.cumsum(n_adj)])
+        bound = np.cumsum(2 * np.diff(np.concatenate([[0], np.cumsum(n_iv)])[at]))
+        out = [(np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0, dtype=np.int64))]
         i = 0
         while i < len(nodes):
             base = bound[i - 1] if i else 0
             j = int(np.searchsorted(bound, base + _SWEEP_ENDPOINTS, side="right"))
             j = min(max(j, i + 1), i + _SWEEP_NODES)
-            out += self._sweep_block(nodes[i:j])
+            block = slice(at[i], at[j])
+            runs = _ranges(lo[block], n_iv[block])
+            owner = np.repeat(np.arange(j - i, dtype=np.uint16), n_adj[i:j])
+            key, times, steps = _bounds(np.repeat(owner, n_iv[block]), np.maximum(self._starts[runs], t0),
+                                        np.minimum(self._ends[runs], t1), 1)
+            if outside is not None:
+                left, right = outside[0][i:j], outside[1][i:j]
+                key = np.concatenate([key, np.arange(j - i, dtype=np.uint16).repeat(4)])
+                times = np.concatenate([times, np.tile([-math.inf, t0, t1, math.inf], j - i)])
+                steps = np.concatenate([steps, np.stack([left, -left, right, -right], axis=1).ravel()])
+            local, times, levels = _sweep(key, times, steps)
+            finite = np.isfinite(times)
+            out.append((np.bincount(local[finite], minlength=j - i), times[finite], levels[finite]))
             i = j
-        return out
-
-    def _sweep_block(self, block: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-        first, pair_ids = self._table.adjacency()
-        offsets = self._offsets
-        n_adj = first[block + 1] - first[block]
-        pairs = pair_ids[_ranges(first[block], n_adj)]
-        n_iv = offsets[pairs + 1] - offsets[pairs]
-        runs = _ranges(offsets[pairs], n_iv)
-        owner = np.repeat(np.arange(len(block), dtype=np.uint16), n_adj)
-        local, times, levels = _sweep(*_bounds(
-            np.repeat(owner, n_iv), self._starts[runs], self._ends[runs], 1))
-        # a node's levels end with the 0 after its last end; the arrays are
-        # shared by derived streams and profile views, so they are read-only
-        times.flags.writeable = levels.flags.writeable = False
-        cut = np.cumsum(np.bincount(local, minlength=len(block)))[:-1]
-        return list(zip(np.split(times, cut), np.split(levels, cut)))
+        return tuple(np.concatenate(c) for c in zip(*out))
 
     def max_degree(self) -> int:
-        return max((int(k.max()) for _, k in self._degree_arrays() if len(k)), default=0)
+        return int(self._degree_arrays()[2].max(initial=0))
 
     def profile_bounds(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """First and last breakpoint and breakpoint count of each of ``nodes``."""
-        times = [self._degree_arrays()[n][0] for n in nodes.tolist()]
-        first = np.fromiter((t[0] if len(t) else np.inf for t in times), float, len(times))
-        last = np.fromiter((t[-1] if len(t) else -np.inf for t in times), float, len(times))
-        return first, last, np.fromiter(map(len, times), np.int64, len(times))
+        first, times, _ = self._degree_arrays()
+        a, b = first[nodes], first[nodes + 1]
+        lead, last = np.full(len(a), np.inf), np.full(len(a), -np.inf)
+        lead[b > a], last[b > a] = times[a[b > a]], times[b[b > a] - 1]
+        return lead, last, b - a
 
     # -- removal ------------------------------------------------------------
 
     def remove_interactions(
         self, victims: Iterable[tuple[int, iv.Interval]]
     ) -> "LinkStream":
-        """Return a new stream with every victim's incident links cut.
+        """Return a stream with every victim's incident links cut.
 
         For each victim ``(v, I)`` every pair containing v loses ``I``
         intersected with its intervals; all other pairs are shared untouched.
         A pair left without intervals dies.  Removing absent time is a no-op.
         One ``_sweep`` trims every pair with an interval in the cut window: a
         pair's level is +1 on its own intervals and -2 on every cut of either
-        of its nodes, so it keeps the time where its level is exactly 1, and it
-        lost link time if and only if some level is odd and below 1.
+        of its nodes that overlaps them, so it keeps the time where its level
+        is exactly 1, and it lost link time if and only if some level is odd
+        and below 1.
         """
-        cuts = np.array(sorted((n, a, b) for n, (a, b) in victims if b > a)).reshape(-1, 3)
-        cut_node, cut_start, cut_end = cuts[:, 0].astype(np.int64), cuts[:, 1], cuts[:, 2]
+        by_node: dict[int, list[iv.Interval]] = {}
+        for n, cut in victims:
+            by_node.setdefault(n, []).append(cut)
+        # each node's cuts merged, so their starts and their ends both ascend
+        cuts = np.array([(n, a, b) for n in sorted(by_node) for a, b in iv.merge(by_node[n])])
+        cut_node, cut_start, cut_end = cuts.reshape(-1, 3).T
+        t0, t1 = cut_start.min(initial=math.inf), cut_end.max(initial=-math.inf)
 
-        # only a pair with an interval that ends after the earliest cut start
-        # and starts before the latest cut end can lose anything
+        # only a pair with an interval that ends after t0 and starts before t1 can lose anything
         pairs = np.unique(np.concatenate(
-            [np.zeros(0, dtype=np.int64)] + [self._pair_ids(n) for n in set(cut_node.tolist())]))
-        counts = self._offsets[pairs + 1] - self._offsets[pairs]
-        runs = _ranges(self._offsets[pairs], counts)
-        owner = np.repeat(pairs, counts)
-        hits = (self._ends[runs] > cut_start.min(initial=math.inf)) & (
-            self._starts[runs] < cut_end.max(initial=-math.inf))
-        hit = np.isin(owner, owner[hits])
-        runs, owner, affected = runs[hit], owner[hit], np.unique(owner[hits])
+            [np.zeros(0, dtype=np.int64)] + [self._pair_ids(n) for n in by_node]))
+        lo, hi = self._offsets[pairs], self._offsets[pairs + 1]
+        at = _search(self._ends, lo, hi, t0, "right")
+        reach = at < hi
+        reach[reach] = self._starts[at[reach]] < t1
+        lo, hi = lo[reach], hi[reach]
+        runs, owner = _ranges(lo, hi - lo), np.repeat(pairs[reach], hi - lo)
 
-        # keyed by pair: each affected pair's intervals, then the cuts of its two nodes
+        # keyed by pair: each affected pair's intervals, then for each interval
+        # and each of the pair's nodes, its cuts from the first that ends after
+        # the interval starts to the first that starts at or after its end; a
+        # cut taken twice changes no level's parity, nor where it is 1
         u, v = self._table.u, self._table.v
-        ends_of = np.stack([u[affected], v[affected]], axis=1).reshape(-1)
+        starts, ends = self._starts[runs], self._ends[runs]
+        ends_of = np.stack([u[owner], v[owner]], axis=1).reshape(-1)
         lo, hi = np.searchsorted(cut_node, ends_of), np.searchsorted(cut_node, ends_of, "right")
+        lo = _search(cut_end, lo, hi, starts.repeat(2), "right")
+        hi = _search(cut_start, lo, hi, ends.repeat(2))
         picked = _ranges(lo, hi - lo)
-        own = _bounds(owner, self._starts[runs], self._ends[runs], 1)
-        cut = _bounds(affected.repeat(2).repeat(hi - lo), cut_start[picked], cut_end[picked], -2)
+        own = _bounds(owner, starts, ends, 1)
+        cut = _bounds(owner.repeat(2).repeat(hi - lo), cut_start[picked], cut_end[picked], -2)
         key, time, level = _sweep(*(np.concatenate(c) for c in zip(own, cut)))
         trimmed = np.unique(key[(level % 2 == 1) & (level < 1)])
+        if not len(trimmed):
+            return self
         kept = np.flatnonzero((level == 1) & np.isin(key, trimmed))
         new_counts = np.bincount(np.searchsorted(trimmed, key[kept]), minlength=len(trimmed))
-
-        offsets, starts, ends, alive = self._offsets, self._starts, self._ends, self._alive
-        if len(trimmed):
-            counts = np.diff(offsets)
-            counts[trimmed] = new_counts
-            at = np.cumsum(new_counts).tolist()
-            starts_at, ends_at, done = [], [], 0
-            for p, a, b in zip(trimmed.tolist(), [0] + at, at):
-                starts_at += [starts[done:offsets[p]], time[kept[a:b]]]
-                ends_at += [ends[done:offsets[p]], time[kept[a:b] + 1]]
-                done = offsets[p + 1]
-            offsets = np.concatenate([[0], np.cumsum(counts)])
-            starts = np.concatenate(starts_at + [starts[done:]])
-            ends = np.concatenate(ends_at + [ends[done:]])
-            alive = alive.copy()
-            alive[trimmed[new_counts == 0]] = False
-
-        out = LinkStream(self.node_names, self._table, offsets, starts, ends, alive,
-                         self.delta, self.t_begin, self.t_end)
+        alive = self._alive.copy()
+        alive[trimmed[new_counts == 0]] = False
+        out = LinkStream(self.node_names, self._table, *_splice(
+            self._offsets, (self._starts, self._ends), trimmed, self._offsets[trimmed],
+            self._offsets[trimmed + 1], new_counts, time[kept], time[kept + 1]),
+                         alive, self.delta, self.t_begin, self.t_end)
         if self._profiles is not None:
+            # degrees change only in the cut window [t0, t1): each touched node's
+            # breakpoints in [t0, t1] are swept again, from its level before t0
+            # to its level at t1, and replace the parent's
+            first, times, levels = self._profiles
             touched = np.unique(np.concatenate([u[trimmed], v[trimmed]]))
-            out._profiles = list(self._profiles)
-            for node, arrays in zip(touched.tolist(), out._sweep_profiles(touched)):
-                out._profiles[node] = arrays
+            lo, hi = first[touched], first[touched + 1]
+            a = _search(times, lo, hi, t0)
+            b = _search(times, a, hi, t1, "right")
+            out._profiles = tuple(_splice(first, (times, levels), touched, a, b, *out._sweep_profiles(
+                touched, t0, t1, (np.where(a > lo, levels[a - 1], 0), np.where(b > lo, levels[b - 1], 0)))))
         return out
 
     # -- per-second aggregates ----------------------------------------------
@@ -577,16 +630,16 @@ def degree_segments(stream: LinkStream, nodes: np.ndarray, t0: float = -math.inf
     interaction) or s is outside the series.
     """
     nodes = np.asarray(nodes, dtype=np.int64)
-    arrays = stream._degree_arrays()
-    picked = [arrays[n] for n in nodes.tolist()]
+    first, store_times, store_levels = stream._degree_arrays()
+    lo, hi = first[nodes], first[nodes + 1]
     # cut a long profile to its breakpoints from before t0 to the first at or after t1
-    for i, (t, k) in enumerate(picked):
-        if len(t) > _LONG_PROFILE:
-            a, b = max(int(t.searchsorted(t0)) - 1, 0), int(t.searchsorted(t1)) + 1
-            picked[i] = t[a:b], k[a:b]
-    times = np.concatenate([np.zeros(0)] + [t for t, _ in picked])
-    levels = np.concatenate([np.zeros(0, dtype=np.int64)] + [k for _, k in picked])
-    counts = np.array([len(t) for t, _ in picked], dtype=np.int64)
+    long = np.flatnonzero(hi - lo > _LONG_PROFILE)
+    at = _search(store_times, np.tile(lo[long], 2), np.tile(hi[long], 2), np.repeat([t0, t1], len(long)))
+    lo[long] = np.maximum(at[:len(long)] - 1, lo[long])
+    hi[long] = np.minimum(at[len(long):] + 1, hi[long])
+    counts = np.maximum(hi - lo, 0)
+    runs = _ranges(lo, counts)
+    times, levels = store_times[runs], store_levels[runs]
     # a nonzero level lasts to the next breakpoint; a node's last one starts none
     opens = levels != 0
     opens[np.cumsum(counts)[counts > 0] - 1] = False

@@ -57,12 +57,12 @@ class TimeSliceGrid:
 
     @classmethod
     def covering(cls, t_begin: float, t_end: float, tau: float) -> "TimeSliceGrid":
-        """Second-aligned grid over [t_begin, t_end); a trailing partial slice
-        is dropped rather than padded."""
+        """Second-aligned grid over [t_begin, t_end): the most slices that end by
+        t_end, a division's guess corrected by one, as in ``grid_cells``."""
         origin = float(math.floor(t_begin))
-        # relative guard: division error grows with the slice count, so an
-        # exactly divisible span must not lose its last slice to rounding
-        count = int(math.floor((t_end - origin) / tau * (1.0 + 1e-12) + 1e-9))
+        count = math.floor((t_end - origin) / tau)
+        count += grid_bound(origin, tau, count + 1) <= t_end
+        count -= grid_bound(origin, tau, count) > t_end
         return cls(origin, tau, count)
 
 

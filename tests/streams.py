@@ -3,6 +3,7 @@ read as lists and point values, and interval oracles."""
 
 from __future__ import annotations
 
+import weakref
 from bisect import bisect_right
 from typing import Sequence
 
@@ -43,9 +44,19 @@ def from_pair_intervals(
                       delta, t_begin, t_end)
 
 
+# node -> keys of its alive pairs, built once per stream: streams are immutable
+_PAIRS_OF: "weakref.WeakKeyDictionary[LinkStream, dict]" = weakref.WeakKeyDictionary()
+
+
 def pairs_of(stream: LinkStream, node: int) -> list[tuple[int, int]]:
     """Keys of the alive pairs of ``node``, ascending."""
-    return [key for key in stream.links if node in key]
+    if stream not in _PAIRS_OF:
+        index: dict[int, list[tuple[int, int]]] = {}
+        for key in stream.links:
+            for end in key:
+                index.setdefault(end, []).append(key)
+        _PAIRS_OF[stream] = index
+    return list(_PAIRS_OF[stream].get(node, []))
 
 
 def profile_lists(profile: DegreeProfile) -> tuple[list[float], list[int]]:

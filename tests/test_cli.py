@@ -107,11 +107,11 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", ["analyze", "identify", "validate"])
     @pytest.mark.parametrize("trace_text,flags,message", [
         # numpy refuses the 3.55 PiB fraction matrix outright
-        ("0 a b\n1e15 a c\n", [], "needs 500000000000500 slices of tau 2 s"),
+        ("0 a b\n1e15 a c\n", [], "needs 500000000000000 slices of tau 2 s"),
         # a shape past numpy's index range: a dimension, or a byte count
         ("0 a b\n1 a c\n2 b c\n", ["--tau", "1e-20"], "needs at least 2^63 slices of tau 1e-20 s"),
         ("0 a b\n1 a c\n2 b c\n", ["--tau", "1e-20", "--normalized"], "needs at least 2^63 slices of tau 1e-20 s"),
-        ("0 a b\n1 a c\n2 b c\n", ["--tau", "1e-18"], "needs 3500000000003500544 slices of tau 1e-18 s"),
+        ("0 a b\n1 a c\n2 b c\n", ["--tau", "1e-18"], "needs 3499999999999999999 slices of tau 1e-18 s"),
         ("0 a b\n1 a c\n2 b c\n", ["--tau", "1e-300"], "needs at least 2^63 slices of tau 1e-300 s, more than numpy"),
         ("0 a b\n1 a c\n2 b c\n", ["--tau", "5e-324"], "needs infinitely many slices of tau 4.94066e-324 s"),
     ], ids=["long-span", "tau-1e-20", "tau-1e-20-normalized", "tau-1e-18", "tau-1e-300", "tau-5e-324"])
@@ -132,7 +132,7 @@ class TestExitCodes:
             stream.save(fh)
         rc = main(["identify", "--trace", str(cache), "--tau", "4", "--output-dir", str(tmp_path / "out")])
         assert rc == 2
-        assert "needs 250000000000250 slices of tau 4 s" in capsys.readouterr().err
+        assert "needs 250000000000000 slices of tau 4 s" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_data_error_bad_scenario(self, tmp_path):
@@ -301,6 +301,20 @@ class TestExitCodes:
         rc = main([command, "--trace", str(trace), "--output-dir", str(out)])
         assert rc == 2
         assert "data error: cannot write output" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, output", [
+        ("analyze", "report.json"), ("analyze", "ks_ratios.csv"),
+        ("identify", "report.json"), ("identify", "cleaned_stream.bin"), ("validate", "report.json")])
+    def test_data_error_output_is_directory_leaves_no_output(self, synth_dir, tmp_path, capsys,
+                                                             command, output):
+        # a run that ends in a data error removes the outputs it wrote
+        out = tmp_path / "out"
+        (out / output).mkdir(parents=True)
+        rc = main([command, "--trace", str(synth_dir / "trace.txt"), "--output-dir", str(out),
+                   *["--ks-report"] * (command == "analyze")])
+        assert rc == 2
+        assert "data error: cannot write output" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == [output]
 
     def test_usage_error_bootstrap_count_too_small(self, synth_dir, tmp_path, capsys):
         rc = main(["analyze", "--trace", str(synth_dir / "trace.txt"), "--power-law",

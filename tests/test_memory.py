@@ -1,9 +1,12 @@
-"""Memory gates: what the ingest and the profile readers allocate, measured by
-``tracemalloc``, stays bounded by what they build.
+"""Memory gates: what the ingest, the profile readers, a removal and the
+cache writer allocate, measured by ``tracemalloc``, stays bounded by what they
+build.
 
 The trace has 200,000 lines over 300 nodes and 2,000 s.  Parsing it in one
-step holds lists of 600,000 tokens, and reading every node's segments at
-once copies every profile array; both fail these gates.
+step holds lists of 600,000 tokens, reading every node's segments at once
+copies every profile array, sweeping every cut of a node against every pair
+of it holds 150,000 cuts, and gathering every interval before writing the
+cache copies the interval arrays; each fails these gates.
 """
 
 import tracemalloc
@@ -11,7 +14,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from streamdeg.linkstream import build_stream
+from streamdeg.linkstream import _CACHE_WORDS, build_stream
 from streamdeg.slicing import ActiveNodes, TimeSliceGrid
 from streamdeg.trace_io import parse_trace
 
@@ -56,10 +59,54 @@ def test_parse_peak_bounded_by_its_columns(trace_text):
 
 
 def test_profile_readers_peak_below_the_profiles(stream):
-    profiles = sum(t.nbytes + k.nbytes for t, k in stream._degree_arrays())
+    first, times, levels = stream._degree_arrays()
+    profiles = times.nbytes + levels.nbytes
     peak, top = peak_bytes(stream.max_degree)
-    assert top == max(int(k.max(initial=0)) for _, k in stream._degree_arrays())
+    assert top == max(int(k.max(initial=0)) for k in np.split(levels, first[1:-1]))
     assert peak < profiles, (peak, profiles)
     grid = TimeSliceGrid.covering(stream.t_begin, stream.t_end, 2.0)
     peak, _ = peak_bytes(lambda: ActiveNodes(stream, grid))
     assert peak < profiles, (peak, profiles)
+
+
+def test_removal_peak_bounded_by_the_intervals(trace_text):
+    # 500 one-second cuts of a node with 299 pairs: each pair takes only the
+    # cuts that overlap its intervals, not all 500; with no profiles built,
+    # the removal only trims
+    triplets, meta = parse_trace(trace_text)
+    stream = build_stream(triplets, meta.node_names, 1.0)
+    cuts = [(0, (a, a + 1.0)) for a in np.arange(0.0, 2000.0, 4.0).tolist()]
+    peak, out = peak_bytes(lambda: stream.remove_interactions(cuts))
+    assert out.total_link_seconds() < stream.total_link_seconds()
+    intervals = stream._starts.nbytes + stream._ends.nbytes
+    assert peak < 3 * intervals, (peak, intervals)
+
+
+class _CountingSink:
+    """A binary output that keeps only the number of bytes written to it."""
+
+    def __init__(self):
+        self.size = 0
+
+    def write(self, data: bytes) -> None:
+        self.size += len(data)
+
+
+def test_save_peak_bounded_by_its_blocks():
+    # 20 nodes, so about 1,000 intervals per pair: the interval arrays dwarf
+    # the per-pair arrays, and the writer holds a few blocks of words at a time,
+    # on a fresh stream and on one whose removal killed pairs
+    rng = np.random.default_rng(3)
+    t = np.round(rng.random(LINES) * 2000.0, 3)
+    u = rng.integers(0, 20, LINES)
+    v = (u + rng.integers(1, 20, LINES)) % 20
+    text = "".join(f"{a!r} n{b} n{c}\n" for a, b, c in zip(t.tolist(), u.tolist(), v.tolist()))
+    triplets, meta = parse_trace(text)
+    fresh = build_stream(triplets, meta.node_names, 0.01)
+    derived = fresh.remove_interactions([(n, (0.0, 2000.0)) for n in range(0, 20, 7)])
+    assert derived.num_pairs < fresh.num_pairs
+    for stream in (fresh, derived):
+        sink = _CountingSink()
+        peak, _ = peak_bytes(lambda: stream.save(sink))
+        intervals = stream._starts.nbytes + stream._ends.nbytes
+        assert peak < 4 * 8 * _CACHE_WORDS < intervals, (peak, intervals)

@@ -1,11 +1,12 @@
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from streamdeg import intervals as iv, pipeline
-from streamdeg.linkstream import build_stream, normalize_degrees
+from streamdeg.linkstream import LinkStream, build_stream, normalize_degrees
 from streamdeg.pipeline import (
     Event,
     PipelineParams,
@@ -479,6 +480,30 @@ class TestRowUpdate:
         params = PipelineParams(rollback_fit=rollback_fit, normalized=normalized)
         result = run_identification(stream, grid, scheme, params)
         assert len(attempts) == sum(1 for rec in result.log if rec.status != "cascade") > 0
+
+    @given(timed_streams(), st.booleans(), st.sampled_from(["refit", "frozen"]),
+           st.sampled_from([2.0, 0.7]))
+    @settings(max_examples=80, deadline=None)
+    def test_spliced_profiles_equal_a_full_sweep(self, stream, normalized, rollback_fit, tau):
+        # each attempt splices its parent's profile store, inside the attempt's
+        # slice, and its parent is the end of a chain of applied removals
+        grid = TimeSliceGrid.covering(stream.t_begin, stream.t_end, tau)
+        scheme, _ = build_scheme(stream, 0.1, normalized)
+        derived = []
+        remove = LinkStream.remove_interactions
+
+        def recorded(self, victims):
+            derived.append(remove(self, victims))
+            return derived[-1]
+
+        with mock.patch.object(LinkStream, "remove_interactions", recorded):
+            params = PipelineParams(rollback_fit=rollback_fit, normalized=normalized)
+            run_identification(stream, grid, scheme, params)
+        for out in derived:
+            fresh = LinkStream(out.node_names, out._table, out._offsets, out._starts, out._ends,
+                               out._alive, out.delta, out.t_begin, out.t_end)
+            spliced, swept = out._profiles, fresh._degree_arrays()
+            assert [a.tobytes() for a in spliced] == [a.tobytes() for a in swept]
 
 
 class TestExports:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from streamdeg.linkstream import build_stream, degree_segments
+from streamdeg.linkstream import build_stream, degree_segments, grid_bound
 from streamdeg.slicing import (
     SchemeRangeError,
     TimeSliceGrid,
@@ -36,9 +36,19 @@ class TestGrid:
         assert grid.count == 514
 
     def test_covering_exact_division_with_inexact_tau(self):
-        # 600/0.2 lands just below 3000 in floats; the guard keeps the slice
+        # the last bound, 3000 * 0.2 and 6000 * 0.1, rounds to 600.0, so it counts
         assert TimeSliceGrid.covering(0.0, 600.0, 0.2).count == 3000
         assert TimeSliceGrid.covering(0.0, 600.0, 0.1).count == 6000
+
+    @given(st.floats(-1e6, 1e6), st.floats(0.0, 1e4), st.floats(1e-3, 1e3))
+    # 27.5 / 1.1 is just below 25 in floats, and bound 25 is 27.500000000000004
+    @example(0.0, 27.5, 1.1)
+    @example(0.0, 600.0, 0.2)
+    @settings(max_examples=300, deadline=None)
+    def test_covering_ends_in_the_span_with_the_most_slices(self, t_begin, span, tau):
+        t_end = t_begin + span
+        grid = TimeSliceGrid.covering(t_begin, t_end, tau)
+        assert grid.end <= t_end < grid_bound(grid.origin, tau, grid.count + 1)
 
     def test_covering_aligns_to_seconds(self):
         grid = TimeSliceGrid.covering(-0.5, 10.0, 2.0)
