@@ -63,7 +63,7 @@ def _record_blocks(heads: np.ndarray, total: int) -> Iterator[tuple]:
     """``(records, intervals, words, at, is_body)`` per block of the records at words
     ``heads`` of ``total``: slices, heads from the block's start, interval words."""
     bounds = np.append(heads, total)
-    cuts = np.unique(np.searchsorted(bounds, np.append(np.arange(0, total, _CACHE_WORDS), total)))
+    cuts = _distinct(np.searchsorted(bounds, np.append(np.arange(0, total, _CACHE_WORDS), total)))
     for i, j in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
         lo, hi = int(bounds[i]), int(bounds[j])
         at = heads[i:j] - lo
@@ -111,6 +111,27 @@ def _ranges(first: np.ndarray, counts: np.ndarray) -> np.ndarray:
     if len(ends) == 0 or ends[-1] == 0:
         return np.zeros(0, dtype=np.int64)
     return np.repeat(first - (ends - counts), counts) + np.arange(ends[-1])
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The sorted distinct ``values`` (no NaN): ``np.unique(values)``, which
+    imports ``numpy.ma`` on first use, about 5 ms of every command."""
+    values = np.sort(values)
+    new = np.ones(len(values), dtype=bool)
+    new[1:] = values[1:] != values[:-1]
+    return values[new]
+
+
+def _ranks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(values, return_inverse=True)`` with fewer whole-array temporaries."""
+    order = np.argsort(values)
+    ordered = values[order]
+    new = np.ones(len(values), dtype=bool)
+    new[1:] = ordered[1:] != ordered[:-1]
+    del ordered
+    rank = np.empty_like(order)
+    rank[order] = np.cumsum(new) - 1
+    return values[order[new]], rank
 
 
 def _search(values: np.ndarray, lo: np.ndarray, hi: np.ndarray, t, side: str = "left") -> np.ndarray:
@@ -299,28 +320,32 @@ class LinkStream:
     ) -> "LinkStream":
         """Union the delta-window of every triplet into its pair's intervals.
 
-        The windows are sorted by (pair, start, end), and a merged interval
-        starts wherever the pair changes or a window starts after the previous
-        one ends.  Every window has the same width, so a pair's ends are sorted
-        along with its starts and the previous end is the merged end so far.
+        The windows are sorted by one int64 key, pair rank times the number
+        of distinct times plus time rank (below ``len(triplets) ** 2``).  As
+        t - delta/2 and t + delta/2 grow with t, a pair's starts and its ends
+        are both sorted, so the previous end is the merged end so far: a
+        merged interval starts wherever the pair changes or a window starts
+        after it.
         Empty windows are dropped, as ``intervals.merge`` drops them; a pair
         left without any keeps no intervals.  Pairs are kept in ascending
-        ``(u, v)`` order, the order ``np.unique`` returns their keys in.
+        ``(u, v)`` order.
         """
         if delta <= 0:
             raise ValueError("delta must be positive")
         cols = Triplets.of(triplets)
         half = delta / 2.0
-        lo = np.minimum(cols.u, cols.v)
-        hi = np.maximum(cols.u, cols.v)
-        width = int(hi.max()) + 1 if len(hi) else 1
-        keys, pair = np.unique(lo * width + hi, return_inverse=True)
-        start = cols.t - half
-        end = cols.t + half
+        width = int(max(cols.u.max(), cols.v.max())) + 1 if len(cols) else 1
+        keys, pair = _ranks(np.minimum(cols.u, cols.v) * width + np.maximum(cols.u, cols.v))
+        times, rank = _ranks(cols.t)
+        order = np.argsort(pair * len(times) + rank)
+        del rank
+        pair, start = pair[order], cols.t[order]
+        del order
+        end = start + half
+        start -= half
         keep = end > start
-        pair, start, end = pair[keep], start[keep], end[keep]
-        order = np.lexsort((end, start, pair))
-        pair, start, end = pair[order], start[order], end[order]
+        if not keep.all():
+            pair, start, end = pair[keep], start[keep], end[keep]
 
         opens = np.ones(len(pair), dtype=bool)
         opens[1:] = (pair[1:] != pair[:-1]) | (start[1:] > end[:-1])
@@ -328,6 +353,7 @@ class LinkStream:
         closes[:-1] = opens[1:]
         offsets = np.zeros(len(keys) + 1, dtype=np.int64)
         np.cumsum(np.bincount(pair[opens], minlength=len(keys)), out=offsets[1:])
+        del pair
         table = _PairTable(keys // width, keys % width, len(node_names))
         t_begin = float(start.min()) if len(start) else 0.0
         t_end = float(end.max()) if len(end) else 0.0
@@ -428,7 +454,7 @@ class LinkStream:
         t0, t1 = cut_start.min(initial=math.inf), cut_end.max(initial=-math.inf)
 
         # only a pair with an interval that ends after t0 and starts before t1 can lose anything
-        pairs = np.unique(np.concatenate(
+        pairs = _distinct(np.concatenate(
             [np.zeros(0, dtype=np.int64)] + [self._pair_ids(n) for n in by_node]))
         lo, hi = self._offsets[pairs], self._offsets[pairs + 1]
         at = _search(self._ends, lo, hi, t0, "right")
@@ -451,7 +477,7 @@ class LinkStream:
         own = _bounds(owner, starts, ends, 1)
         cut = _bounds(owner.repeat(2).repeat(hi - lo), cut_start[picked], cut_end[picked], -2)
         key, time, level = _sweep(*(np.concatenate(c) for c in zip(own, cut)))
-        trimmed = np.unique(key[(level % 2 == 1) & (level < 1)])
+        trimmed = _distinct(key[(level % 2 == 1) & (level < 1)])
         if not len(trimmed):
             return self
         kept = np.flatnonzero((level == 1) & np.isin(key, trimmed))
@@ -467,7 +493,7 @@ class LinkStream:
             # breakpoints in [t0, t1] are swept again, from its level before t0
             # to its level at t1, and replace the parent's
             first, times, levels = self._profiles
-            touched = np.unique(np.concatenate([u[trimmed], v[trimmed]]))
+            touched = _distinct(np.concatenate([u[trimmed], v[trimmed]]))
             lo, hi = first[touched], first[touched + 1]
             a = _search(times, lo, hi, t0)
             b = _search(times, a, hi, t1, "right")

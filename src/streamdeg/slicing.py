@@ -27,8 +27,8 @@ from typing import IO, NamedTuple, Sequence
 import numpy as np
 
 from .intervals import ordered_sum
-from .linkstream import (LinkStream, NormalizedDegrees, degree_segments, grid_bound, grid_cells,
-                         grid_pieces, normalize_degrees, read_blocks)
+from .linkstream import (LinkStream, NormalizedDegrees, _distinct, degree_segments, grid_bound,
+                         grid_cells, grid_pieces, normalize_degrees, read_blocks)
 from .robust_stats import _weighted_cdf, two_sample_coefficient
 
 
@@ -58,12 +58,16 @@ class TimeSliceGrid:
     @classmethod
     def covering(cls, t_begin: float, t_end: float, tau: float) -> "TimeSliceGrid":
         """Second-aligned grid over [t_begin, t_end): the most slices that end by
-        t_end, a division's guess corrected by one, as in ``grid_cells``."""
+        t_end, by bisection around a division's guess (near the float spacing
+        of the bounds, many counts share one bound)."""
         origin = float(math.floor(t_begin))
-        count = math.floor((t_end - origin) / tau)
-        count += grid_bound(origin, tau, count + 1) <= t_end
-        count -= grid_bound(origin, tau, count) > t_end
-        return cls(origin, tau, count)
+        lo, hi = 0, math.floor((t_end - origin) / tau) + 1
+        while grid_bound(origin, tau, hi) <= t_end:
+            lo, hi = hi, 2 * hi
+        while hi - lo > 1:  # grid_bound(lo) <= t_end < grid_bound(hi)
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if grid_bound(origin, tau, mid) <= t_end else (lo, mid)
+        return cls(origin, tau, lo)
 
 
 def _boundary(bucket: int, ratio: float) -> float:
@@ -146,7 +150,7 @@ def build_class_scheme(k_max: int, r: float) -> ClassScheme:
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
-    return ClassScheme(r, np.unique(np.minimum(np.ceil(_lattice(1, k_max, r)), k_max + 1)), True)
+    return ClassScheme(r, _distinct(np.minimum(np.ceil(_lattice(1, k_max, r)), k_max + 1)), True)
 
 
 def build_normalized_scheme(max_value: float, r: float, min_value: float = 1e-12) -> ClassScheme:
@@ -400,7 +404,7 @@ def ks_similarity_report(
 
     # slice b's support as ranks in the union plus b * len(union): one ascending
     # array, in which slice b's CDF at x is cdfs[b + the position after x]
-    union = np.unique(np.concatenate([np.zeros(0)] + supports))
+    union = _distinct(np.concatenate([np.zeros(0)] + supports))
     ranks = [np.searchsorted(union, s) for s in supports]
     flat = np.concatenate([np.zeros(0, dtype=np.int64)] + [
         b * len(union) + r for b, r in enumerate(ranks)])

@@ -13,14 +13,15 @@ ground-truth labels, so that detection quality can be scored end to end.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import math
 import random
-from collections import defaultdict
+from collections import defaultdict, deque
 from contextlib import suppress
 from dataclasses import dataclass, field, fields
-from itertools import chain, compress, filterfalse, repeat
+from itertools import chain, compress, filterfalse, repeat, takewhile
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -29,7 +30,7 @@ import numpy as np
 MAX_NAME_BYTES = 0xFFFF
 # the largest mean numpy's Generator.poisson accepts
 POISSON_LAM_MAX = (2**63 - 1) - math.sqrt(2**63 - 1) * 10
-# Characters of trace text one parse step reads; bounds its temporaries.
+# Bytes (characters, for text) of trace one parse step reads; bounds its temporaries.
 _PARSE_CHARS = 1 << 18
 
 
@@ -129,27 +130,52 @@ def parse_trace(source: io.IOBase | bytes | str) -> tuple[Triplets, TraceMeta]:
     in UTF-8, reporting the 1-based number of the first bad line (checked in
     that order).  Triplets are returned in input order; duplicates are kept
     (they are harmless under interval-union semantics).  Names are indexed in
-    order of first appearance.  The text is read in steps of about
-    ``_PARSE_CHARS`` characters, each cut just after a line feed.
+    order of first appearance.  The input is read in steps of ``_PARSE_CHARS``
+    bytes, each parsed up to its last line feed, and the columns are joined
+    one at a time.  A UTF-8 error anywhere wins over a malformed line.
     """
-    text = source if isinstance(source, (bytes, str)) else source.read()
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
     index: dict[str, int] = {}
     columns = [(np.zeros(0), np.zeros(0, np.int64), np.zeros(0, np.int64))]
-    lines_before = pos = 0
-    while pos < len(text):
-        stop = text.find("\n", pos + _PARSE_CHARS - 1) + 1 or len(text)
-        lines_before += _parse_step(text[pos:stop], lines_before, index, columns)
-        pos = stop
-    del text
-    times, u, v = map(np.concatenate, zip(*columns))
+    steps = _text_steps(source)
+    lines_before, held = 0, []
+    try:
+        for text in steps:
+            cut = text.rfind("\n") + 1
+            if cut:
+                lines_before += _parse_step("".join([*held, text[:cut]]), lines_before, index, columns)
+                held.clear()
+            held.append(text[cut:])
+        if any(held):  # a last line with no line feed
+            _parse_step("".join(held), lines_before, index, columns)
+    except TraceFormatError:
+        deque(steps, maxlen=0)  # decode the rest: a UTF-8 error there wins
+        raise
+    columns = list(zip(*columns))
+    times, u, v = (np.concatenate(columns.pop(0)) for _ in range(3))  # parts freed once joined
     if len(times):
         t_min, t_max = float(times[times.argmin()]), float(times[times.argmax()])
     else:
         t_min = t_max = 0.0
     meta = TraceMeta(len(times), len(index), t_min, t_max, list(index))
     return Triplets(times, u, v), meta
+
+
+def _text_steps(source: io.IOBase | bytes | str) -> Iterator[str]:
+    """The text of ``source``, read and decoded ``_PARSE_CHARS`` bytes (or
+    characters) at a time; ``bytes`` and ``str`` are sliced, not copied whole."""
+    if isinstance(source, (bytes, str)):
+        reads = (source[at:at + _PARSE_CHARS] for at in range(0, len(source), _PARSE_CHARS))
+    else:
+        reads = takewhile(len, map(source.read, repeat(_PARSE_CHARS)))
+    decoder, offset = codecs.getincrementaldecoder("utf-8")(), 0
+    for data in chain(reads, [b""]):  # the empty read ends a character cut at the end
+        try:
+            yield data if isinstance(data, str) else decoder.decode(data, final=not data)
+        except UnicodeDecodeError as exc:  # give the offset in the whole input, as one decode does
+            at = offset - len(decoder.getstate()[0])  # exc counts from the bytes held back
+            exc.object, exc.start, exc.end = bytes(at) + exc.object, at + exc.start, at + exc.end
+            raise
+        offset += len(data)
 
 
 def _parse_step(text: str, lines_before: int, index: dict[str, int], columns: list) -> int:
@@ -558,9 +584,10 @@ def generate_synthetic(spec: ScenarioSpec, seed: int) -> tuple[Triplets, TraceMe
             add(np.repeat(times, inj.level), node, np.tile(peers, len(times)))
             truth_entries.append(TruthEntry(inj.node, w[0], w[1], "spike"))
 
-    t, u, v = map(np.concatenate, zip(*chunks))
-    order = np.lexsort((v, u, t))
-    triplets = Triplets(t[order], u[order], v[order])
+    columns = list(map(np.concatenate, zip(*chunks)))
+    chunks.clear()
+    order = np.lexsort(columns[::-1])
+    triplets = Triplets(*(columns.pop(0)[order] for _ in range(3)))  # one column at a time
     t_min, t_max = (float(triplets.t[0]), float(triplets.t[-1])) if len(triplets) else (0.0, 0.0)
     meta = TraceMeta(len(triplets), len(index), t_min, t_max, list(index))
     return triplets, meta, GroundTruth(truth_entries)

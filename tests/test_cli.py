@@ -73,6 +73,17 @@ class TestExitCodes:
         assert rc == 2
         assert "line 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("head", [b"1 a b\n", b"1 a a\n"], ids=["valid", "malformed-line-1"])
+    def test_data_error_not_utf8_past_the_first_step(self, tmp_path, capsys, head):
+        # the trace is read in steps of 262,144 bytes; the bad byte lies in the
+        # second, and wins over a malformed line in the first
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(head + b"1 a b\n" * 49_999 + b"2 \xff c\n")
+        rc = main(["analyze", "--trace", str(bad), "--output-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert ("'utf-8' codec can't decode byte 0xff in position 300002: invalid start byte"
+                in capsys.readouterr().err)
+
     def test_data_error_truncated_cache(self, tmp_path, capsys):
         cache = tmp_path / "cut.bin"
         cache.write_bytes(small_cache()[:-5])
@@ -111,7 +122,7 @@ class TestExitCodes:
         # a shape past numpy's index range: a dimension, or a byte count
         ("0 a b\n1 a c\n2 b c\n", ["--tau", "1e-20"], "needs at least 2^63 slices of tau 1e-20 s"),
         ("0 a b\n1 a c\n2 b c\n", ["--tau", "1e-20", "--normalized"], "needs at least 2^63 slices of tau 1e-20 s"),
-        ("0 a b\n1 a c\n2 b c\n", ["--tau", "1e-18"], "needs 3499999999999999999 slices of tau 1e-18 s"),
+        ("0 a b\n1 a c\n2 b c\n", ["--tau", "1e-18"], "needs 3499999999999999743 slices of tau 1e-18 s"),
         ("0 a b\n1 a c\n2 b c\n", ["--tau", "1e-300"], "needs at least 2^63 slices of tau 1e-300 s, more than numpy"),
         ("0 a b\n1 a c\n2 b c\n", ["--tau", "5e-324"], "needs infinitely many slices of tau 4.94066e-324 s"),
     ], ids=["long-span", "tau-1e-20", "tau-1e-20-normalized", "tau-1e-18", "tau-1e-300", "tau-5e-324"])
@@ -736,8 +747,9 @@ class TestCompare:
         assert overlap["recall"] == 0.0
 
 
-# Modules that cost most of a fresh import and that identify and analyze never call.
-HEAVY_MODULES = ("scipy.stats", "scipy.optimize", "networkx")
+# Modules that cost most of a fresh import and that identify and analyze never call;
+# a plain np.unique imports numpy.ma, about 5 ms.
+HEAVY_MODULES = ("scipy.stats", "scipy.optimize", "networkx", "numpy.ma")
 # Every command runs without these: the special functions of the fits are
 # computed in-repo, and synth pairs a regular background's stubs in-repo.
 NO_SCIPY = ("scipy", "networkx")

@@ -293,6 +293,8 @@ def parse_outcome(parser, source) -> tuple:
         triplets, meta = parser(source)
     except TraceFormatError as exc:
         return "rejected", exc.line_no, str(exc)
+    except UnicodeDecodeError as exc:
+        return "not UTF-8", str(exc)
     return exact(triplets), meta, repr(meta.t_min), repr(meta.t_max)
 
 
@@ -318,6 +320,20 @@ class TestStepsMatchWholeText:
         want = parse_outcome(whole_text_parse, as_source(text, kind))
         with mock.patch.object(trace_io, "_PARSE_CHARS", step):
             assert parse_outcome(parse_trace, as_source(text, kind)) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(trace_texts(), trace_texts(valid=True)), st.binary(min_size=1, max_size=6),
+           st.integers(0, 80), st.integers(1, 8), st.sampled_from(["bytes", "file"]))
+    @example("1 a a\n2 b c\n", b"\xff", 9, 4, "file")  # a malformed line, then a bad byte
+    @example("1 a \u20ac\n", b"\xe2\x82", 8, 3, "bytes")  # a bad byte the decoder held back
+    def test_utf8_error(self, text, junk, at, step, kind):
+        # bytes spliced into UTF-8 text: a UTF-8 error anywhere wins, with the
+        # byte offset that one decode of the whole input gives
+        data = text.encode("utf-8")
+        data = data[:at] + junk + data[at:]
+        want = parse_outcome(whole_text_parse, data)
+        with mock.patch.object(trace_io, "_PARSE_CHARS", step):
+            assert parse_outcome(parse_trace, data if kind == "bytes" else io.BytesIO(data)) == want
 
     @pytest.mark.parametrize("text", [
         f"1 a b\n2 c {'x' * (MAX_NAME_BYTES + 1)}\n",

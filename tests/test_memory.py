@@ -3,10 +3,12 @@ cache writer allocate, measured by ``tracemalloc``, stays bounded by what they
 build.
 
 The trace has 200,000 lines over 300 nodes and 2,000 s.  Parsing it in one
-step holds lists of 600,000 tokens, reading every node's segments at once
-copies every profile array, sweeping every cut of a node against every pair
-of it holds 150,000 cuts, and gathering every interval before writing the
-cache copies the interval arrays; each fails these gates.
+step holds lists of 600,000 tokens, reading a file whole holds its bytes and
+its text, building the stream by ``np.unique``'s inverse and a three-key
+``np.lexsort`` holds about ten whole-trace temporaries, reading every node's
+segments at once copies every profile array, sweeping every cut of a node
+against every pair of it holds 150,000 cuts, and gathering every interval
+before writing the cache copies the interval arrays; each fails these gates.
 """
 
 import tracemalloc
@@ -51,11 +53,29 @@ def stream(trace_text):
     return out
 
 
-def test_parse_peak_bounded_by_its_columns(trace_text):
+def test_parse_peak_bounded_by_its_columns(trace_text, tmp_path):
     peak, (triplets, meta) = peak_bytes(lambda: parse_trace(trace_text))
     assert len(triplets) == LINES and meta.node_count == 300
     columns = triplets.t.nbytes + triplets.u.nbytes + triplets.v.nbytes
     assert peak < 8 * MIB + 3 * columns, (peak, columns)
+    # a file is read and decoded a step at a time, so neither its bytes nor
+    # its whole text are held beside what parsing the text itself holds; a
+    # whole read and decode, dropped before the columns are joined, peaks
+    # 2.05 MiB above
+    path = tmp_path / "trace.txt"
+    path.write_text(trace_text, encoding="utf-8")
+    with open(path, "rb") as fh:
+        read, (again, _) = peak_bytes(lambda: parse_trace(fh))
+    assert again == triplets
+    assert read < peak + MIB, (read, peak)
+
+
+def test_build_peak_bounded_by_the_columns(trace_text):
+    triplets, meta = parse_trace(trace_text)
+    peak, stream = peak_bytes(lambda: build_stream(triplets, meta.node_names, 1.0))
+    assert stream.num_pairs > 40_000
+    columns = triplets.t.nbytes + triplets.u.nbytes + triplets.v.nbytes
+    assert peak < 2.5 * columns, (peak, columns)
 
 
 def test_profile_readers_peak_below_the_profiles(stream):

@@ -40,10 +40,15 @@ class TestGrid:
         assert TimeSliceGrid.covering(0.0, 600.0, 0.2).count == 3000
         assert TimeSliceGrid.covering(0.0, 600.0, 0.1).count == 6000
 
-    @given(st.floats(-1e6, 1e6), st.floats(0.0, 1e4), st.floats(1e-3, 1e3))
+    @given(st.floats(-1e6, 1e6), st.floats(0.0, 1e4),
+           st.one_of(st.floats(1e-3, 1e3), st.floats(1e-20, 1e-12)))
     # 27.5 / 1.1 is just below 25 in floats, and bound 25 is 27.500000000000004
     @example(0.0, 27.5, 1.1)
     @example(0.0, 600.0, 0.2)
+    # near the float spacing of the bounds hundreds of counts share each
+    # bound; the division's guess ends past 2.5 and one step down does not move
+    @example(-1.0, 3.5, 1e-18)
+    @example(1e6, 0.0, 1e-18)
     @settings(max_examples=300, deadline=None)
     def test_covering_ends_in_the_span_with_the_most_slices(self, t_begin, span, tau):
         t_end = t_begin + span
