@@ -124,6 +124,8 @@ def _load_stream(path: str, cfg: RunConfig) -> LinkStream:
                 stream = LinkStream.load(fh)
             except ValueError as exc:  # truncated, a bad version, count, name or record
                 raise DataError(f"bad stream cache {path}: {exc}") from exc
+            if stream.delta != cfg.delta:
+                raise DataError(f"stream cache {path} has delta {stream.delta}, not delta {cfg.delta}")
         else:
             try:
                 triplets, meta = parse_trace(fh)

@@ -16,8 +16,9 @@ move; ``links`` is a dict of the alive pairs.
 
 The instantaneous degree of a node is the number of distinct neighbours whose
 pair interval covers t.  Degree profiles are computed exactly by a sweep over
-interval endpoints and kept in one CSR store; ``degree_segments`` reads them
-as columns, raw or divided by the mean degree of each second.  ``grid_cells``
+interval endpoints and kept in one CSR store, with each node's span from its
+first to its last breakpoint; ``degree_segments`` reads the nodes whose span
+meets its window as columns, raw or divided by the mean degree of each second.  ``grid_cells``
 and ``grid_pieces`` are the one place where time meets a grid of seconds or
 slices; consecutive cells share their ``grid_bound``, so cells tile time.
 
@@ -275,6 +276,9 @@ class LinkStream:
         # (first, times, levels): node n's breakpoints are times[first[n]:first[n + 1]], its
         # levels alike, the last the 0 after its last end; swept or spliced from a parent's
         self._profiles: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        # (lead, last): each node's first and last breakpoint, +inf and -inf for none, from
+        # the sweep of its profiles or a parent's: removals only shrink activity, so they hold
+        self._spans: tuple[np.ndarray, np.ndarray] | None = None
         self._series: MeanDegreeSeries | None = None
 
     # -- basic queries ------------------------------------------------------
@@ -375,7 +379,10 @@ class LinkStream:
     def _degree_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if self._profiles is None:
             counts, times, levels = self._sweep_profiles(np.arange(self.num_nodes))
-            self._profiles = np.concatenate([[0], np.cumsum(counts)]), times, levels
+            first, some = np.concatenate([[0], np.cumsum(counts)]), np.flatnonzero(counts)
+            lead, last = np.full(self.num_nodes, np.inf), np.full(self.num_nodes, -np.inf)
+            lead[some], last[some] = times[first[some]], times[first[some + 1] - 1]
+            self._profiles, self._spans = (first, times, levels), (lead, last)
         return self._profiles
 
     def _sweep_profiles(self, nodes: np.ndarray, t0: float = -math.inf, t1: float = math.inf,
@@ -416,18 +423,11 @@ class LinkStream:
             finite = np.isfinite(times)
             out.append((np.bincount(local[finite], minlength=j - i), times[finite], levels[finite]))
             i = j
-        return tuple(np.concatenate(c) for c in zip(*out))
+        out = list(zip(*out))
+        return tuple(np.concatenate(out.pop(0)) for _ in range(3))  # blocks freed once joined
 
     def max_degree(self) -> int:
         return int(self._degree_arrays()[2].max(initial=0))
-
-    def profile_bounds(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """First and last breakpoint and breakpoint count of each of ``nodes``."""
-        first, times, _ = self._degree_arrays()
-        a, b = first[nodes], first[nodes + 1]
-        lead, last = np.full(len(a), np.inf), np.full(len(a), -np.inf)
-        lead[b > a], last[b > a] = times[a[b > a]], times[b[b > a] - 1]
-        return lead, last, b - a
 
     # -- removal ------------------------------------------------------------
 
@@ -499,6 +499,7 @@ class LinkStream:
             b = _search(times, a, hi, t1, "right")
             out._profiles = tuple(_splice(first, (times, levels), touched, a, b, *out._sweep_profiles(
                 touched, t0, t1, (np.where(a > lo, levels[a - 1], 0), np.where(b > lo, levels[b - 1], 0)))))
+            out._spans = self._spans
         return out
 
     # -- per-second aggregates ----------------------------------------------
@@ -645,18 +646,19 @@ class Segments(NamedTuple):
     value: np.ndarray
 
 
-def degree_segments(stream: LinkStream, nodes: np.ndarray, t0: float = -math.inf,
-                    t1: float = math.inf, series: MeanDegreeSeries | None = None) -> Segments:
-    """Nonzero degree segments of ``nodes`` (ascending) that end after ``t0``
-    and start before ``t1``, in node order, then time order.
+def degree_segments(stream: LinkStream, t0: float = -math.inf, t1: float = math.inf,
+                    series: MeanDegreeSeries | None = None) -> Segments:
+    """Nonzero degree segments that end after ``t0`` and start before ``t1``,
+    in node order, then time order; only nodes whose span meets ``(t0, t1)`` are read.
 
     With a ``series``, each segment is cut at second bounds, keeping the
     pieces in the seconds that overlap ``(t0, t1)``; the piece in second s
     has value k / mean(s), and is dropped where the mean is 0 (no
     interaction) or s is outside the series.
     """
-    nodes = np.asarray(nodes, dtype=np.int64)
     first, store_times, store_levels = stream._degree_arrays()
+    lead, last = stream._spans
+    nodes = np.flatnonzero((last > t0) & (lead < t1))
     lo, hi = first[nodes], first[nodes + 1]
     # cut a long profile to its breakpoints from before t0 to the first at or after t1
     long = np.flatnonzero(hi - lo > _LONG_PROFILE)
@@ -686,11 +688,10 @@ def degree_segments(stream: LinkStream, nodes: np.ndarray, t0: float = -math.inf
     return Segments(node[at], lo[keep], hi[keep], value[at] / series.values[second[keep]])
 
 
-def read_blocks(stream: LinkStream, nodes: np.ndarray, span: int, over: range,
-                cap: float = math.inf) -> list[range]:
+def read_blocks(stream: LinkStream, span: int, over: range, cap: float = math.inf) -> list[range]:
     """``over`` in blocks of at most ``cap`` rows or seconds that hold about
-    ``_BLOCK_BREAKPOINTS`` breakpoints of ``nodes``, spread evenly over ``span``."""
-    breakpoints = int(stream.profile_bounds(nodes)[2].sum())
+    ``_BLOCK_BREAKPOINTS`` of the stream's breakpoints, spread evenly over ``span``."""
+    breakpoints = len(stream._degree_arrays()[1])
     step = max(1, min(cap, _BLOCK_BREAKPOINTS * span // max(breakpoints, 1)))
     return [range(i, min(i + step, over.stop)) for i in range(over.start, over.stop, step)]
 
@@ -705,9 +706,9 @@ class NormalizedDegrees:
     series: MeanDegreeSeries
 
     def max_value(self) -> float:
-        nodes, first, span = np.arange(self.stream.num_nodes), self.series.start_second, len(self.series.values)
-        windows = read_blocks(self.stream, nodes, span, range(first, first + span))
-        return max((float(degree_segments(self.stream, nodes, w.start, w.stop, self.series)
+        first, span = self.series.start_second, len(self.series.values)
+        windows = read_blocks(self.stream, span, range(first, first + span))
+        return max((float(degree_segments(self.stream, w.start, w.stop, self.series)
                           .value.max(initial=0.0)) for w in windows), default=0.0)
 
 

@@ -30,14 +30,7 @@ import numpy as np
 from . import intervals as iv
 from .linkstream import LinkStream, NormalizedDegrees, degree_segments, grid_pieces, normalize_degrees
 from .robust_stats import NormalFit, fit_homogeneous, three_sigma_outliers
-from .slicing import (
-    ActiveNodes,
-    ClassScheme,
-    FractionMatrix,
-    TimeSliceGrid,
-    fraction_matrix,
-    update_rows,
-)
+from .slicing import ClassScheme, FractionMatrix, TimeSliceGrid, fraction_matrix, update_rows
 
 POLARITY_HIGH = "high"
 POLARITY_NONZERO = "nonzero-in-A"
@@ -150,19 +143,12 @@ def identify_event(
     grid: TimeSliceGrid,
     scheme: ClassScheme,
     normalized: NormalizedDegrees | None = None,
-    active: ActiveNodes | None = None,
 ) -> IdentifiedSet:
     """Nodes and maximal sub-intervals of the event's slice during which their
-    degree lies in the event's class.
-
-    Only the nodes ``active`` lists for the slice are examined; all nodes when
-    it is None.
-    """
+    degree lies in the event's class."""
     i = event.slice_index
     k_lo, k_hi = scheme.edges[event.class_index - 1:event.class_index + 1].tolist()
-    nodes = np.arange(stream.num_nodes) if active is None else active.nodes(range(i, i + 1))
-    segs = degree_segments(stream, nodes, *grid.bounds(i),
-                           None if normalized is None else normalized.series)
+    segs = degree_segments(stream, *grid.bounds(i), None if normalized is None else normalized.series)
     at, _, start, end = grid_pieces(segs.start, segs.end, grid.origin, grid.tau, (i, i + 1))
     hit = (k_lo <= segs.value[at]) & (segs.value[at] < k_hi)
     node, start, end = segs.node[at][hit], start[hit], end[hit]
@@ -264,8 +250,8 @@ def run_identification(
     event is attempted at most once, so the loop always terminates.  The
     original stream object is never mutated.  A removal is re-detected by
     recomputing only the fraction-matrix row of its slice, so an attempt
-    costs what the nodes active in that slice cost; the class labels are then
-    refit on the full columns.
+    costs what the nodes whose spans meet that slice cost; the class labels
+    are then refit on the full columns.
 
     Afterwards events are re-detected on the final stream: initially detected
     events that vanished are identified (directly or through cascades), the
@@ -279,7 +265,6 @@ def run_identification(
 
     original = stream
     initial = _detect_state(fraction_matrix(stream, grid, scheme, normalized), params)
-    active = ActiveNodes(stream, grid)
     state = initial
     processed: set[tuple[int, int]] = set()
     log: list[RemovalRecord] = []
@@ -292,14 +277,14 @@ def run_identification(
             break
         event = min(pending, key=_event_order)
         processed.add(event.key)
-        victims = identify_event(stream, event, grid, scheme, normalized, active)
+        victims = identify_event(stream, event, grid, scheme, normalized)
         if victims.is_empty:
             log.append(RemovalRecord(event, victims, "cascade", "already removed"))
             continue
         tentative = stream.remove_interactions(victims.victims())
         # victims lie inside the event's slice, and slices tile time, so only its row changes
         rows = range(event.slice_index, event.slice_index + 1)
-        tent_state = _detect_state(update_rows(state.matrix, tentative, rows, active, normalized), params)
+        tent_state = _detect_state(update_rows(state.matrix, tentative, rows, normalized), params)
         if params.rollback_fit == "frozen":
             before = negative_outliers(state.matrix, initial.labels, params.sigma_mult)
             after = negative_outliers(tent_state.matrix, initial.labels, params.sigma_mult)

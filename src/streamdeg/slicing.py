@@ -197,10 +197,9 @@ def slice_value_measures(
     Keys are integer degrees (or real normalized degrees when a normalized view
     is given), in order of first appearance; zero-degree time is not included.
     """
-    nodes = np.arange(stream.num_nodes)
     out: list[dict[float, float]] = [{} for _ in range(grid.count)]
-    for rows in read_blocks(stream, nodes, grid.count, range(grid.count), _ROW_BLOCK):
-        row, value, mass, first = _row_measures(stream, nodes, grid, rows, normalized)
+    for rows in read_blocks(stream, grid.count, range(grid.count), _ROW_BLOCK):
+        row, value, mass, first = _row_measures(stream, grid, rows, normalized)
         order = np.argsort(first)
         for j, k, m in zip((row[order] + rows.start).tolist(), value[order].tolist(),
                            mass[order].tolist()):
@@ -208,19 +207,18 @@ def slice_value_measures(
     return out
 
 
-def _row_measures(stream: LinkStream, nodes: np.ndarray, grid: TimeSliceGrid, rows: range,
+def _row_measures(stream: LinkStream, grid: TimeSliceGrid, rows: range,
                   normalized: NormalizedDegrees | None) -> tuple[np.ndarray, ...]:
-    """Measure per degree value in each slice of ``rows``, from the segments
-    of ``nodes``: one ``(row, value, measure, first)`` entry per (row, value)
-    in row order, then ascending value order.  ``row`` counts from
-    ``rows.start``; ``first`` is the position of the entry's first piece.
+    """Measure per degree value in each slice of ``rows``: one ``(row, value,
+    measure, first)`` entry per (row, value) in row order, then ascending value
+    order.  ``row`` counts from ``rows.start``; ``first`` is the position of the
+    entry's first piece.
 
     A measure adds its pieces in node order, then time order, so a row takes
-    the same terms in the same order whichever rows are asked for, as long as
-    ``nodes`` is ascending and holds every node active in the row.
+    the same terms in the same order whichever rows are asked for.
     """
     t0, t1 = grid.bounds(rows.start)[0], grid.bounds(rows.stop - 1)[1]
-    segs = degree_segments(stream, nodes, t0, t1, None if normalized is None else normalized.series)
+    segs = degree_segments(stream, t0, t1, None if normalized is None else normalized.series)
     first, stop = grid_cells(segs.start, segs.end, grid.origin, grid.tau)
     cells = np.maximum(first, rows.start), np.minimum(stop, rows.stop)
     at, i, lo, hi = grid_pieces(segs.start, segs.end, grid.origin, grid.tau, cells)
@@ -234,24 +232,6 @@ def _row_measures(stream: LinkStream, nodes: np.ndarray, grid: TimeSliceGrid, ro
     # bincount adds in input order, so each entry's pieces one by one
     mass = np.bincount(np.cumsum(heads) - 1, ov[order])
     return row[heads], value[heads], mass, order[heads]
-
-
-class ActiveNodes:
-    """For each slice, the nodes whose span from the first to the last breakpoint
-    of their degree profile meets it, a superset of those active in it.  Removals
-    only shrink activity, so it stays a superset for every stream derived from
-    ``stream`` by ``remove_interactions``."""
-
-    def __init__(self, stream: LinkStream, grid: TimeSliceGrid):
-        first, last, count = stream.profile_bounds(np.arange(stream.num_nodes))
-        # a node without breakpoints meets no slice: the empty span at the origin
-        first[count == 0] = last[count == 0] = grid.origin
-        self._first_slice, self._stop_slice = grid_cells(first, last, grid.origin, grid.tau)
-
-    def nodes(self, rows: range) -> np.ndarray:
-        """Ascending indices of the nodes that may be active in ``rows``."""
-        mask = (self._first_slice < rows.stop) & (rows.start < self._stop_slice)
-        return np.flatnonzero(mask)
 
 
 @dataclass
@@ -312,24 +292,20 @@ def fraction_matrix(
     except ValueError as exc:  # a shape past numpy's index range
         raise MemoryError(str(exc)) from exc
     blank = FractionMatrix(grid, scheme, rows, np.zeros(grid.count), stream.num_nodes)
-    return update_rows(blank, stream, range(grid.count), None, normalized)
+    return update_rows(blank, stream, range(grid.count), normalized)
 
 
 def update_rows(
     matrix: FractionMatrix,
     stream: LinkStream,
     rows: range,
-    active: ActiveNodes | None,
     normalized: NormalizedDegrees | None = None,
 ) -> FractionMatrix:
-    """Copy of ``matrix`` with ``rows`` recomputed on ``stream``, whose nodes
-    active in those rows are among ``active`` (all nodes when None); each
-    row is bitwise equal to the same row of ``fraction_matrix(stream, ...)``.
-    """
-    nodes = np.arange(stream.num_nodes) if active is None else active.nodes(rows)
+    """Copy of ``matrix`` with ``rows`` recomputed on ``stream``; each row is
+    bitwise equal to the same row of ``fraction_matrix(stream, ...)``."""
     out = replace(matrix, fractions=matrix.fractions.copy(), zero=matrix.zero.copy())
-    for block in read_blocks(stream, nodes, out.grid.count, rows, _ROW_BLOCK):
-        _fill_rows(out, block, *_row_measures(stream, nodes, out.grid, block, normalized)[:3])
+    for block in read_blocks(stream, out.grid.count, rows, _ROW_BLOCK):
+        _fill_rows(out, block, *_row_measures(stream, out.grid, block, normalized)[:3])
     return out
 
 

@@ -44,6 +44,13 @@ def from_pair_intervals(
                       delta, t_begin, t_end)
 
 
+def rebuilt(stream: LinkStream) -> LinkStream:
+    """A stream on ``stream``'s arrays that sweeps its own profiles, so its
+    spans are exact where ``stream``'s may be inherited from a parent."""
+    return LinkStream(stream.node_names, stream._table, stream._offsets, stream._starts,
+                      stream._ends, stream._alive, stream.delta, stream.t_begin, stream.t_end)
+
+
 # node -> keys of its alive pairs, built once per stream: streams are immutable
 _PAIRS_OF: "weakref.WeakKeyDictionary[LinkStream, dict]" = weakref.WeakKeyDictionary()
 

@@ -100,6 +100,19 @@ class TestExitCodes:
         assert rc == 2
         assert "unsupported cache version 9" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["analyze", "identify", "validate", "sweep"])
+    def test_data_error_cache_of_another_delta(self, tmp_path, capsys, command):
+        # a cache's intervals are delta-windows; another delta would be reported
+        # and would convert analyze's measures to counts wrongly
+        cache = tmp_path / "delta1.bin"
+        cache.write_bytes(small_cache())
+        sweep = ["--axis", "tau", "--values", "2", "--reference", "2"] if command == "sweep" else []
+        rc = main([command, "--trace", str(cache), "--delta", "2", *sweep,
+                   "--output-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert f"stream cache {cache} has delta 1.0, not delta 2.0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["analyze", "identify"])
     def test_data_error_empty_trace(self, tmp_path, capsys, command):
         trace = tmp_path / "empty.txt"

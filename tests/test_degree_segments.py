@@ -11,12 +11,11 @@ from bisect import bisect_left, bisect_right
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from streamdeg import intervals as iv, linkstream
 from streamdeg.pipeline import Event, identify_event
 from streamdeg.slicing import (
-    ActiveNodes,
     FractionMatrix,
     TimeSliceGrid,
     build_scheme,
@@ -25,7 +24,7 @@ from streamdeg.slicing import (
     update_rows,
 )
 
-from streams import clip, profile_lists
+from streams import clip, from_pair_intervals, profile_lists, rebuilt
 from test_linkstream import segment_rows, timed_streams
 
 
@@ -125,7 +124,6 @@ def check_read_path(stream, removals, normalized, tau):
     series = None if view is None else view.series
     levels = [x for n in range(stream.num_nodes) for *_, x in reference_segments(stream, n, series=series)]
     assert (stream.max_degree() if view is None else view.max_value()) == max(levels, default=0)
-    active = ActiveNodes(stream, grid)
     streams = [stream]
     for victims in removals:
         streams.append(streams[-1].remove_interactions(
@@ -148,7 +146,7 @@ def check_read_path(stream, removals, normalized, tau):
         full = fraction_matrix(s, grid, scheme, view)
         for i in range(grid.count):
             fractions, zero = reference_row(measures[i], scheme, denom)
-            row = update_rows(blank, s, range(i, i + 1), active, view)
+            row = update_rows(blank, s, range(i, i + 1), view)
             assert row.fractions[i].tolist() == fractions
             assert row.zero[i] == zero
             assert full.fractions[i].tolist() == fractions
@@ -157,5 +155,50 @@ def check_read_path(stream, removals, normalized, tau):
         for j in range(1, len(scheme) + 1):
             for i in range(grid.count):
                 event = Event(j, i, 0.0, "nonzero-in-A")
-                found = identify_event(s, event, grid, scheme, view, active)
+                found = identify_event(s, event, grid, scheme, view)
                 assert found.entries == reference_entries(s, grid, scheme, series, j, i)
+
+
+@st.composite
+def windowed_chains(draw):
+    """A stream with its profiles swept, chained removals, and a window
+    ``(t0, t1)``.  Cuts and window bounds are drawn from the stream's
+    breakpoints and the slice bounds of a grid, so that cuts trim links and
+    windows meet the ends of spans; a window bound may also be infinite."""
+    stream = draw(timed_streams())
+    grid = TimeSliceGrid.covering(stream.t_begin, stream.t_end, draw(st.sampled_from([2.0, 0.7])))
+    times = st.sampled_from([*stream._degree_arrays()[1].tolist(),
+                             *(grid.bounds(i)[0] for i in range(grid.count + 1))])
+    cuts = st.tuples(st.integers(0, stream.num_nodes - 1), st.lists(times, min_size=2, max_size=2))
+    removals = draw(st.lists(st.lists(cuts.map(lambda c: (c[0], tuple(sorted(c[1])))),
+                                      min_size=1, max_size=4), min_size=1, max_size=3))
+    bounds = st.one_of(times, st.sampled_from([-math.inf, math.inf]))
+    t0, t1 = sorted(draw(st.lists(bounds, min_size=2, max_size=2)))
+    return stream, removals, t0, t1
+
+
+# a with b on [0, 4) and b with c on [4, 8), then a cut on [3, 4): a keeps its
+# span to 4 from before the cut, and c's first breakpoint is 4
+EDGES = from_pair_intervals(["a", "b", "c"], {("a", "b"): [(0.0, 4.0)], ("b", "c"): [(4.0, 8.0)]})
+CUT_A = [[(0, (3.0, 4.0))]]
+
+
+@given(windowed_chains(), st.booleans())
+@example((EDGES, CUT_A, 4.0, 8.0), False)  # a's inherited last breakpoint at t0
+@example((EDGES, CUT_A, 3.0, 8.0), True)  # a's last breakpoint after the cut at t0
+@example((EDGES, CUT_A, 0.0, 4.0), False)  # c's first breakpoint at t1
+@example((EDGES, CUT_A, 2.0, 4.0), True)  # the same, normalized
+@settings(max_examples=80, deadline=None)
+def test_inherited_spans_hide_no_segment(case, normalized):
+    # a derived stream reads only the nodes whose spans, inherited from the
+    # root, meet the window; a stream on its arrays sweeps its own, exact ones
+    stream, removals, t0, t1 = case
+    stream._degree_arrays()
+    spans = stream._spans
+    series = stream.mean_degree_per_second() if normalized else None
+    for victims in removals:
+        stream = stream.remove_interactions(victims)
+        assert stream._spans is spans
+        got = linkstream.degree_segments(stream, t0, t1, series)
+        want = linkstream.degree_segments(rebuilt(stream), t0, t1, series)
+        assert [c.tobytes() for c in got] == [c.tobytes() for c in want]

@@ -83,9 +83,9 @@ def reference_profile(stream: LinkStream, node: int) -> tuple[list[float], list[
 
 
 def segment_rows(stream: LinkStream, nodes, t0=-math.inf, t1=math.inf, series=None):
-    """``degree_segments`` as a list of ``(node, start, end, value)`` tuples."""
-    segs = degree_segments(stream, np.asarray(nodes, dtype=np.int64), t0, t1, series)
-    return list(zip(*(column.tolist() for column in segs)))
+    """``degree_segments`` of ``nodes`` as a list of ``(node, start, end, value)`` tuples."""
+    rows = zip(*(column.tolist() for column in degree_segments(stream, t0, t1, series)))
+    return [row for row in rows if row[0] in nodes]
 
 
 def assert_profiles_match_reference(stream: LinkStream, nodes=None) -> None:

@@ -40,7 +40,7 @@ from streamdeg.trace_io import (
     generate_synthetic,
 )
 
-from streams import from_pair_intervals
+from streams import from_pair_intervals, rebuilt
 from test_linkstream import timed_streams
 
 
@@ -442,10 +442,10 @@ class TestRunIdentification:
 
 
 class TestRowUpdate:
-    """The removal loop recomputes only the rows an attempt reaches and looks
-    only at the nodes indexed for the event's slice; each attempt's matrix
-    must equal a full recompute of the tentative stream, and its victims
-    those found by scanning every node."""
+    """The removal loop recomputes only the rows an attempt reaches and reads
+    only the nodes whose inherited spans meet the event's slice; each
+    attempt's matrix must equal a full recompute of the tentative stream, and
+    its victims those found on a stream that swept its own profiles."""
 
     @pytest.mark.parametrize("rollback_fit", ["refit", "frozen"])
     @pytest.mark.parametrize("normalized", [False, True])
@@ -459,20 +459,20 @@ class TestRowUpdate:
         scheme, _ = build_scheme(stream, 0.1, normalized)
         attempts = []
 
-        def checked(matrix, tentative, rows, active, view=None):
+        def checked(matrix, tentative, rows, view=None):
             try:
-                full = fraction_matrix(tentative, grid, scheme, view)
+                full = fraction_matrix(rebuilt(tentative), grid, scheme, view)
             except SchemeRangeError as exc:  # removals cannot leave the scheme
                 pytest.fail(f"a tentative stream has a degree outside the scheme: {exc}")
-            out = update_rows(matrix, tentative, rows, active, view)
+            out = update_rows(matrix, tentative, rows, view)
             assert np.array_equal(out.fractions, full.fractions), rows
             assert np.array_equal(out.zero, full.zero), rows
             attempts.append(rows)
             return out
 
-        def identify_checked(stream, event, grid, scheme, view, active):
-            out = identify_event(stream, event, grid, scheme, view, active)
-            assert out.entries == identify_event(stream, event, grid, scheme, view).entries
+        def identify_checked(stream, event, grid, scheme, view):
+            out = identify_event(stream, event, grid, scheme, view)
+            assert out.entries == identify_event(rebuilt(stream), event, grid, scheme, view).entries
             return out
 
         monkeypatch.setattr(pipeline, "update_rows", checked)
@@ -500,9 +500,7 @@ class TestRowUpdate:
             params = PipelineParams(rollback_fit=rollback_fit, normalized=normalized)
             run_identification(stream, grid, scheme, params)
         for out in derived:
-            fresh = LinkStream(out.node_names, out._table, out._offsets, out._starts, out._ends,
-                               out._alive, out.delta, out.t_begin, out.t_end)
-            spliced, swept = out._profiles, fresh._degree_arrays()
+            spliced, swept = out._profiles, rebuilt(out)._degree_arrays()
             assert [a.tobytes() for a in spliced] == [a.tobytes() for a in swept]
 
 

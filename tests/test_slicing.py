@@ -184,7 +184,7 @@ class TestNormalizedScheme:
             scheme, view = build_scheme(stream, 0.1, normalized=True)
             anchor = 1.0 / stream.mean_degree_per_second().values.max()
             assert scheme.edges[0] <= anchor < scheme.edges[1]
-            values = degree_segments(stream, np.arange(stream.num_nodes), series=view.series).value
+            values = degree_segments(stream, series=view.series).value
             assert (scheme.class_of(values) >= 1).all()
 
 
@@ -363,6 +363,6 @@ def test_slice_value_measures_conserve_active_measure():
     grid = TimeSliceGrid(0.0, 1.0, 7)
     measures = slice_value_measures(stream, grid)
     total = sum(m for acc in measures for m in acc.values())
-    segs = degree_segments(stream, np.arange(stream.num_nodes))
+    segs = degree_segments(stream)
     by_profile = float((segs.end - segs.start).sum())
     assert total == pytest.approx(by_profile, rel=1e-12)
