@@ -520,40 +520,56 @@ class _PowerLawSampler:
         self.ks = np.arange(k_min, k_min + stop)
 
     def draw_table(self, rng: np.random.Generator, size: int) -> Table:
-        """(values, counts) of ``size`` draws: below ``cdf[0]``, k_min; up to
-        ``cdf[-1]``, counted by table entry; past it, the continuous tail."""
-        u = rng.random(size)
-        past = u[u >= self.cdf[0]]
-        over = past[past > self.cdf[-1]]
-        with np.errstate(over="ignore"):  # an infinite draw is capped at TOP
-            tail = np.floor((self.k_min - 0.5) * (1.0 - over) ** (-1.0 / (self.alpha - 1.0)) + 0.5)
-        tail = np.minimum(tail, self.TOP).astype(np.int64)
-        near = tail <= self.ks[-1]
-        idx = np.searchsorted(self.cdf, past[past <= self.cdf[-1]], side="right")
-        idx = np.concatenate([np.minimum(idx, len(self.ks) - 1), tail[near] - self.k_min])
-        hits = np.bincount(idx, minlength=1)
-        hits[0] += size - len(past)
+        """(values, counts) of ``size`` draws, ``size`` >= 1, by the inverse CDF
+        of a uniform u: below ``cdf[0]``, k_min; up to ``cdf[-1]``, by table
+        entry; past it, the continuous tail.  One multinomial counts the draws
+        on each of the table's first ``head = min(size, len(cdf))`` entries and
+        those past them; only the latter draw their u, on [cdf[head - 1], 1),
+        so a table costs ``head`` plus the draws past it, never ``CAP``."""
+        head = min(size, len(self.cdf))
+        hits = rng.multinomial(size, np.diff(self.cdf[:head], prepend=0.0, append=1.0))
+        u = self.cdf[head - 1] + (1.0 - self.cdf[head - 1]) * rng.random(hits[-1])
+        over = u > self.cdf[-1]
+        # an infinite draw, or a u rounded up to 1.0, is capped at TOP
+        with np.errstate(over="ignore", divide="ignore"):
+            tail = np.floor((self.k_min - 0.5) * (1.0 - u[over]) ** (-1.0 / (self.alpha - 1.0)) + 0.5)
+        idx = np.minimum(np.searchsorted(self.cdf, u[~over], side="right"), len(self.ks) - 1)
+        past, past_hits = np.unique(np.concatenate([self.ks[idx], np.minimum(tail, self.TOP).astype(np.int64)]),
+                                    return_counts=True)
+        inside = past < self.k_min + head  # the continuous tail may still land on the head
+        hits = hits[:-1]
+        hits[past[inside] - self.k_min] += past_hits[inside]
         at = np.flatnonzero(hits)
-        far, far_counts = np.unique(tail[~near], return_counts=True)
-        return np.concatenate([self.ks[at], far]), np.concatenate([hits[at], far_counts])
+        return np.concatenate([self.ks[at], past[~inside]]), np.concatenate([hits[at], past_hits[~inside]])
 
 
 def _bootstrap_tables(
     samples: np.ndarray, alpha: float, k_min: int, count: int, seed: int
 ) -> list[Table]:
-    """(values, counts) of each bootstrap replicate of ``power_law_test``;
-    replicate ``rep`` draws from ``default_rng([seed, rep])``."""
+    """(values, counts) of each bootstrap replicate of ``power_law_test``,
+    drawn as counts.  Replicate ``rep`` draws from ``default_rng([seed, rep])``
+    its tail size, binomial with the share of samples at or above k_min; the
+    counts of the rest over the distinct values below k_min, multinomial with
+    their shares; and the tail's table by ``_PowerLawSampler.draw_table``.
+    That is the distribution of the tables of n independent draws, at a cost
+    in distinct values rather than in n."""
     n = len(samples)
     body = samples[samples < k_min]
+    body_values, body_counts = np.unique(body, return_counts=True)
     p_tail = 1.0 - len(body) / n
+    p_body = body_counts / len(body)  # empty where the body is
     sampler = _PowerLawSampler(alpha, k_min)
     tables = []
     for rep in range(count):
         rng = np.random.default_rng([seed, rep])
-        n_tail = int(np.count_nonzero(rng.random(n) < p_tail))
-        parts = [sampler.draw_table(rng, n_tail)] if n_tail else []
+        n_tail = int(rng.binomial(n, p_tail))
+        parts = []
         if n - n_tail:  # the body lies below k_min, so its table comes first
-            parts.insert(0, np.unique(rng.choice(body, n - n_tail), return_counts=True))
+            hits = rng.multinomial(n - n_tail, p_body)
+            at = np.flatnonzero(hits)
+            parts.append((body_values[at], hits[at]))
+        if n_tail:
+            parts.append(sampler.draw_table(rng, n_tail))
         tables.append(tuple(map(np.concatenate, zip(*parts))))
     return tables
 

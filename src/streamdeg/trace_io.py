@@ -21,7 +21,7 @@ import random
 from collections import defaultdict, deque
 from contextlib import suppress
 from dataclasses import dataclass, field, fields
-from itertools import chain, compress, filterfalse, repeat, takewhile
+from itertools import chain, compress, count, islice, repeat, takewhile
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -133,8 +133,17 @@ def parse_trace(source: io.IOBase | bytes | str) -> tuple[Triplets, TraceMeta]:
     order of first appearance.  The input is read in steps of ``_PARSE_CHARS``
     bytes, each parsed up to its last line feed, and the columns are joined
     one at a time.  A UTF-8 error anywhere wins over a malformed line.
+
+    A step in ``write_trace``'s layout is split once and never into lines.
+    The layout check reads the whole step, which ends with a line feed or
+    holds none: it holds no ``#``; with n its tokens over 3, one pass over
+    its UTF-8 bytes finds those up to 0x20 (every ASCII whitespace and
+    control character) to be a space, a space and a line feed, n times over;
+    and, unless the step is ASCII, its length less its tokens' is 3n, so it
+    holds no other whitespace.  Then each line holds two spaces and, with 3n
+    tokens in all, three fields.  Any other step is split into lines first.
     """
-    index: dict[str, int] = {}
+    index: defaultdict[str, int] = defaultdict(count().__next__)  # a new name gets the next index
     columns = [(np.zeros(0), np.zeros(0, np.int64), np.zeros(0, np.int64))]
     steps = _text_steps(source)
     lines_before, held = 0, []
@@ -178,21 +187,43 @@ def _text_steps(source: io.IOBase | bytes | str) -> Iterator[str]:
         offset += len(data)
 
 
-def _parse_step(text: str, lines_before: int, index: dict[str, int], columns: list) -> int:
+def _write_trace_layout(text: str, tokens: list[str]) -> bool:
+    """Whether ``text``, which ends with a line feed or holds none and which
+    ``str.split`` cut into ``tokens``, is lines of three fields, each field
+    followed by one space and the last by a line feed."""
+    n = len(tokens) // 3
+    if not tokens or len(tokens) != 3 * n:
+        return False
+    # a whitespace character outside ASCII is no byte below 0x80 in UTF-8
+    if not text.isascii() and len(text) - len("".join(tokens)) != 3 * n:
+        return False
+    data = np.frombuffer(text.encode("utf-8", "surrogatepass"), np.uint8)  # a str may hold a lone surrogate
+    low = np.flatnonzero(data <= 32)  # every ASCII whitespace and control character
+    return len(low) == 3 * n and bool((data[low].reshape(n, 3) == (32, 32, 10)).all())
+
+
+def _parse_step(text: str, lines_before: int, index: defaultdict[str, int], columns: list) -> int:
     """Check and parse ``text``, whole lines after ``lines_before`` others: add new
     names to ``index`` and the ``(t, u, v)`` columns to ``columns``; count the lines."""
-    # every line end is whitespace to str.split, so one split of the data
-    # lines yields their fields in order
-    lines = text.splitlines()
-    fields = np.fromiter(map(len, map(str.split, lines)), np.int64, len(lines))
-    data = fields > 0
-    if "#" in text:
-        comment = map(str.startswith, map(str.lstrip, lines), repeat("#"))
-        data &= ~np.fromiter(comment, bool, len(lines))
-        text = "\n".join(compress(lines, data.tolist()))
-    del lines
-    line_nos = np.flatnonzero(data) + 1 + lines_before
-    fields = fields[data]
+    tokens = [] if "#" in text else text.split()
+    if _write_trace_layout(text, tokens):
+        lines = len(tokens) // 3
+        line_nos = np.arange(lines) + 1 + lines_before
+        fields = np.full(lines, 3)
+    else:
+        # every line end is whitespace to str.split, so one split of the data
+        # lines yields their fields in order
+        split = text.splitlines()
+        lines = len(split)
+        fields = np.fromiter(map(len, map(str.split, split)), np.int64, lines)
+        data = fields > 0
+        if "#" in text:
+            comment = map(str.startswith, map(str.lstrip, split), repeat("#"))
+            data &= ~np.fromiter(comment, bool, lines)
+            tokens = "\n".join(compress(split, data.tolist())).split()
+        del split
+        line_nos = np.flatnonzero(data) + 1 + lines_before
+        fields = fields[data]
 
     # Each check looks only at the lines before the earliest fault found so
     # far, so the first bad line wins, and on one line the earlier check.
@@ -206,7 +237,6 @@ def _parse_step(text: str, lines_before: int, index: dict[str, int], columns: li
             error = TraceFormatError(int(line_nos[i]), message(i))
 
     fail(_first(fields != 3), lambda i: f"expected 't u v', got {fields[i]} fields")
-    tokens = text.split()
     del tokens[3 * limit:]
     time_tokens = tokens[0::3]
     try:
@@ -220,9 +250,9 @@ def _parse_step(text: str, lines_before: int, index: dict[str, int], columns: li
     fail(_first(~np.isfinite(times)), lambda i: f"non-finite time {time_tokens[i]!r}")
 
     del tokens[0::3]  # leaves u0, v0, u1, v1, ...
-    fresh = list(filterfalse(index.__contains__, dict.fromkeys(tokens)))
-    index.update(zip(fresh, range(len(index), len(index) + len(fresh))))
-    ids = np.fromiter(map(index.__getitem__, tokens), np.int64, len(tokens))
+    known = len(index)
+    ids = np.fromiter(map(index.__getitem__, tokens), np.int64, len(tokens))  # interns new names
+    fresh = list(islice(reversed(index), len(index) - known))
     u, v = ids[0::2], ids[1::2]
     fail(_first(u[:limit] == v[:limit]), lambda i: f"self-interaction {tokens[2 * i]!r}")
     # a UTF-8 character takes at most 4 bytes, so only long names need
@@ -234,7 +264,7 @@ def _parse_step(text: str, lines_before: int, index: dict[str, int], columns: li
     if error is not None:
         raise error
     columns.append((times, u, v))
-    return len(data)
+    return lines
 
 
 def format_time(t: float) -> str:

@@ -98,36 +98,52 @@ def reference_entries(stream, grid, scheme, series, j, i):
     return entries
 
 
-chained_removals = st.lists(
-    st.lists(st.tuples(st.integers(0, 6), st.integers(-40, 180), st.integers(1, 20)),
-             min_size=1, max_size=4),
-    min_size=1, max_size=3,
-)
+def removals(stream):
+    """Up to 4 cuts, as ``remove_interactions`` takes them: a node with links
+    in ``stream`` (any node, where none has) and a window of 0.25 to 5 s that
+    starts inside ``[t_begin, t_end)``, at the start of one of the node's links
+    or anywhere."""
+    span = stream.t_end - stream.t_begin
+    anywhere = st.integers(0, 63).map(lambda k: stream.t_begin + k * span / 64)
+    link_starts: dict[int, list[float]] = {}
+    for pair, ivs in stream.links.items():
+        for node in pair:
+            link_starts.setdefault(node, []).extend(s for s, _ in ivs)
+
+    def cuts(node):
+        starts = st.one_of(st.sampled_from(link_starts[node]), anywhere) if node in link_starts else anywhere
+        return st.tuples(starts, st.integers(1, 20)).map(lambda c: (node, (c[0], c[0] + c[1] / 4.0)))
+
+    nodes = sorted(link_starts) or range(stream.num_nodes)
+    return st.lists(st.sampled_from(nodes).flatmap(cuts), min_size=1, max_size=4)
 
 
 # 0 and 3: windowed reads cut every profile, or the longer ones, before masking;
 # 0 breakpoints a block: every matrix block is one row, every normalized read one second
-@given(timed_streams(), chained_removals, st.booleans(), st.sampled_from([2.0, 0.7]),
+@given(st.data(), st.integers(1, 3), st.booleans(), st.sampled_from([2.0, 0.7]),
        st.sampled_from([0, 3, linkstream._LONG_PROFILE]),
        st.sampled_from([0, linkstream._BLOCK_BREAKPOINTS]))
 @settings(max_examples=60, deadline=None)
-def test_read_path_equals_the_segment_loops(stream, removals, normalized, tau, long_profile,
+def test_read_path_equals_the_segment_loops(data, chained, normalized, tau, long_profile,
                                             block_breakpoints):
     with mock.patch.object(linkstream, "_LONG_PROFILE", long_profile), \
             mock.patch.object(linkstream, "_BLOCK_BREAKPOINTS", block_breakpoints):
-        check_read_path(stream, removals, normalized, tau)
+        check_read_path(data, chained, normalized, tau)
 
 
-def check_read_path(stream, removals, normalized, tau):
+def check_read_path(data, chained, normalized, tau):
+    """The read path of a drawn stream, and of ``chained`` streams derived from
+    it by drawn removals, each cutting the stream the one before it left,
+    equals the segment loops."""
+    stream = data.draw(timed_streams())
     grid = TimeSliceGrid.covering(stream.t_begin, stream.t_end, tau)
     scheme, view = build_scheme(stream, 0.1, normalized)
     series = None if view is None else view.series
     levels = [x for n in range(stream.num_nodes) for *_, x in reference_segments(stream, n, series=series)]
     assert (stream.max_degree() if view is None else view.max_value()) == max(levels, default=0)
     streams = [stream]
-    for victims in removals:
-        streams.append(streams[-1].remove_interactions(
-            [(node, (start / 2.0, (start + width) / 2.0)) for node, start, width in victims]))
+    for _ in range(chained):
+        streams.append(streams[-1].remove_interactions(data.draw(removals(streams[-1]))))
 
     for s in streams:
         nodes = range(s.num_nodes)

@@ -242,6 +242,69 @@ def trace_texts(draw, valid: bool = False) -> str:
     return text
 
 
+LAYOUT_NAMES = [name for name in NAMES if "#" not in name]
+# one change to one line of a trace in write_trace's layout; every change but
+# the non-ASCII name takes the step that holds the line off the fast path
+LINE_CHANGES = {
+    "double space": lambda line: line.replace(" ", "  ", 1),
+    "tab": lambda line: line.replace(" ", "\t", 1),
+    "\\r\\n": lambda line: line + "\r",
+    "leading space": lambda line: " " + line,
+    "trailing space": lambda line: line + " ",
+    "2 fields": lambda line: line.rsplit(" ", 1)[0],
+    "4 fields": lambda line: line + " d",
+    "comment line": lambda line: "# t u\n" + line,  # three fields, single spaces
+    "blank line": lambda line: "\n" + line,
+    "\\xa0": lambda line: line.replace(" ", "\xa0", 1),
+    "\\x1f": lambda line: line.replace(" ", "\x1f", 1),
+    "non-ASCII name": lambda line: line + "\u540d",
+}
+
+
+@st.composite
+def layout_traces(draw) -> tuple[str, bool]:
+    """A trace in ``write_trace``'s layout, ``t u v`` and a line feed on each
+    line, with faulty times and self-interactions or not; or a valid one with
+    one change (``LINE_CHANGES``, or no line feed after the last line).  Also
+    whether it keeps to the layout, so that the faults of a changed trace all
+    lie in the step that holds the change."""
+    change = draw(st.one_of(st.none(), st.sampled_from([*LINE_CHANGES, "no last line feed"])))
+    valid = change is not None or draw(st.booleans())
+    time = st.one_of(st.sampled_from(GOOD_TIMES if valid else TIMES), float_reprs)
+    rows = st.tuples(time, st.sampled_from(LAYOUT_NAMES), st.sampled_from(LAYOUT_NAMES))
+    lines = [" ".join(row) for row in draw(st.lists(rows.filter(lambda r: not valid or r[1] != r[2]),
+                                                      min_size=1, max_size=12))]
+    if change in LINE_CHANGES:
+        at = draw(st.integers(0, len(lines) - 1))
+        lines[at] = LINE_CHANGES[change](lines[at])
+    text = "".join(line + "\n" for line in lines)
+    if change == "no last line feed":
+        text = text[:-1]
+    return text, change in (None, "non-ASCII name")
+
+
+def layout_verdicts(run) -> tuple:
+    """``run()``, and what ``_write_trace_layout`` answered for each step it parsed."""
+    verdicts = []
+    check = trace_io._write_trace_layout
+
+    def spy(text, tokens):
+        verdicts.append(check(text, tokens))
+        return verdicts[-1]
+
+    with mock.patch.object(trace_io, "_write_trace_layout", spy):
+        return run(), verdicts
+
+
+def assert_layout_path(in_layout: bool, verdicts: list) -> None:
+    """Every step of a trace in the layout took the fast path, and some step
+    of a changed one did not."""
+    if in_layout:
+        assert verdicts and all(verdicts)
+    else:
+        assert not all(verdicts)
+
+
 class TestParseMatchesReference:
     @settings(max_examples=400, deadline=None)
     @given(st.one_of(trace_texts(), trace_texts(valid=True)))
@@ -262,6 +325,20 @@ class TestParseMatchesReference:
     @example("nan a a\n")
     def test_parse(self, text):
         assert_parses_alike(text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(layout_traces())
+    @example(("1 a b\n2.5 b \u540d\n", True))
+    @example(("1 a b\n2 c c\noops d e\n", True))  # faults on the fast path: the first line wins
+    @example(("1 a b\n2 b c", False))
+    @example(("1 a b 2\nc d\n", False))  # a fourth field, and one missing on the next line
+    # a fourth field after a tab or a no-break space, and two spaces before a second
+    @example(("1 a\tx b\n2  c\n", False))
+    @example(("1 a\xa0x b\n2  c\n", False))
+    def test_write_trace_layout(self, case):
+        text, in_layout = case
+        _, verdicts = layout_verdicts(lambda: assert_parses_alike(text))
+        assert_layout_path(in_layout, verdicts)
 
     @pytest.mark.parametrize("text", [
         f"1 a {'x' * MAX_NAME_BYTES}\n",
@@ -320,6 +397,19 @@ class TestStepsMatchWholeText:
         want = parse_outcome(whole_text_parse, as_source(text, kind))
         with mock.patch.object(trace_io, "_PARSE_CHARS", step):
             assert parse_outcome(parse_trace, as_source(text, kind)) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(layout_traces(), st.integers(1, 8), st.sampled_from(["str", "bytes", "file"]))
+    @example(("1 a b\n2 b c\n3 c a\n4 d d\n", True), 6, "str")  # a fault three steps on
+    @example(("1 a b\n2 b c\n3 c\r\n", False), 5, "bytes")
+    @example(("1 a b\n2 b c 3\nc a\n", False), 64, "file")  # a field moved to the next line
+    def test_write_trace_layout(self, case, step, kind):
+        text, in_layout = case
+        want = parse_outcome(whole_text_parse, as_source(text, kind))
+        with mock.patch.object(trace_io, "_PARSE_CHARS", step):
+            got, verdicts = layout_verdicts(lambda: parse_outcome(parse_trace, as_source(text, kind)))
+        assert got == want
+        assert_layout_path(in_layout, verdicts)
 
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(trace_texts(), trace_texts(valid=True)), st.binary(min_size=1, max_size=6),
