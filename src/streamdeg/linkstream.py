@@ -23,10 +23,13 @@ and ``grid_pieces`` are the one place where time meets a grid of seconds or
 slices; consecutive cells share their ``grid_bound``, so cells tile time.
 
 Streams are immutable.  ``remove_interactions`` trims pairs with the same
-endpoint sweep, ``_sweep``, the one place where interval endpoints meet, and
-returns a new stream sharing the pair endpoints and the node-to-pair
-adjacency, so speculative removals can be rolled back by simply dropping the
-new value; its profile store is the parent's, re-swept inside the cut window.
+endpoint sweep, ``_sweep``, the one place where interval endpoints meet, in
+``_trim``, and returns a new stream sharing the pair endpoints and the
+node-to-pair adjacency; it sweeps its own profile store when first read.
+``SliceState`` holds one slice of a stream after cuts inside it, its degree
+segments and the pieces of the pairs those cuts trimmed, so a removal tried
+inside one slice costs what that slice holds and is rolled back by dropping
+the new value.
 """
 
 from __future__ import annotations
@@ -205,10 +208,18 @@ def grid_pieces(start: np.ndarray, end: np.ndarray, origin: float, step: float,
     return at[keep], cell[keep], lo[keep], hi[keep]
 
 
-def _bounds(key: np.ndarray, starts: np.ndarray, ends: np.ndarray, step: int) -> tuple:
-    """``_sweep`` input for intervals: ``step`` at each start, ``-step`` at its end."""
-    return (np.repeat(key, 2), np.stack([starts, ends], axis=1).reshape(-1),
-            np.tile([step, -step], len(starts)))
+def _bounds(key: np.ndarray, starts: np.ndarray, ends: np.ndarray, step) -> tuple:
+    """``_sweep`` input for intervals: ``step``, one or one per interval, at each
+    start, ``-step`` at its end."""
+    step = np.broadcast_to(step, starts.shape)
+    return np.repeat(key, 2), np.stack([starts, ends], 1).ravel(), np.stack([step, -step], 1).ravel()
+
+
+def _within(x: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Whether each ``x`` is one of the ascending distinct ``keys``."""
+    if not len(keys):
+        return np.zeros(len(x), dtype=bool)
+    return keys.take(np.searchsorted(keys, x), mode="clip") == x
 
 
 def _sweep(key: np.ndarray, times: np.ndarray, steps: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -230,6 +241,31 @@ def _sweep(key: np.ndarray, times: np.ndarray, steps: np.ndarray) -> tuple[np.nd
     sums = np.add.reduceat(steps[order], at)
     first = np.minimum.reduceat(order, at)[sums != 0]
     return key[first], times[first], np.cumsum(sums[sums != 0])
+
+
+def _trim(pair: np.ndarray, start: np.ndarray, end: np.ndarray, table: "_PairTable",
+          cuts: tuple[np.ndarray, ...]) -> tuple[tuple[np.ndarray, ...], ...]:
+    """``(kept, lost)``, each ``(pair, start, end)`` in pair order, then time order:
+    the pieces ``[start, end)`` of pairs, each pair's disjoint and ascending, less
+    every cut ``(node, start, end)`` of either of its nodes, and the runs the cuts
+    took, some touching; ``cuts`` in node order, each node's disjoint and ascending.
+
+    One ``_sweep``: a pair's level is +1 on its own pieces and -2 on each cut of
+    either of its nodes from the first that ends after a piece starts to the first
+    that starts at or after its end, so it keeps the time where its level is 1 and
+    lost that where it is odd and below 1; a cut taken twice changes neither.
+    """
+    cut_node, cut_start, cut_end = cuts
+    ends_of = np.stack([table.u[pair], table.v[pair]], 1).ravel()
+    lo, hi = np.searchsorted(cut_node, ends_of), np.searchsorted(cut_node, ends_of, "right")
+    lo = _search(cut_end, lo, hi, start.repeat(2), "right")
+    hi = _search(cut_start, lo, hi, end.repeat(2))
+    picked = _ranges(lo, hi - lo)
+    own = _bounds(pair, start, end, 1)
+    cut = _bounds(pair.repeat(2).repeat(hi - lo), cut_start[picked], cut_end[picked], -2)
+    key, time, level = _sweep(*(np.concatenate(c) for c in zip(own, cut)))
+    kept, lost = np.flatnonzero(level == 1), np.flatnonzero((level % 2 == 1) & (level < 1))
+    return tuple((key[at], time[at], time[at + 1]) for at in (kept, lost))
 
 
 class _PairTable:
@@ -274,10 +310,9 @@ class LinkStream:
         self._alive = alive
         self.num_pairs = int(np.count_nonzero(alive))
         # (first, times, levels): node n's breakpoints are times[first[n]:first[n + 1]], its
-        # levels alike, the last the 0 after its last end; swept or spliced from a parent's
+        # levels alike, the last the 0 after its last end; swept when first read
         self._profiles: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        # (lead, last): each node's first and last breakpoint, +inf and -inf for none, from
-        # the sweep of its profiles or a parent's: removals only shrink activity, so they hold
+        # (lead, last): each node's first and last breakpoint, +inf and -inf for none
         self._spans: tuple[np.ndarray, np.ndarray] | None = None
         self._series: MeanDegreeSeries | None = None
 
@@ -298,20 +333,26 @@ class LinkStream:
         a, b = int(self._offsets[p]), int(self._offsets[p + 1])
         return list(zip(self._starts[a:b].tolist(), self._ends[a:b].tolist()))
 
-    def _pair_ids(self, node: int) -> np.ndarray:
-        """Alive pairs of ``node``, ascending; none for an unknown node."""
-        if not 0 <= node < self.num_nodes:
-            return np.zeros(0, dtype=np.int64)
+    def _pair_ids(self, nodes) -> np.ndarray:
+        """Alive pairs of any of ``nodes``, one or an array, ascending; none for an unknown node."""
+        nodes = _distinct(np.atleast_1d(nodes))
+        nodes = nodes[(0 <= nodes) & (nodes < self.num_nodes)]
         first, pair_ids = self._table.adjacency()
-        ids = pair_ids[first[node]:first[node + 1]]
-        return ids[self._alive[ids]]
+        ids = pair_ids[_ranges(first[nodes], first[nodes + 1] - first[nodes])]
+        return _distinct(ids[self._alive[ids]])
+
+    def _runs(self, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(owner, at)``: the pair and the index of each interval of ``pairs``, in order."""
+        counts = self._offsets[pairs + 1] - self._offsets[pairs]
+        return np.repeat(pairs, counts), _ranges(self._offsets[pairs], counts)
 
     def total_link_seconds(self) -> float:
         """Sum of the alive pairs' interval lengths: each pair's lengths in
         time order, then the pairs in order."""
         owner = np.repeat(np.arange(len(self._alive)), np.diff(self._offsets))
-        per_pair = np.bincount(owner, self._ends - self._starts, len(self._alive))
-        return iv.ordered_sum(per_pair[self._alive].tolist())
+        per_pair = np.bincount(owner, self._ends - self._starts, len(self._alive))[self._alive]
+        # a running sum adds left to right, as ``intervals.ordered_sum`` does
+        return float(np.add.accumulate(per_pair)[-1]) if len(per_pair) else 0
 
     # -- construction -------------------------------------------------------
 
@@ -378,50 +419,34 @@ class LinkStream:
 
     def _degree_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if self._profiles is None:
-            counts, times, levels = self._sweep_profiles(np.arange(self.num_nodes))
+            counts, times, levels = self._sweep_profiles()
             first, some = np.concatenate([[0], np.cumsum(counts)]), np.flatnonzero(counts)
             lead, last = np.full(self.num_nodes, np.inf), np.full(self.num_nodes, -np.inf)
             lead[some], last[some] = times[first[some]], times[first[some + 1] - 1]
             self._profiles, self._spans = (first, times, levels), (lead, last)
         return self._profiles
 
-    def _sweep_profiles(self, nodes: np.ndarray, t0: float = -math.inf, t1: float = math.inf,
-                        outside: tuple[np.ndarray, np.ndarray] | None = None) -> tuple[np.ndarray, ...]:
-        """``(counts, times, levels)`` of the breakpoints of ``nodes`` (ascending) in
-        ``[t0, t1]``: one ``_sweep`` per block of +1 at each start and -1 at each end of
-        the intervals that meet ``[t0, t1)``, clipped to it, in pair order, then time
-        order.  ``outside = (left, right)`` levels before t0 and from t1 on are steps
-        at -inf, t0, t1 and +inf, and no breakpoint is kept at -inf or +inf."""
+    def _sweep_profiles(self) -> tuple[np.ndarray, ...]:
+        """``(counts, times, levels)`` of every node's breakpoints: one ``_sweep`` per
+        block of +1 at each start and -1 at each end of its pairs' intervals."""
         first, pair_ids = self._table.adjacency()
-        n_adj = first[nodes + 1] - first[nodes]
-        pairs = pair_ids[_ranges(first[nodes], n_adj)]
+        n_adj = np.diff(first)
         # dead pairs hold no intervals, so they add no endpoints
-        lo, hi = self._offsets[pairs], self._offsets[pairs + 1]
-        if outside is not None:
-            lo = _search(self._ends, lo, hi, t0, "right")
-            hi = _search(self._starts, lo, hi, t1)
-        n_iv = hi - lo
-        at = np.concatenate([[0], np.cumsum(n_adj)])
-        bound = np.cumsum(2 * np.diff(np.concatenate([[0], np.cumsum(n_iv)])[at]))
+        lo = self._offsets[pair_ids]
+        n_iv = self._offsets[pair_ids + 1] - lo
+        bound = np.cumsum(2 * np.diff(np.concatenate([[0], np.cumsum(n_iv)])[first]))
         out = [(np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0, dtype=np.int64))]
         i = 0
-        while i < len(nodes):
+        while i < self.num_nodes:
             base = bound[i - 1] if i else 0
             j = int(np.searchsorted(bound, base + _SWEEP_ENDPOINTS, side="right"))
             j = min(max(j, i + 1), i + _SWEEP_NODES)
-            block = slice(at[i], at[j])
+            block = slice(first[i], first[j])
             runs = _ranges(lo[block], n_iv[block])
             owner = np.repeat(np.arange(j - i, dtype=np.uint16), n_adj[i:j])
-            key, times, steps = _bounds(np.repeat(owner, n_iv[block]), np.maximum(self._starts[runs], t0),
-                                        np.minimum(self._ends[runs], t1), 1)
-            if outside is not None:
-                left, right = outside[0][i:j], outside[1][i:j]
-                key = np.concatenate([key, np.arange(j - i, dtype=np.uint16).repeat(4)])
-                times = np.concatenate([times, np.tile([-math.inf, t0, t1, math.inf], j - i)])
-                steps = np.concatenate([steps, np.stack([left, -left, right, -right], axis=1).ravel()])
-            local, times, levels = _sweep(key, times, steps)
-            finite = np.isfinite(times)
-            out.append((np.bincount(local[finite], minlength=j - i), times[finite], levels[finite]))
+            local, times, levels = _sweep(*_bounds(np.repeat(owner, n_iv[block]), self._starts[runs],
+                                                   self._ends[runs], 1))
+            out.append((np.bincount(local, minlength=j - i), times, levels))
             i = j
         out = list(zip(*out))
         return tuple(np.concatenate(out.pop(0)) for _ in range(3))  # blocks freed once joined
@@ -439,68 +464,30 @@ class LinkStream:
         For each victim ``(v, I)`` every pair containing v loses ``I``
         intersected with its intervals; all other pairs are shared untouched.
         A pair left without intervals dies.  Removing absent time is a no-op.
-        One ``_sweep`` trims every pair with an interval in the cut window: a
-        pair's level is +1 on its own intervals and -2 on every cut of either
-        of its nodes that overlaps them, so it keeps the time where its level
-        is exactly 1, and it lost link time if and only if some level is odd
-        and below 1.
         """
         by_node: dict[int, list[iv.Interval]] = {}
         for n, cut in victims:
             by_node.setdefault(n, []).append(cut)
         # each node's cuts merged, so their starts and their ends both ascend
-        cuts = np.array([(n, a, b) for n in sorted(by_node) for a, b in iv.merge(by_node[n])])
-        cut_node, cut_start, cut_end = cuts.reshape(-1, 3).T
-        t0, t1 = cut_start.min(initial=math.inf), cut_end.max(initial=-math.inf)
-
+        cuts = np.array([(n, a, b) for n in sorted(by_node) for a, b in iv.merge(by_node[n])]).reshape(-1, 3)
+        cuts = (cuts[:, 0].astype(np.int64), cuts[:, 1], cuts[:, 2])
+        t0, t1 = cuts[1].min(initial=math.inf), cuts[2].max(initial=-math.inf)
         # only a pair with an interval that ends after t0 and starts before t1 can lose anything
-        pairs = _distinct(np.concatenate(
-            [np.zeros(0, dtype=np.int64)] + [self._pair_ids(n) for n in by_node]))
-        lo, hi = self._offsets[pairs], self._offsets[pairs + 1]
-        at = _search(self._ends, lo, hi, t0, "right")
-        reach = at < hi
-        reach[reach] = self._starts[at[reach]] < t1
-        lo, hi = lo[reach], hi[reach]
-        runs, owner = _ranges(lo, hi - lo), np.repeat(pairs[reach], hi - lo)
-
-        # keyed by pair: each affected pair's intervals, then for each interval
-        # and each of the pair's nodes, its cuts from the first that ends after
-        # the interval starts to the first that starts at or after its end; a
-        # cut taken twice changes no level's parity, nor where it is 1
-        u, v = self._table.u, self._table.v
-        starts, ends = self._starts[runs], self._ends[runs]
-        ends_of = np.stack([u[owner], v[owner]], axis=1).reshape(-1)
-        lo, hi = np.searchsorted(cut_node, ends_of), np.searchsorted(cut_node, ends_of, "right")
-        lo = _search(cut_end, lo, hi, starts.repeat(2), "right")
-        hi = _search(cut_start, lo, hi, ends.repeat(2))
-        picked = _ranges(lo, hi - lo)
-        own = _bounds(owner, starts, ends, 1)
-        cut = _bounds(owner.repeat(2).repeat(hi - lo), cut_start[picked], cut_end[picked], -2)
-        key, time, level = _sweep(*(np.concatenate(c) for c in zip(own, cut)))
-        trimmed = _distinct(key[(level % 2 == 1) & (level < 1)])
-        if not len(trimmed):
+        owner, runs = self._runs(self._pair_ids(cuts[0]))
+        reach = np.isin(owner, owner[(self._ends[runs] > t0) & (self._starts[runs] < t1)])
+        owner, runs = owner[reach], runs[reach]
+        (key, start, end), lost = _trim(owner, self._starts[runs], self._ends[runs], self._table, cuts)
+        if not len(lost[0]):
             return self
-        kept = np.flatnonzero((level == 1) & np.isin(key, trimmed))
-        new_counts = np.bincount(np.searchsorted(trimmed, key[kept]), minlength=len(trimmed))
+        trimmed = _distinct(lost[0])
+        take = _within(key, trimmed)
+        counts = np.bincount(np.searchsorted(trimmed, key[take]), minlength=len(trimmed))
         alive = self._alive.copy()
-        alive[trimmed[new_counts == 0]] = False
-        out = LinkStream(self.node_names, self._table, *_splice(
+        alive[trimmed[counts == 0]] = False
+        return LinkStream(self.node_names, self._table, *_splice(
             self._offsets, (self._starts, self._ends), trimmed, self._offsets[trimmed],
-            self._offsets[trimmed + 1], new_counts, time[kept], time[kept + 1]),
-                         alive, self.delta, self.t_begin, self.t_end)
-        if self._profiles is not None:
-            # degrees change only in the cut window [t0, t1): each touched node's
-            # breakpoints in [t0, t1] are swept again, from its level before t0
-            # to its level at t1, and replace the parent's
-            first, times, levels = self._profiles
-            touched = _distinct(np.concatenate([u[trimmed], v[trimmed]]))
-            lo, hi = first[touched], first[touched + 1]
-            a = _search(times, lo, hi, t0)
-            b = _search(times, a, hi, t1, "right")
-            out._profiles = tuple(_splice(first, (times, levels), touched, a, b, *out._sweep_profiles(
-                touched, t0, t1, (np.where(a > lo, levels[a - 1], 0), np.where(b > lo, levels[b - 1], 0)))))
-            out._spans = self._spans
-        return out
+            self._offsets[trimmed + 1], counts, start[take], end[take]),
+                          alive, self.delta, self.t_begin, self.t_end)
 
     # -- per-second aggregates ----------------------------------------------
 
@@ -650,11 +637,7 @@ def degree_segments(stream: LinkStream, t0: float = -math.inf, t1: float = math.
                     series: MeanDegreeSeries | None = None) -> Segments:
     """Nonzero degree segments that end after ``t0`` and start before ``t1``,
     in node order, then time order; only nodes whose span meets ``(t0, t1)`` are read.
-
-    With a ``series``, each segment is cut at second bounds, keeping the
-    pieces in the seconds that overlap ``(t0, t1)``; the piece in second s
-    has value k / mean(s), and is dropped where the mean is 0 (no
-    interaction) or s is outside the series.
+    With a ``series``, they are cut and divided per second by ``per_second``.
     """
     first, store_times, store_levels = stream._degree_arrays()
     lead, last = stream._spans
@@ -673,12 +656,15 @@ def degree_segments(stream: LinkStream, t0: float = -math.inf, t1: float = math.
     opens[np.cumsum(counts)[counts > 0] - 1] = False
     at = np.flatnonzero(opens)
     at = at[(times[at + 1] > t0) & (times[at] < t1)]
-    node = np.repeat(nodes, counts)[at]
-    start, end, value = times[at], times[at + 1], levels[at]
-    if series is None:
-        return Segments(node, start, end, value)
+    segs = Segments(np.repeat(nodes, counts)[at], times[at], times[at + 1], levels[at])
+    return segs if series is None else per_second(segs, t0, t1, series)
 
-    # the seconds of the series that each segment's part in (t0, t1) meets
+
+def per_second(segs: Segments, t0: float, t1: float, series: MeanDegreeSeries) -> Segments:
+    """``segs`` cut at second bounds, keeping the pieces in the seconds that
+    overlap ``(t0, t1)``; the piece in second s has value k / mean(s), and is
+    dropped where the mean is 0 (no interaction) or s is outside the series."""
+    node, start, end, value = segs
     base = float(series.start_second)
     first, stop = grid_cells(np.maximum(start, t0), np.minimum(end, t1), base, 1.0)
     cells = np.maximum(first, 0), np.minimum(stop, len(series.values))
@@ -686,6 +672,62 @@ def degree_segments(stream: LinkStream, t0: float = -math.inf, t1: float = math.
     keep = series.values[second] > 0
     at = at[keep]
     return Segments(node[at], lo[keep], hi[keep], value[at] / series.values[second[keep]])
+
+
+class SliceState(NamedTuple):
+    """The slice ``[t0, t1)`` of a stream after cuts inside it: its raw degree
+    segments clipped to it, and the ``pieces`` in it of the ``pairs`` the cuts
+    trimmed; every other pair keeps the stream's intervals there."""
+
+    t0: float
+    t1: float
+    segments: Segments
+    pairs: np.ndarray
+    pieces: tuple[np.ndarray, np.ndarray, np.ndarray]
+
+    def read(self, normalized: NormalizedDegrees | None) -> Segments:
+        """The segments, cut and divided per second with a normalized view."""
+        return self.segments if normalized is None else per_second(self.segments, self.t0, self.t1,
+                                                                   normalized.series)
+
+
+def slice_state(stream: LinkStream, t0: float, t1: float) -> SliceState:
+    """The slice ``[t0, t1)`` of ``stream``, before any cut."""
+    node, start, end, value = degree_segments(stream, t0, t1)
+    none = np.zeros(0, dtype=np.int64)
+    return SliceState(t0, t1, Segments(node, np.maximum(start, t0), np.minimum(end, t1), value),
+                      none, (none, np.zeros(0), np.zeros(0)))
+
+
+def cut_slice(stream: LinkStream, state: SliceState, cuts: tuple[np.ndarray, ...]) -> SliceState:
+    """``state`` after the cuts ``(node, start, end)`` inside its slice, each node's
+    disjoint and ascending: ``_trim`` of the pieces there of the pairs of the cut
+    nodes, and a ``_sweep`` of the segments of the nodes of the pairs that lost
+    time, less the runs they lost."""
+    t0, t1, segs, trimmed, held = state
+    pairs = stream._pair_ids(cuts[0])
+    owner, runs = stream._runs(pairs[~_within(pairs, trimmed)])
+    start, end = stream._starts[runs], stream._ends[runs]
+    meets = (end > t0) & (start < t1)
+    mine = _within(held[0], pairs)
+    pieces = (owner[meets], np.maximum(start[meets], t0), np.minimum(end[meets], t1))
+    kept, lost = _trim(*(np.concatenate([a, b[mine]]) for a, b in zip(pieces, held)), stream._table, cuts)
+    if not len(lost[0]):
+        return state
+    u, v = stream._table.u[lost[0]], stream._table.v[lost[0]]
+    swept = _within(segs.node, _distinct(np.concatenate([u, v])))
+    node, time, level = _sweep(*(np.concatenate(c) for c in zip(
+        _bounds(segs.node[swept], segs.start[swept], segs.end[swept], segs.value[swept]),
+        _bounds(np.stack([u, v], 1).ravel(), lost[1].repeat(2), lost[2].repeat(2), -1))))
+    at = np.flatnonzero(level != 0)
+    new = (node[at], time[at], time[at + 1], level[at])
+    order = np.argsort(np.concatenate([segs.node[~swept], new[0]]), kind="stable")
+    segs = Segments(*(np.concatenate([x[~swept], y])[order] for x, y in zip(segs, new)))
+    # the cut nodes' pairs that lost time, now or before, hold their kept pieces
+    trimmed = _distinct(np.concatenate([trimmed, lost[0]]))
+    now = _within(kept[0], trimmed)
+    held = tuple(np.concatenate([x[~mine], y[now]]) for x, y in zip(held, kept))
+    return SliceState(t0, t1, segs, trimmed, held)
 
 
 def read_blocks(stream: LinkStream, span: int, over: range, cap: float = math.inf) -> list[range]:

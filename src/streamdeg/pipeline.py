@@ -28,9 +28,10 @@ from typing import IO, Iterable, Sequence
 import numpy as np
 
 from . import intervals as iv
-from .linkstream import LinkStream, NormalizedDegrees, degree_segments, grid_pieces, normalize_degrees
+from .linkstream import (LinkStream, NormalizedDegrees, SliceState, cut_slice, normalize_degrees,
+                         slice_state)
 from .robust_stats import NormalFit, fit_homogeneous, three_sigma_outliers
-from .slicing import ClassScheme, FractionMatrix, TimeSliceGrid, fraction_matrix, update_rows
+from .slicing import ClassScheme, FractionMatrix, TimeSliceGrid, fraction_matrix, with_row
 
 POLARITY_HIGH = "high"
 POLARITY_NONZERO = "nonzero-in-A"
@@ -66,15 +67,28 @@ class IdentifiedSet:
     def measure(self) -> float:
         return iv.ordered_sum(iv.measure(ivs) for ivs in self.entries.values())
 
-    @property
-    def is_empty(self) -> bool:
-        return not any(self.entries.values())
-
     def nodes(self) -> set[int]:
         return {n for n, ivs in self.entries.items() if ivs}
 
     def victims(self) -> list[tuple[int, iv.Interval]]:
         return [(n, interval) for n, ivs in sorted(self.entries.items()) for interval in ivs]
+
+    @classmethod
+    def of(cls, node: np.ndarray, start: np.ndarray, end: np.ndarray) -> "IdentifiedSet":
+        """The set of the intervals ``[start, end)`` of each node, in node order."""
+        entries: dict[int, list[iv.Interval]] = {}
+        for n, a, b in zip(node.tolist(), start.tolist(), end.tolist()):
+            entries.setdefault(n, []).append((a, b))
+        return cls(entries)
+
+
+def _label(column: np.ndarray, j: int, grubbs_alpha: float, ks_alpha: float,
+           zero_majority: float) -> ClassLabel:
+    zero_share = float((column == 0.0).sum()) / len(column) if len(column) else 1.0
+    if zero_share > zero_majority:
+        return ClassLabel(j, "A", zero_share)
+    fit = fit_homogeneous(column, grubbs_alpha, ks_alpha)
+    return ClassLabel(j, "AN" if fit.accepted and fit.mu > 0 else "R", zero_share, fit)
 
 
 def classify_classes(
@@ -84,20 +98,8 @@ def classify_classes(
     zero_majority: float = 0.5,
 ) -> list[ClassLabel]:
     """Label every degree class from its fraction column."""
-    labels = []
-    n_slices = matrix.grid.count
-    for j in range(1, matrix.n_classes + 1):
-        column = matrix.column(j)
-        zero_share = float((column == 0.0).sum()) / n_slices if n_slices else 1.0
-        if zero_share > zero_majority:
-            labels.append(ClassLabel(j, "A", zero_share))
-            continue
-        fit = fit_homogeneous(column, grubbs_alpha, ks_alpha)
-        if fit.accepted and fit.mu > 0:
-            labels.append(ClassLabel(j, "AN", zero_share, fit))
-        else:
-            labels.append(ClassLabel(j, "R", zero_share, fit))
-    return labels
+    return [_label(matrix.column(j), j, grubbs_alpha, ks_alpha, zero_majority)
+            for j in range(1, matrix.n_classes + 1)]
 
 
 def detect_events(
@@ -138,28 +140,22 @@ def negative_outliers(
 
 
 def identify_event(
-    stream: LinkStream,
+    state: SliceState,
     event: Event,
-    grid: TimeSliceGrid,
     scheme: ClassScheme,
     normalized: NormalizedDegrees | None = None,
-) -> IdentifiedSet:
-    """Nodes and maximal sub-intervals of the event's slice during which their
-    degree lies in the event's class."""
-    i = event.slice_index
+) -> tuple[np.ndarray, ...]:
+    """``(node, start, end)``: the nodes and maximal sub-intervals of the event's
+    slice, held by ``state``, during which their degree lies in the event's
+    class, in node order, then time order."""
+    segs = state.read(normalized)
     k_lo, k_hi = scheme.edges[event.class_index - 1:event.class_index + 1].tolist()
-    segs = degree_segments(stream, *grid.bounds(i), None if normalized is None else normalized.series)
-    at, _, start, end = grid_pieces(segs.start, segs.end, grid.origin, grid.tau, (i, i + 1))
-    hit = (k_lo <= segs.value[at]) & (segs.value[at] < k_hi)
-    node, start, end = segs.node[at][hit], start[hit], end[hit]
+    hit = (k_lo <= segs.value) & (segs.value < k_hi)
+    node, start, end = segs.node[hit], segs.start[hit], segs.end[hit]
     # one interval per run of a node's touching pieces
     heads = np.ones(len(node), dtype=bool)
     heads[1:] = (node[1:] != node[:-1]) | (start[1:] > end[:-1])
-    node, start, end = node[heads], start[heads], end[np.roll(heads, -1)]
-    owners, at = np.unique(node, return_index=True)
-    entries = {n: list(zip(a.tolist(), b.tolist()))
-               for n, a, b in zip(owners.tolist(), np.split(start, at[1:]), np.split(end, at[1:]))}
-    return IdentifiedSet(entries)
+    return node[heads], start[heads], end[np.roll(heads, -1)]
 
 
 # ---------------------------------------------------------------------------
@@ -224,10 +220,20 @@ class IdentificationResult:
         return sum(1 for rec in self.log if rec.status == "applied")
 
 
-def _detect_state(matrix: FractionMatrix, params: PipelineParams) -> DetectionState:
-    labels = classify_classes(matrix, params.grubbs_alpha, params.ks_alpha, params.zero_majority)
-    events = detect_events(matrix, labels, params.sigma_mult)
-    negatives = negative_outliers(matrix, labels, params.sigma_mult)
+def _detect_state(matrix: FractionMatrix, params: PipelineParams, previous: DetectionState | None = None,
+                  changed: Sequence[int] = ()) -> DetectionState:
+    """Every class of ``matrix`` labelled and detected; with a ``previous`` state,
+    only the ``changed`` classes, and the others keep its labels, events and negatives."""
+    changed = set(changed if previous else range(1, matrix.n_classes + 1))
+    labels = list(previous.labels) if previous else [None] * matrix.n_classes
+    for j in changed:
+        labels[j - 1] = _label(matrix.column(j), j, params.grubbs_alpha, params.ks_alpha, params.zero_majority)
+    fresh = [labels[j - 1] for j in sorted(changed)]
+    events = [e for e in previous.events if e.class_index not in changed] if previous else []
+    negatives = {k for k in previous.negatives if k[0] not in changed} if previous else set()
+    negatives |= negative_outliers(matrix, fresh, params.sigma_mult)
+    # events in class order, then slice order
+    events = sorted(events + detect_events(matrix, fresh, params.sigma_mult), key=lambda e: e.class_index)
     return DetectionState(matrix, labels, events, negatives)
 
 
@@ -248,10 +254,12 @@ def run_identification(
     event (highest class first), remove its identified couples, and keep the
     removal only if it creates no new negative outlier.  Every (class, slice)
     event is attempted at most once, so the loop always terminates.  The
-    original stream object is never mutated.  A removal is re-detected by
-    recomputing only the fraction-matrix row of its slice, so an attempt
-    costs what the nodes whose spans meet that slice cost; the class labels
-    are then refit on the full columns.
+    original stream object is never mutated.  Victims lie inside their
+    event's slice, and slices tile time, so an attempt works on its slice
+    alone: it cuts the slice's ``SliceState``, recomputes the fraction-matrix
+    row of the slice from it, and refits and re-detects only the classes
+    whose cell in that row changed.  The final stream is the input with
+    every applied victim cut at once.
 
     Afterwards events are re-detected on the final stream: initially detected
     events that vanished are identified (directly or through cascades), the
@@ -263,9 +271,9 @@ def run_identification(
     normalized = (normalize_degrees(stream, stream.mean_degree_per_second())
                   if params.normalized else None)
 
-    original = stream
     initial = _detect_state(fraction_matrix(stream, grid, scheme, normalized), params)
     state = initial
+    slices: dict[int, SliceState] = {}
     processed: set[tuple[int, int]] = set()
     log: list[RemovalRecord] = []
 
@@ -277,31 +285,38 @@ def run_identification(
             break
         event = min(pending, key=_event_order)
         processed.add(event.key)
-        victims = identify_event(stream, event, grid, scheme, normalized)
-        if victims.is_empty:
-            log.append(RemovalRecord(event, victims, "cascade", "already removed"))
+        i = event.slice_index
+        if i not in slices:
+            slices[i] = slice_state(stream, *grid.bounds(i))
+        victims = identify_event(slices[i], event, scheme, normalized)
+        found = IdentifiedSet.of(*victims)
+        if not found.entries:
+            log.append(RemovalRecord(event, found, "cascade", "already removed"))
             continue
-        tentative = stream.remove_interactions(victims.victims())
-        # victims lie inside the event's slice, and slices tile time, so only its row changes
-        rows = range(event.slice_index, event.slice_index + 1)
-        tent_state = _detect_state(update_rows(state.matrix, tentative, rows, normalized), params)
+        tentative = cut_slice(stream, slices[i], victims)
+        matrix = with_row(state.matrix, i, tentative.read(normalized))
+        # the classes whose cell in the slice's row changed, bit for bit
+        changed = (np.flatnonzero(matrix.fractions[i].view(np.int64)
+                                  != state.matrix.fractions[i].view(np.int64)) + 1).tolist()
+        tent_state = _detect_state(matrix, params, state, changed)
         if params.rollback_fit == "frozen":
-            before = negative_outliers(state.matrix, initial.labels, params.sigma_mult)
-            after = negative_outliers(tent_state.matrix, initial.labels, params.sigma_mult)
+            labels = [initial.labels[j - 1] for j in changed]
+            before = negative_outliers(state.matrix, labels, params.sigma_mult)
+            after = negative_outliers(tent_state.matrix, labels, params.sigma_mult)
         else:
             before, after = state.negatives, tent_state.negatives
         created = sorted(after - before)
         if created:
-            j, i = created[0]
+            j, k = created[0]
             log.append(
                 RemovalRecord(
-                    event, victims, "rolled-back",
-                    f"negative outlier in class {j}, slice {i}",
+                    event, found, "rolled-back",
+                    f"negative outlier in class {j}, slice {k}",
                 )
             )
             continue
-        stream, state = tentative, tent_state
-        log.append(RemovalRecord(event, victims, "applied"))
+        slices[i], state = tentative, tent_state
+        log.append(RemovalRecord(event, found, "applied"))
 
     # nodes in order of first applied removal: identified_measure sums in it
     victims_of: dict[int, list[iv.Interval]] = {}
@@ -318,8 +333,10 @@ def run_identification(
     residual_events = [
         e for e in initial.events if e.key in final_keys and e.key not in rolled_keys
     ]
-    before_seconds = original.total_link_seconds()
-    after_seconds = stream.total_link_seconds()
+    identified_set = IdentifiedSet({n: iv.merge(ivs) for n, ivs in victims_of.items()})
+    final_stream = stream.remove_interactions(identified_set.victims()) if victims_of else stream
+    before_seconds = stream.total_link_seconds()
+    after_seconds = final_stream.total_link_seconds()
     removed_share = 1.0 - after_seconds / before_seconds if before_seconds > 0 else 0.0
 
     residual_initial = len(
@@ -329,9 +346,9 @@ def run_identification(
 
     return IdentificationResult(
         initial=initial,
-        final_stream=stream,
+        final_stream=final_stream,
         log=log,
-        identified_set=IdentifiedSet({n: iv.merge(ivs) for n, ivs in victims_of.items()}),
+        identified_set=identified_set,
         detected_events=list(initial.events),
         identified_events=identified_events,
         residual_events=residual_events,

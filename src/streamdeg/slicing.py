@@ -27,7 +27,7 @@ from typing import IO, NamedTuple, Sequence
 import numpy as np
 
 from .intervals import ordered_sum
-from .linkstream import (LinkStream, NormalizedDegrees, _distinct, degree_segments, grid_bound,
+from .linkstream import (LinkStream, NormalizedDegrees, Segments, _distinct, degree_segments, grid_bound,
                          grid_cells, grid_pieces, normalize_degrees, read_blocks)
 from .robust_stats import _weighted_cdf, two_sample_coefficient
 
@@ -199,7 +199,7 @@ def slice_value_measures(
     """
     out: list[dict[float, float]] = [{} for _ in range(grid.count)]
     for rows in read_blocks(stream, grid.count, range(grid.count), _ROW_BLOCK):
-        row, value, mass, first = _row_measures(stream, grid, rows, normalized)
+        row, value, mass, first = _row_measures(*_pieces(stream, grid, rows, normalized))
         order = np.argsort(first)
         for j, k, m in zip((row[order] + rows.start).tolist(), value[order].tolist(),
                            mass[order].tolist()):
@@ -207,23 +207,29 @@ def slice_value_measures(
     return out
 
 
-def _row_measures(stream: LinkStream, grid: TimeSliceGrid, rows: range,
-                  normalized: NormalizedDegrees | None) -> tuple[np.ndarray, ...]:
-    """Measure per degree value in each slice of ``rows``: one ``(row, value,
-    measure, first)`` entry per (row, value) in row order, then ascending value
-    order.  ``row`` counts from ``rows.start``; ``first`` is the position of the
-    entry's first piece.
-
-    A measure adds its pieces in node order, then time order, so a row takes
-    the same terms in the same order whichever rows are asked for.
-    """
+def _pieces(stream: LinkStream, grid: TimeSliceGrid, rows: range,
+            normalized: NormalizedDegrees | None) -> tuple[np.ndarray, ...]:
+    """``(row, value, measure)`` of each piece of the degree segments of
+    ``stream`` in a slice of ``rows``, in segment order; ``row`` counts from
+    ``rows.start``."""
     t0, t1 = grid.bounds(rows.start)[0], grid.bounds(rows.stop - 1)[1]
     segs = degree_segments(stream, t0, t1, None if normalized is None else normalized.series)
     first, stop = grid_cells(segs.start, segs.end, grid.origin, grid.tau)
     cells = np.maximum(first, rows.start), np.minimum(stop, rows.stop)
     at, i, lo, hi = grid_pieces(segs.start, segs.end, grid.origin, grid.tau, cells)
-    row, value, ov = i - rows.start, segs.value[at], hi - lo
+    return i - rows.start, segs.value[at], hi - lo
 
+
+def _row_measures(row: np.ndarray, value: np.ndarray, ov: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Measure per degree value in each row of the pieces ``(row, value, ov)``:
+    one ``(row, value, measure, first)`` entry per (row, value) in row order,
+    then ascending value order; ``first`` is the position of the entry's first
+    piece.
+
+    A measure adds its pieces in node order, then time order, so a row takes
+    the same terms in the same order whichever rows are asked for, and from
+    segments clipped to its slice or not.
+    """
     order = np.argsort(value, kind="stable")
     order = order[np.argsort(row[order], kind="stable")]
     row, value = row[order], value[order]
@@ -291,32 +297,29 @@ def fraction_matrix(
         rows = np.zeros((grid.count, len(scheme)))
     except ValueError as exc:  # a shape past numpy's index range
         raise MemoryError(str(exc)) from exc
-    blank = FractionMatrix(grid, scheme, rows, np.zeros(grid.count), stream.num_nodes)
-    return update_rows(blank, stream, range(grid.count), normalized)
-
-
-def update_rows(
-    matrix: FractionMatrix,
-    stream: LinkStream,
-    rows: range,
-    normalized: NormalizedDegrees | None = None,
-) -> FractionMatrix:
-    """Copy of ``matrix`` with ``rows`` recomputed on ``stream``; each row is
-    bitwise equal to the same row of ``fraction_matrix(stream, ...)``."""
-    out = replace(matrix, fractions=matrix.fractions.copy(), zero=matrix.zero.copy())
-    for block in read_blocks(stream, out.grid.count, rows, _ROW_BLOCK):
-        _fill_rows(out, block, *_row_measures(stream, out.grid, block, normalized)[:3])
+    out = FractionMatrix(grid, scheme, rows, np.zeros(grid.count), stream.num_nodes)
+    for block in read_blocks(stream, grid.count, range(grid.count), _ROW_BLOCK):
+        _fill_rows(out, block, _pieces(stream, grid, block, normalized))
     return out
 
 
-def _fill_rows(
-    matrix: FractionMatrix, rows: range, row: np.ndarray, value: np.ndarray, mass: np.ndarray
-) -> None:
-    """Overwrite ``rows`` of ``matrix`` with the measures of ``_row_measures``.
+def with_row(matrix: FractionMatrix, i: int, segs: Segments) -> FractionMatrix:
+    """Copy of ``matrix`` with row ``i`` measured from ``segs``, the degree
+    segments in slice ``i``, clipped to it: bitwise the row that
+    ``fraction_matrix`` measures on a stream with those segments there."""
+    out = replace(matrix, fractions=matrix.fractions.copy(), zero=matrix.zero.copy())
+    _fill_rows(out, range(i, i + 1), (np.zeros(len(segs.node), dtype=np.int64), segs.value,
+                                      segs.end - segs.start))
+    return out
+
+
+def _fill_rows(matrix: FractionMatrix, rows: range, pieces: tuple[np.ndarray, ...]) -> None:
+    """Overwrite ``rows`` of ``matrix`` with the ``_row_measures`` of ``pieces``.
 
     The zero column is computed independently from the active measure, so the
     row-sum-equals-one invariant is a real check rather than a tautology.
     """
+    row, value, mass, _ = _row_measures(*pieces)
     denom = matrix.grid.tau * matrix.node_count
     width = matrix.n_classes + 1
     # bincount adds in input order, row by row in ascending value order: the

@@ -1,5 +1,6 @@
 """Test helpers: link streams from per-pair interval lists, degree profiles
-read as lists and point values, and interval oracles."""
+read as lists and point values, interval oracles, and the identification of
+one event on a stream."""
 
 from __future__ import annotations
 
@@ -10,7 +11,8 @@ from typing import Sequence
 import numpy as np
 
 from streamdeg import intervals as iv
-from streamdeg.linkstream import DegreeProfile, LinkStream, _PairTable
+from streamdeg.linkstream import DegreeProfile, LinkStream, _PairTable, slice_state
+from streamdeg.pipeline import IdentifiedSet, identify_event
 
 
 def from_pair_intervals(
@@ -45,8 +47,8 @@ def from_pair_intervals(
 
 
 def rebuilt(stream: LinkStream) -> LinkStream:
-    """A stream on ``stream``'s arrays that sweeps its own profiles, so its
-    spans are exact where ``stream``'s may be inherited from a parent."""
+    """A stream on ``stream``'s arrays with nothing read yet, so it sweeps its
+    own profiles and series."""
     return LinkStream(stream.node_names, stream._table, stream._offsets, stream._starts,
                       stream._ends, stream._alive, stream.delta, stream.t_begin, stream.t_end)
 
@@ -96,3 +98,9 @@ def covers(intervals: Sequence[iv.Interval], t: float) -> bool:
     """Point query on a canonical list: is t inside some [start, end)?"""
     i = bisect_right(intervals, (t, float("inf"))) - 1
     return i >= 0 and intervals[i][0] <= t < intervals[i][1]
+
+
+def identified(stream: LinkStream, event, grid, scheme, normalized=None) -> IdentifiedSet:
+    """``identify_event`` on the event's slice of ``stream``, as an identified set."""
+    state = slice_state(stream, *grid.bounds(event.slice_index))
+    return IdentifiedSet.of(*identify_event(state, event, scheme, normalized))

@@ -1,8 +1,8 @@
 """Acceptance suite: one test per release criterion, one printed line each.
 
-Criteria 5-10 route their numeric outcomes through ``criterion_artifacts`` so
-that criterion 11 can re-run them and compare the serialized results byte for
-byte (including a threads=4 variant of the parallel surface).
+Criteria 5-10 read their numeric outcomes from the ``criterion_artifacts``
+bundle, collected once a session, so that criterion 11 can compare it with two
+fresh runs byte for byte (one a threads=4 variant of the parallel surface).
 """
 
 import json
@@ -273,16 +273,39 @@ def collect_c10() -> dict:
     return {"zipf": zipf_runs, "geometric": geom_runs}
 
 
-def write_criterion_artifacts(out_dir: Path, threads: int = 1) -> None:
+def write_criterion_artifacts(out_dir: Path, threads: int = 1) -> dict[str, float]:
+    """Write criteria 5-10's artifacts; returns the seconds each took to collect."""
     out_dir.mkdir(parents=True, exist_ok=True)
     triplets, meta, truth = generate_synthetic(main_scenario(), seed=6)
     stream = build_stream(triplets, meta.node_names, DELTA)
-    dump_json(collect_c5(), out_dir / "c5.json")
-    dump_json(collect_c6(stream, meta, truth), out_dir / "c6.json")
-    dump_json(collect_c7(), out_dir / "c7.json")
-    dump_json(collect_c8(stream, meta, threads=threads), out_dir / "c8.json")
-    dump_json(collect_c9(), out_dir / "c9.json")
-    dump_json(collect_c10(), out_dir / "c10.json")
+    collectors = {
+        "c5.json": collect_c5,
+        "c6.json": lambda: collect_c6(stream, meta, truth),
+        "c7.json": collect_c7,
+        "c8.json": lambda: collect_c8(stream, meta, threads=threads),
+        "c9.json": collect_c9,
+        "c10.json": collect_c10,
+    }
+    seconds = {}
+    for name, collect in collectors.items():
+        start = time.perf_counter()
+        dump_json(collect(), out_dir / name)
+        seconds[name] = time.perf_counter() - start
+    return seconds
+
+
+@pytest.fixture(scope="session")
+def criterion_artifacts(tmp_path_factory):
+    """Criteria 5-10's artifacts, collected once a session: ``(directory,
+    seconds per artifact)``.  Criterion 11 compares them with fresh runs."""
+    out = tmp_path_factory.mktemp("criteria")
+    return out, write_criterion_artifacts(out)
+
+
+def read_artifact(bundle, name: str) -> tuple[dict, float]:
+    """An artifact of the bundle, and the seconds it took to collect."""
+    out, seconds = bundle
+    return json.loads((out / name).read_text()), seconds[name]
 
 
 # ---------------------------------------------------------------------------
@@ -381,22 +404,22 @@ def test_criterion_04_statistics_references():
     )
 
 
-def test_criterion_05_planted_spike_detection():
-    artifact = collect_c5()
+def test_criterion_05_planted_spike_detection(criterion_artifacts):
+    artifact, _ = read_artifact(criterion_artifacts, "c5.json")
     report_line(
         5, "planted-spike detection", artifact["successes"] >= 19,
         f"{artifact['successes']}/20 seeds",
     )
 
 
-def test_criterion_06_end_to_end_identification(main_trace):
+def test_criterion_06_end_to_end_identification(main_trace, criterion_artifacts):
     start = time.perf_counter()
     stream, meta, truth = main_trace
     background_max = 4
     for entry in truth.entries:
         peak = max_value(stream.degree_profile(meta.node_names.index(entry.node)))
         assert peak > background_max
-    artifact = collect_c6(stream, meta, truth)
+    artifact, collected = read_artifact(criterion_artifacts, "c6.json")
     overlap = artifact["overlap"]
     matched_nodes = {m["node"] for m in overlap["matched"]}
     coverage_ok = all(
@@ -404,7 +427,7 @@ def test_criterion_06_end_to_end_identification(main_trace):
         for m in overlap["matched"]
     )
     validation = artifact["validation"]
-    elapsed = time.perf_counter() - start
+    elapsed = time.perf_counter() - start + collected
     ok = (
         matched_nodes == {"scanner", "sink", "burst"}
         and coverage_ok
@@ -421,8 +444,8 @@ def test_criterion_06_end_to_end_identification(main_trace):
     )
 
 
-def test_criterion_07_rollback_behaviour():
-    artifact = collect_c7()
+def test_criterion_07_rollback_behaviour(criterion_artifacts):
+    artifact, _ = read_artifact(criterion_artifacts, "c7.json")
     rolled = [rec for rec in artifact["log"] if rec["status"] == "rolled-back"]
     applied = [rec for rec in artifact["log"] if rec["status"] == "applied"]
     ok = (
@@ -438,9 +461,8 @@ def test_criterion_07_rollback_behaviour():
     )
 
 
-def test_criterion_08_tau_stability(main_trace):
-    stream, meta, _ = main_trace
-    artifact = collect_c8(stream, meta)
+def test_criterion_08_tau_stability(criterion_artifacts):
+    artifact, _ = read_artifact(criterion_artifacts, "c8.json")
     jaccards = {float(k): v for k, v in artifact["jaccards"].items()}
     spike = artifact["spike_intervals"]
     reference_spike = spike["2.0"]
@@ -453,8 +475,8 @@ def test_criterion_08_tau_stability(main_trace):
     )
 
 
-def test_criterion_09_normalization():
-    artifact = collect_c9()
+def test_criterion_09_normalization(criterion_artifacts):
+    artifact, _ = read_artifact(criterion_artifacts, "c9.json")
     raw = artifact["raw_fraction_above_one"]
     norm = artifact["normalized_fraction_above_one"]
     report_line(
@@ -463,14 +485,12 @@ def test_criterion_09_normalization():
     )
 
 
-def test_criterion_10_power_law_calibration():
-    start = time.perf_counter()
-    artifact = collect_c10()
+def test_criterion_10_power_law_calibration(criterion_artifacts):
+    artifact, elapsed = read_artifact(criterion_artifacts, "c10.json")
     zipf_ok = sum(
         1 for r in artifact["zipf"] if not r["rejected"] and r["p_value"] >= 0.1
     )
     geom_ok = sum(1 for r in artifact["geometric"] if r["rejected"])
-    elapsed = time.perf_counter() - start
     report_line(
         10, "power-law calibration",
         zipf_ok >= 9 and geom_ok >= 9 and elapsed < 120.0,
@@ -478,11 +498,10 @@ def test_criterion_10_power_law_calibration():
     )
 
 
-def test_criterion_11_determinism(tmp_path):
-    run_a = tmp_path / "run_a"
+def test_criterion_11_determinism(criterion_artifacts, tmp_path):
+    run_a = criterion_artifacts[0]
     run_b = tmp_path / "run_b"
     run_c = tmp_path / "run_c"
-    write_criterion_artifacts(run_a, threads=1)
     write_criterion_artifacts(run_b, threads=1)
     write_criterion_artifacts(run_c, threads=4)
     names = ["c5.json", "c6.json", "c7.json", "c8.json", "c9.json", "c10.json"]

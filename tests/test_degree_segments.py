@@ -14,17 +14,17 @@ import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 from streamdeg import intervals as iv, linkstream
-from streamdeg.pipeline import Event, identify_event
+from streamdeg.pipeline import Event
 from streamdeg.slicing import (
     FractionMatrix,
     TimeSliceGrid,
     build_scheme,
     fraction_matrix,
     slice_value_measures,
-    update_rows,
+    with_row,
 )
 
-from streams import clip, from_pair_intervals, profile_lists, rebuilt
+from streams import clip, from_pair_intervals, identified, profile_lists, rebuilt
 from test_linkstream import segment_rows, timed_streams
 
 
@@ -162,7 +162,7 @@ def check_read_path(data, chained, normalized, tau):
         full = fraction_matrix(s, grid, scheme, view)
         for i in range(grid.count):
             fractions, zero = reference_row(measures[i], scheme, denom)
-            row = update_rows(blank, s, range(i, i + 1), view)
+            row = with_row(blank, i, linkstream.slice_state(s, *grid.bounds(i)).read(view))
             assert row.fractions[i].tolist() == fractions
             assert row.zero[i] == zero
             assert full.fractions[i].tolist() == fractions
@@ -171,7 +171,7 @@ def check_read_path(data, chained, normalized, tau):
         for j in range(1, len(scheme) + 1):
             for i in range(grid.count):
                 event = Event(j, i, 0.0, "nonzero-in-A")
-                found = identify_event(s, event, grid, scheme, view)
+                found = identified(s, event, grid, scheme, view)
                 assert found.entries == reference_entries(s, grid, scheme, series, j, i)
 
 
@@ -193,28 +193,28 @@ def windowed_chains(draw):
     return stream, removals, t0, t1
 
 
-# a with b on [0, 4) and b with c on [4, 8), then a cut on [3, 4): a keeps its
-# span to 4 from before the cut, and c's first breakpoint is 4
+# a with b on [0, 4) and b with c on [4, 8), then a cut on [3, 4): a's span
+# shrinks from [0, 4) to [0, 3), and c's first breakpoint is 4
 EDGES = from_pair_intervals(["a", "b", "c"], {("a", "b"): [(0.0, 4.0)], ("b", "c"): [(4.0, 8.0)]})
 CUT_A = [[(0, (3.0, 4.0))]]
 
 
 @given(windowed_chains(), st.booleans())
-@example((EDGES, CUT_A, 4.0, 8.0), False)  # a's inherited last breakpoint at t0
+@example((EDGES, CUT_A, 4.0, 8.0), False)  # a's last breakpoint before the cut at t0
 @example((EDGES, CUT_A, 3.0, 8.0), True)  # a's last breakpoint after the cut at t0
 @example((EDGES, CUT_A, 0.0, 4.0), False)  # c's first breakpoint at t1
 @example((EDGES, CUT_A, 2.0, 4.0), True)  # the same, normalized
 @settings(max_examples=80, deadline=None)
-def test_inherited_spans_hide_no_segment(case, normalized):
-    # a derived stream reads only the nodes whose spans, inherited from the
-    # root, meet the window; a stream on its arrays sweeps its own, exact ones
+def test_derived_streams_sweep_their_own_spans(case, normalized):
+    # a derived stream holds no profile store of its parent's; read, it sweeps
+    # its own, so it reads the segments of a stream rebuilt on its arrays
     stream, removals, t0, t1 = case
     stream._degree_arrays()
-    spans = stream._spans
     series = stream.mean_degree_per_second() if normalized else None
     for victims in removals:
-        stream = stream.remove_interactions(victims)
-        assert stream._spans is spans
+        out = stream.remove_interactions(victims)
+        assert out is stream or out._profiles is out._spans is None
+        stream = out
         got = linkstream.degree_segments(stream, t0, t1, series)
         want = linkstream.degree_segments(rebuilt(stream), t0, t1, series)
         assert [c.tobytes() for c in got] == [c.tobytes() for c in want]

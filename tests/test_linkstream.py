@@ -490,6 +490,24 @@ def timed_streams(draw):
     return build_stream(triplets, [f"n{i}" for i in range(n_nodes)], delta)
 
 
+@given(timed_streams(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_one_cut_equals_many(stream, data):
+    # cuts of the stream's nodes inside its span, on its interval ends or
+    # anywhere, removed one at a time or all at once
+    ends = [t for ivs in stream.links.values() for pt in ivs for t in pt]
+    times = st.one_of(st.floats(stream.t_begin, stream.t_end), st.sampled_from(ends or [stream.t_begin]))
+    cut = st.tuples(st.integers(0, stream.num_nodes - 1), st.lists(times, min_size=2, max_size=2))
+    victims = [(n, tuple(sorted(ts))) for n, ts in data.draw(st.lists(cut, max_size=8))]
+    stepped = stream
+    for victim in victims:
+        stepped = stepped.remove_interactions([victim])
+    at_once, one_by_one = io.BytesIO(), io.BytesIO()
+    stream.remove_interactions(victims).save(at_once)
+    stepped.save(one_by_one)
+    assert at_once.getvalue() == one_by_one.getvalue()
+
+
 class TestMeanDegree:
     @given(timed_streams(), victim_lists)
     @settings(max_examples=80, deadline=None)

@@ -111,6 +111,18 @@ def test_removal_peak_bounded_by_the_intervals(trace_text):
     assert peak < 3 * intervals, (peak, intervals)
 
 
+def test_removal_peak_with_profiles_built(trace_text, stream):
+    # the same cuts of a stream whose profile store is built: the derived
+    # stream sweeps its own store when read, so the removal holds neither a
+    # re-sweep nor a second store beside the new intervals
+    cuts = [(0, (a, a + 1.0)) for a in np.arange(0.0, 2000.0, 4.0).tolist()]
+    assert stream._profiles is not None
+    peak, out = peak_bytes(lambda: stream.remove_interactions(cuts))
+    assert out.total_link_seconds() < stream.total_link_seconds()
+    intervals = stream._starts.nbytes + stream._ends.nbytes
+    assert peak < 3 * intervals, (peak, intervals)
+
+
 class _CountingSink:
     """A binary output that keeps only the number of bytes written to it."""
 

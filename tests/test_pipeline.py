@@ -6,14 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from streamdeg import intervals as iv, pipeline
-from streamdeg.linkstream import LinkStream, build_stream, normalize_degrees
+from streamdeg.linkstream import build_stream, normalize_degrees, slice_state
 from streamdeg.pipeline import (
     Event,
+    IdentifiedSet,
     PipelineParams,
     classify_classes,
     detect_events,
     event_statuses,
-    identify_event,
     negative_outliers,
     run_identification,
     write_events_csv,
@@ -29,7 +29,6 @@ from streamdeg.slicing import (
     build_scheme,
     fraction_matrix,
     slice_value_measures,
-    update_rows,
 )
 from streamdeg.trace_io import (
     FanInInjection,
@@ -40,7 +39,7 @@ from streamdeg.trace_io import (
     generate_synthetic,
 )
 
-from streams import from_pair_intervals, rebuilt
+from streams import from_pair_intervals, identified, rebuilt
 from test_linkstream import timed_streams
 
 
@@ -139,7 +138,7 @@ class TestIdentifyEvent:
         scheme = build_class_scheme(300, 0.1)
         j = scheme.class_of(300)
         event = Event(j, 0, 0.1, "nonzero-in-A")
-        ident = identify_event(stream, event, grid, scheme)
+        ident = identified(stream, event, grid, scheme)
         assert ident.entries[0] == [(630.1, 631.4)]
 
     def test_partners_identified_in_their_class(self):
@@ -147,7 +146,7 @@ class TestIdentifyEvent:
         grid = TimeSliceGrid(630.0, 2.0, 1)
         scheme = build_class_scheme(300, 0.1)
         event = Event(1, 0, 0.1, "nonzero-in-A")  # class {1}: the partners
-        ident = identify_event(stream, event, grid, scheme)
+        ident = identified(stream, event, grid, scheme)
         assert 0 not in ident.entries
         assert len(ident.entries) == 300
 
@@ -156,8 +155,8 @@ class TestIdentifyEvent:
         grid = TimeSliceGrid(630.0, 2.0, 1)
         scheme = build_class_scheme(300, 0.1)
         event = Event(scheme.class_of(10), 0, 0.0, "nonzero-in-A")
-        ident = identify_event(stream, event, grid, scheme)
-        assert ident.is_empty
+        ident = identified(stream, event, grid, scheme)
+        assert ident.entries == {}
 
 
 class TestNormalizedView:
@@ -189,8 +188,8 @@ class TestNormalizedView:
         for j in range(1, len(raw_scheme) + 1):
             for i in range(grid.count):
                 event = Event(j, i, 0.0, "nonzero-in-A")
-                raw = identify_event(stream, event, grid, raw_scheme)
-                norm = identify_event(stream, event, grid, norm_scheme, normalized=view)
+                raw = identified(stream, event, grid, raw_scheme)
+                norm = identified(stream, event, grid, norm_scheme, normalized=view)
                 assert norm.entries == raw.entries, (j, i)
                 found += len(raw.entries)
         assert found > 0
@@ -219,8 +218,8 @@ class TestClassMembership:
         matrix = fraction_matrix(stream, grid, scheme, view)
         assert len(scheme) == 5 and matrix.fractions[0, 4] == 1.0
         for j in range(1, len(scheme) + 1):
-            found = identify_event(stream, Event(j, 0, 0.0, "nonzero-in-A"), grid, scheme,
-                                   normalized=view)
+            found = identified(stream, Event(j, 0, 0.0, "nonzero-in-A"), grid, scheme,
+                               normalized=view)
             assert found.measure == matrix.fractions[0, j - 1] * grid.tau * 3, j
 
     @given(timed_streams(), st.booleans(), st.sampled_from([2.0, 0.7]))
@@ -231,8 +230,8 @@ class TestClassMembership:
         matrix = fraction_matrix(stream, grid, scheme, view)
         for j in range(1, len(scheme) + 1):
             for i in range(grid.count):
-                found = identify_event(stream, Event(j, i, 0.0, "nonzero-in-A"), grid, scheme,
-                                       normalized=view)
+                found = identified(stream, Event(j, i, 0.0, "nonzero-in-A"), grid, scheme,
+                                   normalized=view)
                 cell = matrix.fractions[i, j - 1] * grid.tau * stream.num_nodes
                 assert found.measure == pytest.approx(cell, rel=0, abs=1e-9), (j, i)
 
@@ -369,7 +368,7 @@ class TestRunIdentification:
         scheme = build_class_scheme(stream.max_degree(), 0.1)
         result = run_identification(stream, grid, scheme)
         assert result.log == []
-        assert result.identified_set.is_empty
+        assert result.identified_set.entries == {}
         assert result.final_stream is stream
 
     def test_rollback_on_stripped_baseline(self, rollback_scenario):
@@ -391,6 +390,22 @@ class TestRunIdentification:
         after = io.BytesIO()
         result.final_stream.save(after)
         assert before.getvalue() == after.getvalue()
+
+    @pytest.mark.parametrize("rollback_fit", ["refit", "frozen"])
+    @pytest.mark.parametrize("normalized", [False, True])
+    def test_input_untouched(self, rollback_scenario, normalized, rollback_fit):
+        stream, grid, _, _ = rollback_scenario
+        scheme, _ = build_scheme(stream, 0.1, normalized)
+
+        def snapshot():
+            cache = io.BytesIO()
+            stream.save(cache)
+            return cache.getvalue(), [a.tobytes() for a in stream._degree_arrays()]
+
+        before = snapshot()
+        params = PipelineParams(rollback_fit=rollback_fit, normalized=normalized)
+        run_identification(stream, grid, scheme, params)
+        assert snapshot() == before
 
     def test_rollback_fit_frozen_mode(self, rollback_scenario):
         stream, grid, scheme, names = rollback_scenario
@@ -441,67 +456,88 @@ class TestRunIdentification:
         assert result.identified_set.measure == 2.0
 
 
+def check_each_attempt(stream, grid, scheme, params) -> int:
+    """Run the removal loop and check each attempt against a full recompute:
+    its victims equal those found on the input less the victims applied before
+    it, and its slice's segments, matrix, labels, events and negatives equal
+    those of the input less those victims and its own.  Returns the number of
+    attempts that cut."""
+    identify, cut, detect = pipeline.identify_event, pipeline.cut_slice, pipeline._detect_state
+    attempts = []
+
+    def identify_recorded(state, event, scheme, view):
+        attempts.append({"victims": identify(state, event, scheme, view)})
+        return attempts[-1]["victims"]
+
+    def cut_recorded(stream, state, cuts):
+        attempts[-1]["slice"] = cut(stream, state, cuts)
+        return attempts[-1]["slice"]
+
+    def detect_recorded(matrix, params, previous=None, changed=()):
+        out = detect(matrix, params, previous, changed)
+        if previous is not None:
+            attempts[-1]["state"] = out
+        return out
+
+    with mock.patch.object(pipeline, "identify_event", identify_recorded), \
+            mock.patch.object(pipeline, "cut_slice", cut_recorded), \
+            mock.patch.object(pipeline, "_detect_state", detect_recorded):
+        result = run_identification(stream, grid, scheme, params)
+    view = normalize_degrees(stream, stream.mean_degree_per_second()) if params.normalized else None
+    applied = []
+    for rec, attempt in zip(result.log, attempts, strict=True):
+        victims = IdentifiedSet.of(*attempt["victims"])
+        before = rebuilt(stream.remove_interactions(applied))
+        assert victims.entries == identified(before, rec.event, grid, scheme, view).entries
+        assert rec.victims.entries == victims.entries
+        if rec.status == "cascade":
+            assert "slice" not in attempt
+            continue
+        tentative = rebuilt(stream.remove_interactions(applied + victims.victims()))
+        want = slice_state(tentative, *grid.bounds(rec.event.slice_index)).segments
+        assert [c.tobytes() for c in attempt["slice"].segments] == [c.tobytes() for c in want]
+        try:
+            full = detect(fraction_matrix(tentative, grid, scheme, view), params)
+        except SchemeRangeError as exc:  # removals cannot leave the scheme
+            pytest.fail(f"a tentative stream has a degree outside the scheme: {exc}")
+        got = attempt["state"]
+        assert got.matrix.fractions.tobytes() == full.matrix.fractions.tobytes()
+        assert got.matrix.zero.tobytes() == full.matrix.zero.tobytes()
+        assert repr(got.labels) == repr(full.labels)
+        assert got.events == full.events
+        assert got.negatives == full.negatives
+        if rec.status == "applied":
+            applied += victims.victims()
+    return sum(1 for attempt in attempts if "slice" in attempt)
+
+
 class TestRowUpdate:
-    """The removal loop recomputes only the rows an attempt reaches and reads
-    only the nodes whose inherited spans meet the event's slice; each
-    attempt's matrix must equal a full recompute of the tentative stream, and
-    its victims those found on a stream that swept its own profiles."""
+    """An attempt cuts only its slice's state, recomputes only its slice's row
+    from it and refits only the classes whose cell in that row changed; each
+    attempt must equal a full recompute on the input less its victims and
+    those applied before it."""
 
     @pytest.mark.parametrize("rollback_fit", ["refit", "frozen"])
     @pytest.mark.parametrize("normalized", [False, True])
     @pytest.mark.parametrize("tau", [2.0, 0.3])  # 0.3: slice edges are not exact
     @pytest.mark.parametrize("scenario", ["injected_scenario", "rollback_scenario"])
-    def test_equals_full_recompute(
-        self, request, monkeypatch, scenario, tau, normalized, rollback_fit
-    ):
+    def test_equals_full_recompute(self, request, scenario, tau, normalized, rollback_fit):
         stream = request.getfixturevalue(scenario)[0]
         grid = TimeSliceGrid.covering(stream.t_begin, stream.t_end, tau)
         scheme, _ = build_scheme(stream, 0.1, normalized)
-        attempts = []
-
-        def checked(matrix, tentative, rows, view=None):
-            try:
-                full = fraction_matrix(rebuilt(tentative), grid, scheme, view)
-            except SchemeRangeError as exc:  # removals cannot leave the scheme
-                pytest.fail(f"a tentative stream has a degree outside the scheme: {exc}")
-            out = update_rows(matrix, tentative, rows, view)
-            assert np.array_equal(out.fractions, full.fractions), rows
-            assert np.array_equal(out.zero, full.zero), rows
-            attempts.append(rows)
-            return out
-
-        def identify_checked(stream, event, grid, scheme, view):
-            out = identify_event(stream, event, grid, scheme, view)
-            assert out.entries == identify_event(rebuilt(stream), event, grid, scheme, view).entries
-            return out
-
-        monkeypatch.setattr(pipeline, "update_rows", checked)
-        monkeypatch.setattr(pipeline, "identify_event", identify_checked)
         params = PipelineParams(rollback_fit=rollback_fit, normalized=normalized)
-        result = run_identification(stream, grid, scheme, params)
-        assert len(attempts) == sum(1 for rec in result.log if rec.status != "cascade") > 0
+        assert check_each_attempt(stream, grid, scheme, params) > 0
 
     @given(timed_streams(), st.booleans(), st.sampled_from(["refit", "frozen"]),
            st.sampled_from([2.0, 0.7]))
     @settings(max_examples=80, deadline=None)
     def test_spliced_profiles_equal_a_full_sweep(self, stream, normalized, rollback_fit, tau):
-        # each attempt splices its parent's profile store, inside the attempt's
-        # slice, and its parent is the end of a chain of applied removals
+        # each attempt splices the segments of the nodes it touched into its
+        # slice's, after a chain of applied removals in that slice
         grid = TimeSliceGrid.covering(stream.t_begin, stream.t_end, tau)
         scheme, _ = build_scheme(stream, 0.1, normalized)
-        derived = []
-        remove = LinkStream.remove_interactions
-
-        def recorded(self, victims):
-            derived.append(remove(self, victims))
-            return derived[-1]
-
-        with mock.patch.object(LinkStream, "remove_interactions", recorded):
-            params = PipelineParams(rollback_fit=rollback_fit, normalized=normalized)
-            run_identification(stream, grid, scheme, params)
-        for out in derived:
-            spliced, swept = out._profiles, rebuilt(out)._degree_arrays()
-            assert [a.tobytes() for a in spliced] == [a.tobytes() for a in swept]
+        params = PipelineParams(rollback_fit=rollback_fit, normalized=normalized)
+        check_each_attempt(stream, grid, scheme, params)
 
 
 class TestExports:
