@@ -10,9 +10,8 @@ Storage is columnar.  Pair ``p`` joins nodes ``u[p] < v[p]``, and its
 intervals are ``starts[offsets[p]:offsets[p + 1]]`` and ``ends[...]`` (CSR).
 Every stream, parsed, loaded from its cache or derived by a removal, keeps
 its pairs in ascending ``(u, v)`` order, so a stream and its cache hold the
-same arrays and every sum over them adds in the same order.  A pair that a
-removal empties stays in place but is marked dead, so pair indices never
-move; ``links`` is a dict of the alive pairs.
+same arrays and every sum over them adds in the same order.  A removal drops
+the pairs it empties; a pair the builder leaves without intervals is kept.
 
 The instantaneous degree of a node is the number of distinct neighbours whose
 pair interval covers t.  Degree profiles are computed exactly by a sweep over
@@ -24,8 +23,8 @@ slices; consecutive cells share their ``grid_bound``, so cells tile time.
 
 Streams are immutable.  ``remove_interactions`` trims pairs with the same
 endpoint sweep, ``_sweep``, the one place where interval endpoints meet, in
-``_trim``, and returns a new stream sharing the pair endpoints and the
-node-to-pair adjacency; it sweeps its own profile store when first read.
+``_trim``, and returns a new stream that builds its own node-to-pair
+adjacency and profile store when first read.
 ``SliceState`` holds one slice of a stream after cuts inside it, its degree
 segments and the pieces of the pairs those cuts trimmed, so a removal tried
 inside one slice costs what that slice holds and is rolled back by dropping
@@ -243,7 +242,7 @@ def _sweep(key: np.ndarray, times: np.ndarray, steps: np.ndarray) -> tuple[np.nd
     return key[first], times[first], np.cumsum(sums[sums != 0])
 
 
-def _trim(pair: np.ndarray, start: np.ndarray, end: np.ndarray, table: "_PairTable",
+def _trim(pair: np.ndarray, start: np.ndarray, end: np.ndarray, stream: "LinkStream",
           cuts: tuple[np.ndarray, ...]) -> tuple[tuple[np.ndarray, ...], ...]:
     """``(kept, lost)``, each ``(pair, start, end)`` in pair order, then time order:
     the pieces ``[start, end)`` of pairs, each pair's disjoint and ascending, less
@@ -256,7 +255,7 @@ def _trim(pair: np.ndarray, start: np.ndarray, end: np.ndarray, table: "_PairTab
     lost that where it is odd and below 1; a cut taken twice changes neither.
     """
     cut_node, cut_start, cut_end = cuts
-    ends_of = np.stack([table.u[pair], table.v[pair]], 1).ravel()
+    ends_of = np.stack([stream._u[pair], stream._v[pair]], 1).ravel()
     lo, hi = np.searchsorted(cut_node, ends_of), np.searchsorted(cut_node, ends_of, "right")
     lo = _search(cut_end, lo, hi, start.repeat(2), "right")
     hi = _search(cut_start, lo, hi, end.repeat(2))
@@ -268,47 +267,22 @@ def _trim(pair: np.ndarray, start: np.ndarray, end: np.ndarray, table: "_PairTab
     return tuple((key[at], time[at], time[at + 1]) for at in (kept, lost))
 
 
-class _PairTable:
-    """Pair endpoints in key order and the lookups built from them, once,
-    for a root stream and every stream derived from it."""
-
-    def __init__(self, u: np.ndarray, v: np.ndarray, num_nodes: int):
-        self.u = u
-        self.v = v
-        self.num_nodes = num_nodes
-        self._adjacency: tuple[np.ndarray, np.ndarray] | None = None
-
-    def adjacency(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(first, pair_ids)``: the pairs of node n are
-        ``pair_ids[first[n]:first[n + 1]]``, ascending."""
-        if self._adjacency is None:
-            ids = np.arange(len(self.u))
-            nodes = np.concatenate([self.u, self.v])
-            ids = np.concatenate([ids, ids])
-            order = np.lexsort((ids, nodes))
-            first = np.zeros(self.num_nodes + 1, dtype=np.int64)
-            np.cumsum(np.bincount(nodes, minlength=self.num_nodes), out=first[1:])
-            self._adjacency = (first, ids[order])
-        return self._adjacency
-
-
 class LinkStream:
     """Immutable link stream over dense node indices, in the arrays the
     module docstring describes."""
 
-    def __init__(self, node_names: Sequence[str], table: _PairTable, offsets: np.ndarray,
-                 starts: np.ndarray, ends: np.ndarray, alive: np.ndarray, delta: float,
-                 t_begin: float, t_end: float):
+    def __init__(self, node_names: Sequence[str], u: np.ndarray, v: np.ndarray, offsets: np.ndarray,
+                 starts: np.ndarray, ends: np.ndarray, delta: float, t_begin: float, t_end: float):
         self.node_names = list(node_names)
         self.delta = delta
         self.t_begin = t_begin
         self.t_end = t_end
-        self._table = table
+        self._u = u
+        self._v = v
         self._offsets = offsets
         self._starts = starts
         self._ends = ends
-        self._alive = alive
-        self.num_pairs = int(np.count_nonzero(alive))
+        self.num_pairs = len(u)
         # (first, times, levels): node n's breakpoints are times[first[n]:first[n + 1]], its
         # levels alike, the last the 0 after its last end; swept when first read
         self._profiles: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
@@ -324,22 +298,32 @@ class LinkStream:
 
     @cached_property
     def links(self) -> dict[PairKey, list[iv.Interval]]:
-        """``{(u, v): [(start, end), ...]}`` of the alive pairs, in key order."""
-        alive = np.flatnonzero(self._alive)
-        keys = zip(self._table.u[alive].tolist(), self._table.v[alive].tolist())
-        return {key: self._intervals(p) for key, p in zip(keys, alive.tolist())}
+        """``{(u, v): [(start, end), ...]}`` of the pairs, in key order."""
+        keys = zip(self._u.tolist(), self._v.tolist())
+        return {key: self._intervals(p) for p, key in enumerate(keys)}
 
     def _intervals(self, p: int) -> list[iv.Interval]:
         a, b = int(self._offsets[p]), int(self._offsets[p + 1])
         return list(zip(self._starts[a:b].tolist(), self._ends[a:b].tolist()))
 
+    @cached_property
+    def _adjacency(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(first, pair_ids)``: the pairs of node n are
+        ``pair_ids[first[n]:first[n + 1]]``, ascending."""
+        ids = np.arange(self.num_pairs)
+        nodes = np.concatenate([self._u, self._v])
+        ids = np.concatenate([ids, ids])
+        order = np.lexsort((ids, nodes))
+        first = np.zeros(self.num_nodes + 1, dtype=np.int64)
+        np.cumsum(np.bincount(nodes, minlength=self.num_nodes), out=first[1:])
+        return first, ids[order]
+
     def _pair_ids(self, nodes) -> np.ndarray:
-        """Alive pairs of any of ``nodes``, one or an array, ascending; none for an unknown node."""
+        """Pairs of any of ``nodes``, one or an array, ascending; none for an unknown node."""
         nodes = _distinct(np.atleast_1d(nodes))
         nodes = nodes[(0 <= nodes) & (nodes < self.num_nodes)]
-        first, pair_ids = self._table.adjacency()
-        ids = pair_ids[_ranges(first[nodes], first[nodes + 1] - first[nodes])]
-        return _distinct(ids[self._alive[ids]])
+        first, pair_ids = self._adjacency
+        return _distinct(pair_ids[_ranges(first[nodes], first[nodes + 1] - first[nodes])])
 
     def _runs(self, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(owner, at)``: the pair and the index of each interval of ``pairs``, in order."""
@@ -347,10 +331,10 @@ class LinkStream:
         return np.repeat(pairs, counts), _ranges(self._offsets[pairs], counts)
 
     def total_link_seconds(self) -> float:
-        """Sum of the alive pairs' interval lengths: each pair's lengths in
-        time order, then the pairs in order."""
-        owner = np.repeat(np.arange(len(self._alive)), np.diff(self._offsets))
-        per_pair = np.bincount(owner, self._ends - self._starts, len(self._alive))[self._alive]
+        """Sum of the pairs' interval lengths: each pair's lengths in time
+        order, then the pairs in order."""
+        owner = np.repeat(np.arange(self.num_pairs), np.diff(self._offsets))
+        per_pair = np.bincount(owner, self._ends - self._starts, self.num_pairs)
         # a running sum adds left to right, as ``intervals.ordered_sum`` does
         return float(np.add.accumulate(per_pair)[-1]) if len(per_pair) else 0
 
@@ -399,11 +383,10 @@ class LinkStream:
         offsets = np.zeros(len(keys) + 1, dtype=np.int64)
         np.cumsum(np.bincount(pair[opens], minlength=len(keys)), out=offsets[1:])
         del pair
-        table = _PairTable(keys // width, keys % width, len(node_names))
         t_begin = float(start.min()) if len(start) else 0.0
         t_end = float(end.max()) if len(end) else 0.0
-        return cls(node_names, table, offsets, start[opens], end[closes],
-                   np.ones(len(keys), dtype=bool), delta, t_begin, t_end)
+        return cls(node_names, keys // width, keys % width, offsets, start[opens], end[closes],
+                   delta, t_begin, t_end)
 
     # -- degree profiles ----------------------------------------------------
 
@@ -429,9 +412,8 @@ class LinkStream:
     def _sweep_profiles(self) -> tuple[np.ndarray, ...]:
         """``(counts, times, levels)`` of every node's breakpoints: one ``_sweep`` per
         block of +1 at each start and -1 at each end of its pairs' intervals."""
-        first, pair_ids = self._table.adjacency()
+        first, pair_ids = self._adjacency
         n_adj = np.diff(first)
-        # dead pairs hold no intervals, so they add no endpoints
         lo = self._offsets[pair_ids]
         n_iv = self._offsets[pair_ids + 1] - lo
         bound = np.cumsum(2 * np.diff(np.concatenate([[0], np.cumsum(n_iv)])[first]))
@@ -462,8 +444,9 @@ class LinkStream:
         """Return a stream with every victim's incident links cut.
 
         For each victim ``(v, I)`` every pair containing v loses ``I``
-        intersected with its intervals; all other pairs are shared untouched.
-        A pair left without intervals dies.  Removing absent time is a no-op.
+        intersected with its intervals; all other pairs keep theirs.  A pair
+        the cuts leave without intervals is dropped.  Removing absent time is
+        a no-op.
         """
         by_node: dict[int, list[iv.Interval]] = {}
         for n, cut in victims:
@@ -471,23 +454,20 @@ class LinkStream:
         # each node's cuts merged, so their starts and their ends both ascend
         cuts = np.array([(n, a, b) for n in sorted(by_node) for a, b in iv.merge(by_node[n])]).reshape(-1, 3)
         cuts = (cuts[:, 0].astype(np.int64), cuts[:, 1], cuts[:, 2])
-        t0, t1 = cuts[1].min(initial=math.inf), cuts[2].max(initial=-math.inf)
-        # only a pair with an interval that ends after t0 and starts before t1 can lose anything
         owner, runs = self._runs(self._pair_ids(cuts[0]))
-        reach = np.isin(owner, owner[(self._ends[runs] > t0) & (self._starts[runs] < t1)])
-        owner, runs = owner[reach], runs[reach]
-        (key, start, end), lost = _trim(owner, self._starts[runs], self._ends[runs], self._table, cuts)
+        (key, start, end), lost = _trim(owner, self._starts[runs], self._ends[runs], self, cuts)
         if not len(lost[0]):
             return self
         trimmed = _distinct(lost[0])
         take = _within(key, trimmed)
         counts = np.bincount(np.searchsorted(trimmed, key[take]), minlength=len(trimmed))
-        alive = self._alive.copy()
-        alive[trimmed[counts == 0]] = False
-        return LinkStream(self.node_names, self._table, *_splice(
-            self._offsets, (self._starts, self._ends), trimmed, self._offsets[trimmed],
-            self._offsets[trimmed + 1], counts, start[take], end[take]),
-                          alive, self.delta, self.t_begin, self.t_end)
+        offsets, starts, ends = _splice(self._offsets, (self._starts, self._ends), trimmed,
+                                        self._offsets[trimmed], self._offsets[trimmed + 1], counts,
+                                        start[take], end[take])
+        keep = np.ones(self.num_pairs, dtype=bool)
+        keep[trimmed[counts == 0]] = False
+        return LinkStream(self.node_names, self._u[keep], self._v[keep], offsets[np.append(keep, True)],
+                          starts, ends, self.delta, self.t_begin, self.t_end)
 
     # -- per-second aggregates ----------------------------------------------
 
@@ -504,8 +484,8 @@ class LinkStream:
             return self._series
         start = int(math.floor(self.t_begin))
         acc = np.zeros(max(int(math.ceil(self.t_end)) - start, 0))
-        # pieces in pair order, then time order, then second order (dead pairs
-        # hold no intervals), added one by one by np.add.at
+        # pieces in pair order, then time order, then second order, added one
+        # by one by np.add.at
         _, cell, lo, hi = grid_pieces(self._starts, self._ends, float(start), 1.0,
                                       grid_cells(self._starts, self._ends, float(start), 1.0))
         np.add.at(acc, cell, 2.0 * (hi - lo))
@@ -519,26 +499,24 @@ class LinkStream:
 
     def save(self, out: BinaryIO) -> None:
         """Serialize to the little-endian binary cache format (see README):
-        a header, the node names, then one record per alive pair in key
-        order, ``u, v, n`` as u64 followed by n ``start, end`` f64 pairs."""
+        a header, the node names, then one record per pair in key order,
+        ``u, v, n`` as u64 followed by n ``start, end`` f64 pairs."""
         head = [self.MAGIC, struct.pack("<H", self.VERSION),
                 struct.pack("<ddd", self.delta, self.t_begin, self.t_end),
                 struct.pack("<Q", self.num_nodes)]
         for name in self.node_names:
             raw = name.encode("utf-8")
             head += [struct.pack("<H", len(raw)), raw]
-        # dead pairs hold no intervals, so the alive pairs' intervals are all of them
-        alive = np.flatnonzero(self._alive)
         counts = np.diff(self._offsets)
-        head.append(struct.pack("<Q", len(alive)))
+        head.append(struct.pack("<Q", self.num_pairs))
         out.write(b"".join(head))
 
-        sizes = 3 + 2 * counts[alive]
+        sizes = 3 + 2 * counts
         heads = np.cumsum(sizes) - sizes
         for pairs, ivs, _, at, is_body in _record_blocks(heads, int(sizes.sum())):
             words = np.empty(len(is_body), dtype="<u8")
-            for k, column in enumerate((self._table.u, self._table.v, counts)):
-                words[at + k] = column[alive[pairs]]
+            for k, column in enumerate((self._u, self._v, counts)):
+                words[at + k] = column[pairs]
             words.view("<f8")[is_body] = np.stack([self._starts[ivs], self._ends[ivs]], axis=1).ravel()
             out.write(words.tobytes())
 
@@ -579,6 +557,8 @@ class LinkStream:
                 raise ValueError(f"truncated at byte {len(buf)}")
             names.append(buf[pos:pos + ln].decode("utf-8"))
             pos += ln
+        if len(set(names)) < len(names):
+            raise ValueError("a node name is repeated")
         (n_pairs,) = unpack("<Q")
         n_words = (len(buf) - pos) // 8
         if n_pairs > n_words // 3:
@@ -616,8 +596,7 @@ class LinkStream:
         after[offsets[:-1][counts > 0]] = True
         if not (after & (t_begin <= starts) & (starts < ends) & (ends <= t_end)).all():
             raise ValueError(f"intervals not disjoint, ascending and inside [{t_begin}, {t_end}]")
-        return cls(names, _PairTable(u, v, n_nodes), offsets, starts, ends,
-                   np.ones(n_pairs, dtype=bool), delta, t_begin, t_end)
+        return cls(names, u, v, offsets, starts, ends, delta, t_begin, t_end)
 
 
 def build_stream(triplets: Iterable[Triplet], node_names: Sequence[str], delta: float) -> LinkStream:
@@ -711,10 +690,10 @@ def cut_slice(stream: LinkStream, state: SliceState, cuts: tuple[np.ndarray, ...
     meets = (end > t0) & (start < t1)
     mine = _within(held[0], pairs)
     pieces = (owner[meets], np.maximum(start[meets], t0), np.minimum(end[meets], t1))
-    kept, lost = _trim(*(np.concatenate([a, b[mine]]) for a, b in zip(pieces, held)), stream._table, cuts)
+    kept, lost = _trim(*(np.concatenate([a, b[mine]]) for a, b in zip(pieces, held)), stream, cuts)
     if not len(lost[0]):
         return state
-    u, v = stream._table.u[lost[0]], stream._table.v[lost[0]]
+    u, v = stream._u[lost[0]], stream._v[lost[0]]
     swept = _within(segs.node, _distinct(np.concatenate([u, v])))
     node, time, level = _sweep(*(np.concatenate(c) for c in zip(
         _bounds(segs.node[swept], segs.start[swept], segs.end[swept], segs.value[swept]),

@@ -286,16 +286,8 @@ def fit_homogeneous(
     one-sample KS statistic stays below the asymptotic critical value at
     ``ks_alpha``.  Fewer than 8 values cannot establish a baseline and are
     rejected outright; an all-equal sample is accepted with sigma = 0.
-
-    Fits are cached by the bytes of the values: the removal loop refits every
-    class after each attempt, and most columns come back unchanged.
     """
-    return _fit_homogeneous(np.asarray(values, dtype=float).tobytes(), grubbs_alpha, ks_alpha)
-
-
-@functools.lru_cache(maxsize=256)
-def _fit_homogeneous(key: bytes, grubbs_alpha: float, ks_alpha: float) -> NormalFit:
-    arr = np.frombuffer(key)
+    arr = np.asarray(values, dtype=float)
     if len(arr) < 8:
         mu = float(arr.mean()) if len(arr) else 0.0
         sigma = float(arr.std()) if len(arr) else 0.0

@@ -11,7 +11,7 @@ from typing import Sequence
 import numpy as np
 
 from streamdeg import intervals as iv
-from streamdeg.linkstream import DegreeProfile, LinkStream, _PairTable, slice_state
+from streamdeg.linkstream import DegreeProfile, LinkStream, slice_state
 from streamdeg.pipeline import IdentifiedSet, identify_event
 
 
@@ -41,24 +41,23 @@ def from_pair_intervals(
     if t_end is None:
         t_end = float(flat[:, 1].max()) if len(flat) else 0.0
     pairs = np.array(keys, dtype=np.int64).reshape(-1, 2)
-    return LinkStream(node_names, _PairTable(pairs[:, 0], pairs[:, 1], len(node_names)), offsets,
-                      flat[:, 0].copy(), flat[:, 1].copy(), np.ones(len(keys), dtype=bool),
-                      delta, t_begin, t_end)
+    return LinkStream(node_names, pairs[:, 0], pairs[:, 1], offsets, flat[:, 0].copy(),
+                      flat[:, 1].copy(), delta, t_begin, t_end)
 
 
 def rebuilt(stream: LinkStream) -> LinkStream:
     """A stream on ``stream``'s arrays with nothing read yet, so it sweeps its
     own profiles and series."""
-    return LinkStream(stream.node_names, stream._table, stream._offsets, stream._starts,
-                      stream._ends, stream._alive, stream.delta, stream.t_begin, stream.t_end)
+    return LinkStream(stream.node_names, stream._u, stream._v, stream._offsets, stream._starts,
+                      stream._ends, stream.delta, stream.t_begin, stream.t_end)
 
 
-# node -> keys of its alive pairs, built once per stream: streams are immutable
+# node -> keys of its pairs, built once per stream: streams are immutable
 _PAIRS_OF: "weakref.WeakKeyDictionary[LinkStream, dict]" = weakref.WeakKeyDictionary()
 
 
 def pairs_of(stream: LinkStream, node: int) -> list[tuple[int, int]]:
-    """Keys of the alive pairs of ``node``, ascending."""
+    """Keys of the pairs of ``node``, ascending."""
     if stream not in _PAIRS_OF:
         index: dict[int, list[tuple[int, int]]] = {}
         for key in stream.links:

@@ -110,15 +110,11 @@ def small_streams(draw):
     return build_stream(triplets, names, 1.0)
 
 
-def pairs_reaching(stream: LinkStream, cuts) -> list[list[tuple[float, float]]]:
+def pairs_of_cut_nodes(stream: LinkStream, cuts) -> list[list[tuple[float, float]]]:
     """Interval lists, in pair order, of the pairs of a cut node that hold an
-    interval ending after the earliest cut start and starting before the
-    latest cut end: the pairs a removal has to trim."""
+    interval: the pairs a removal examines."""
     nodes = {node for node, _ in cuts}
-    lo = min((a for _, (a, b) in cuts if b > a), default=math.inf)
-    hi = max((b for _, (a, b) in cuts if b > a), default=-math.inf)
-    return [ivs for (a, b), ivs in stream.links.items()
-            if {a, b} & nodes and any(e > lo and s < hi for s, e in ivs)]
+    return [ivs for (a, b), ivs in stream.links.items() if {a, b} & nodes and ivs]
 
 
 def swept_pairs(key, times, steps) -> list[list[tuple[float, float]]]:
@@ -307,9 +303,12 @@ class TestProfileSweep:
             with mock.patch.object(linkstream, "_sweep", wraps=linkstream._sweep) as sweep:
                 out = stream.remove_interactions(cuts)
             # the removal's sweep comes first, before the touched profiles' sweeps
-            assert swept_pairs(*sweep.call_args_list[0].args) == pairs_reaching(stream, cuts)
+            assert swept_pairs(*sweep.call_args_list[0].args) == pairs_of_cut_nodes(stream, cuts)
             fresh = stream_of(out.node_names, out.links, out.delta, out.t_begin, out.t_end)
             assert list(out.links.items()) == list(fresh.links.items())
+            # the pairs a removal empties leave its arrays, as a fresh build of its links has them
+            for name in ("_u", "_v", "_offsets", "_starts", "_ends"):
+                assert getattr(out, name).tobytes() == getattr(fresh, name).tobytes(), name
             for node in range(out.num_nodes):
                 got, want = out.degree_profile(node), fresh.degree_profile(node)
                 assert profile_lists(got) == profile_lists(want)
@@ -390,7 +389,7 @@ class TestRemoval:
             for t in rng.uniform(0, 50, size=200):
                 assert value_at(after, t) <= value_at(before, t)
 
-    def test_untouched_pairs_equal_and_profiles_shared(self):
+    def test_untouched_pairs_and_profiles_equal(self):
         stream = ref_stream()
         stream.max_degree()  # builds every profile
         out = stream.remove_interactions([(1, (0.0, 1.0))])
@@ -398,7 +397,7 @@ class TestRemoval:
         assert out.links[(0, 2)] == stream.links[(0, 2)]
         assert out.links[(1, 2)] == stream.links[(1, 2)]
         # c keeps only untouched pairs, so its profile equals the parent's; the
-        # spliced store is one new pair of arrays, so it cannot share them
+        # derived stream sweeps a profile store of its own
         assert profile_lists(out.degree_profile(2)) == profile_lists(stream.degree_profile(2))
         assert not np.shares_memory(out.degree_profile(0).times, stream.degree_profile(0).times)
         assert profile_lists(out.degree_profile(0)) == reference_profile(out, 0)
@@ -413,7 +412,7 @@ class TestRemoval:
             rebuilt = stream_of(s.node_names, s.links, s.delta, s.t_begin, s.t_end)
             for node in range(s.num_nodes):
                 ids = s._pair_ids(node)
-                adjacent = list(zip(s._table.u[ids].tolist(), s._table.v[ids].tolist()))
+                adjacent = list(zip(s._u[ids].tolist(), s._v[ids].tolist()))
                 assert adjacent == pairs_of(s, node) == pairs_of(rebuilt, node)
         assert len(streams[-1].links) < len(stream.links)
 
@@ -727,6 +726,7 @@ BAD_CACHES = {
     "NaN t_end": {"t_end": math.nan},
     "infinite t_begin": {"t_begin": -math.inf},
     "t_begin above t_end": {"t_begin": 10.5},
+    "repeated name": {"names": "aac"},
     "self pair": {"records": [(1, 1, [(0.0, 1.0)])]},
     "reversed pair": {"records": [(1, 0, [(0.0, 1.0)])]},
     "duplicate pair": {"records": [(0, 1, [(0.0, 1.0)]), (0, 1, [(2.0, 3.0)])]},
@@ -744,10 +744,10 @@ BAD_CACHES = {
 }
 
 
-def raw_cache(records=GOOD_RECORDS, delta=1.0, t_begin=0.0, t_end=10.0) -> bytes:
-    """A cache of nodes a, b and c holding ``records`` of ``(u, v, intervals)``."""
+def raw_cache(records=GOOD_RECORDS, delta=1.0, t_begin=0.0, t_end=10.0, names="abc") -> bytes:
+    """A cache of three one-letter ``names`` holding ``records`` of ``(u, v, intervals)``."""
     out = [LinkStream.MAGIC, struct.pack("<HdddQ", LinkStream.VERSION, delta, t_begin, t_end, 3)]
-    out += [struct.pack("<H", 1) + name.encode() for name in "abc"]
+    out += [struct.pack("<H", 1) + name.encode() for name in names]
     out.append(struct.pack("<Q", len(records)))
     for u, v, ivs in records:
         out.append(struct.pack("<QQQ", u, v, len(ivs)))
