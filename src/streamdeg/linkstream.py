@@ -43,7 +43,7 @@ from typing import BinaryIO, Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from . import intervals as iv
-from .trace_io import Triplet, Triplets
+from .trace_io import Triplet, Triplets, _ranks, is_node_name
 
 PairKey = tuple[int, int]
 
@@ -123,18 +123,6 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     new = np.ones(len(values), dtype=bool)
     new[1:] = values[1:] != values[:-1]
     return values[new]
-
-
-def _ranks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.unique(values, return_inverse=True)`` with fewer whole-array temporaries."""
-    order = np.argsort(values)
-    ordered = values[order]
-    new = np.ones(len(values), dtype=bool)
-    new[1:] = ordered[1:] != ordered[:-1]
-    del ordered
-    rank = np.empty_like(order)
-    rank[order] = np.cumsum(new) - 1
-    return values[order[new]], rank
 
 
 def _search(values: np.ndarray, lo: np.ndarray, hi: np.ndarray, t, side: str = "left") -> np.ndarray:
@@ -557,8 +545,8 @@ class LinkStream:
                 raise ValueError(f"truncated at byte {len(buf)}")
             names.append(buf[pos:pos + ln].decode("utf-8"))
             pos += ln
-        if len(set(names)) < len(names):
-            raise ValueError("a node name is repeated")
+        if len(set(names)) < len(names) or not all(map(is_node_name, names)):
+            raise ValueError("a node name is repeated, or no trace line can hold it")
         (n_pairs,) = unpack("<Q")
         n_words = (len(buf) - pos) // 8
         if n_pairs > n_words // 3:

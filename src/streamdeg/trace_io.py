@@ -115,6 +115,15 @@ class Triplets(Sequence[Triplet]):
         return NotImplemented
 
 
+def is_node_name(name: str) -> bool:
+    """Whether a trace line can hold ``name`` as a node: one ``str.split``
+    token that encodes as UTF-8 in at most ``MAX_NAME_BYTES`` bytes."""
+    try:
+        return isinstance(name, str) and name.split() == [name] and len(name.encode()) <= MAX_NAME_BYTES
+    except UnicodeEncodeError:
+        return False
+
+
 def _first(mask: np.ndarray) -> int | None:
     hits = np.flatnonzero(mask)
     return int(hits[0]) if hits.size else None
@@ -442,11 +451,13 @@ class ScenarioSpec:
             w0, w1 = inj.window
             if not (0 <= w0 < w1 <= self.duration):
                 raise ValueError(f"injection window {inj.window} outside [0, {self.duration})")
-            count = inj.targets if isinstance(inj, ScanInjection) else (
-                inj.sources if isinstance(inj, FanInInjection) else inj.level
-            )
+            name, count, _ = (getattr(inj, f.name) for f in fields(inj))
             if count < 1:
                 raise ValueError(f"injection needs a positive count, got {count}")
+            # the names made from it add '.', a letter and a number below count
+            if not (is_node_name(name) and is_node_name(f"{name}.t{count - 1}")):
+                raise ValueError(f"injection name {name!r:.80} or one made from it is not a "
+                                 f"whitespace-free UTF-8 token of at most {MAX_NAME_BYTES} bytes")
 
 
 def _reject_unknown(what: str, raw: dict, known: Iterable[str]) -> None:
@@ -492,12 +503,23 @@ def _second_centers(window: tuple[float, float]) -> list[float]:
     return [s + 0.5 for s in range(lo, hi) if window[0] <= s + 0.5 < window[1]]
 
 
-def _regular_edges(d: int, n: int, seed: int) -> set[tuple[int, int]]:
-    """The edges ``(a, b)``, ``a < b``, of ``networkx.random_regular_graph(d, n, seed)``.
+def _shuffle(x: list, getrandbits: Callable[[int], int]) -> None:
+    """``random.Random.shuffle(x)`` as CPython 3 writes it, on the same draws."""
+    for i in range(len(x) - 1, 0, -1):
+        k = (i + 1).bit_length()
+        j = getrandbits(k)
+        while j > i:
+            j = getrandbits(k)
+        x[i], x[j] = x[j], x[i]
+
+
+def _regular_edges(d: int, n: int, seed: int) -> set[int]:
+    """The edges of ``networkx.random_regular_graph(d, n, seed)``, as ``a * n + b`` for ``a < b``.
 
     Steger and Wormald's pairing model with restarts, ported line for line from
-    networkx 3.x (BSD-3-Clause) to draw the same numbers from ``random.Random``.
-    ``_suitable`` keeps its in-loop swap of ``s1``: it decides when to restart.
+    networkx 3.x (BSD-3-Clause) to draw the same numbers from ``random.Random``,
+    its shuffle inlined as ``_shuffle``.  ``_suitable`` keeps its in-loop swap
+    of ``s1``: it decides when to restart.
     """
     rng = random.Random(seed)
 
@@ -511,7 +533,7 @@ def _regular_edges(d: int, n: int, seed: int) -> set[tuple[int, int]]:
                     break
                 if s1 > s2:
                     s1, s2 = s2, s1
-                if (s1, s2) not in edges:
+                if s1 * n + s2 not in edges:
                     return True
         return False
 
@@ -520,13 +542,14 @@ def _regular_edges(d: int, n: int, seed: int) -> set[tuple[int, int]]:
         stubs = list(range(n)) * d
         while stubs:
             potential_edges = defaultdict(lambda: 0)
-            rng.shuffle(stubs)
+            _shuffle(stubs, rng.getrandbits)
             stubiter = iter(stubs)
             for s1, s2 in zip(stubiter, stubiter):
                 if s1 > s2:
                     s1, s2 = s2, s1
-                if s1 != s2 and ((s1, s2) not in edges):
-                    edges.add((s1, s2))
+                key = s1 * n + s2
+                if s1 != s2 and (key not in edges):
+                    edges.add(key)
                 else:
                     potential_edges[s1] += 1
                     potential_edges[s2] += 1
@@ -539,6 +562,45 @@ def _regular_edges(d: int, n: int, seed: int) -> set[tuple[int, int]]:
     while edges is None:
         edges = _try_creation()
     return edges
+
+
+def _ranks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(values, return_inverse=True)`` with fewer whole-array temporaries."""
+    order = np.argsort(values)
+    values = values[order]  # frees the input unless the caller holds it
+    new = np.ones(len(values), dtype=bool)
+    new[1:] = values[1:] != values[:-1]
+    distinct = values[new]
+    del values
+    sorted_rank = np.cumsum(new)
+    sorted_rank -= 1
+    rank = np.empty_like(order)
+    rank[order] = sorted_rank
+    return distinct, rank
+
+
+def _sorted_triplets(columns: list[np.ndarray], n: int) -> Triplets:
+    """The columns ``[t, u, v]``, ids below ``n``, in ``(t, u, v)`` order, each freed once packed.
+
+    Sorts in place one int64 key, time rank × pair count + pair rank, below ``len(t)**2``
+    whatever the ids (the pair keys ``u * n + v`` need ``n**2 < 2**63``).
+    """
+    columns[1] *= n
+    columns[1] += columns.pop(2)
+    pairs, rank = _ranks(columns.pop(1))
+    times, key = _ranks(columns.pop())
+    key *= len(pairs)
+    key += rank
+    del rank
+    key.sort()
+    u = pairs[key % len(pairs)]
+    key //= len(pairs)
+    del pairs
+    t = times[key]
+    del key
+    v = u % n
+    u //= n
+    return Triplets(t, u, v)
 
 
 def generate_synthetic(spec: ScenarioSpec, seed: int) -> tuple[Triplets, TraceMeta, GroundTruth]:
@@ -569,9 +631,9 @@ def generate_synthetic(spec: ScenarioSpec, seed: int) -> tuple[Triplets, TraceMe
     if regular and spec.regular_degree >= 1:
         d, seconds = spec.regular_degree, int(math.floor(spec.duration))
         g_seeds = rng.integers(0, 2**31 - 1, size=seconds).tolist()
-        ends = chain.from_iterable(chain.from_iterable(_regular_edges(d, n_bg, s) for s in g_seeds))
-        edges = np.fromiter(ends, np.int64, seconds * n_bg * d).reshape(-1, 2)
-        add(np.repeat(np.arange(seconds) + 0.5, n_bg * d // 2), edges[:, 0], edges[:, 1])
+        keys = chain.from_iterable(_regular_edges(d, n_bg, s) for s in g_seeds)
+        add(np.repeat(np.arange(seconds) + 0.5, n_bg * d // 2),
+            *np.divmod(np.fromiter(keys, np.int64, seconds * n_bg * d // 2), n_bg))
     elif not regular:
         circadian = spec.rate_modulation == "circadian"
         rates = np.where(rng.random(n_bg) < spec.high_fraction, spec.rate_high, spec.rate_low)
@@ -614,10 +676,10 @@ def generate_synthetic(spec: ScenarioSpec, seed: int) -> tuple[Triplets, TraceMe
             add(np.repeat(times, inj.level), node, np.tile(peers, len(times)))
             truth_entries.append(TruthEntry(inj.node, w[0], w[1], "spike"))
 
-    columns = list(map(np.concatenate, zip(*chunks)))
+    parts = list(zip(*chunks))
     chunks.clear()
-    order = np.lexsort(columns[::-1])
-    triplets = Triplets(*(columns.pop(0)[order] for _ in range(3)))  # one column at a time
+    columns = [np.concatenate(parts.pop(0)) for _ in range(3)]  # parts freed once joined
+    triplets = _sorted_triplets(columns, len(index))
     t_min, t_max = (float(triplets.t[0]), float(triplets.t[-1])) if len(triplets) else (0.0, 0.0)
     meta = TraceMeta(len(triplets), len(index), t_min, t_max, list(index))
     return triplets, meta, GroundTruth(truth_entries)

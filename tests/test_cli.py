@@ -196,10 +196,22 @@ class TestExitCodes:
                           "window": [1, 3]}]}, "unknown scan injection keys: ['sources']"),
         # numpy refuses the per-second seed draw of 1e300 seconds without allocating
         ({"duration": 1e300}, "too large to build: Maximum allowed dimension exceeded"),
+        # names no trace line can hold
+        ({"injections": [{"kind": "spike", "node": "a b", "level": 3, "window": [1, 3]}]},
+         "injection name 'a b' or one made from it is not a whitespace-free UTF-8 token"),
+        ({"injections": [{"kind": "scan", "source": "", "targets": 3, "window": [1, 3]}]},
+         "injection name '' or one"),
+        ({"injections": [{"kind": "fanin", "dest": "a\u001cb", "sources": 3, "window": [1, 3]}]},
+         "injection name 'a\\x1cb' or one"),
+        ({"injections": [{"kind": "spike", "node": "\ud800", "level": 3, "window": [1, 3]}]},
+         "injection name '\\ud800' or one"),
+        ({"injections": [{"kind": "scan", "source": "x" * 65_532, "targets": 11, "window": [1, 3]}]},
+         "at most 65535 bytes"),
     ], ids=["duration-nan", "duration-inf", "rate-negative", "rate-nan", "poisson-limit",
             "high-fraction", "modulation", "poisson-one-node", "poisson-negative-nodes",
             "regular-negative-nodes", "negative-degree", "misspelled-key", "foreign-injection-key",
-            "regular-too-large"])
+            "regular-too-large", "name-with-space", "empty-name", "name-with-separator",
+            "name-not-utf8", "made-name-too-long"])
     def test_data_error_malformed_scenario(self, tmp_path, capsys, fields, message):
         sc = tmp_path / "sc.json"
         sc.write_text(json.dumps({"duration": 60, "background_nodes": 10, **fields}))

@@ -727,6 +727,8 @@ BAD_CACHES = {
     "infinite t_begin": {"t_begin": -math.inf},
     "t_begin above t_end": {"t_begin": 10.5},
     "repeated name": {"names": "aac"},
+    "empty name": {"names": ["", "b", "c"]},
+    "name with whitespace": {"names": ["a b", "b", "c"]},
     "self pair": {"records": [(1, 1, [(0.0, 1.0)])]},
     "reversed pair": {"records": [(1, 0, [(0.0, 1.0)])]},
     "duplicate pair": {"records": [(0, 1, [(0.0, 1.0)]), (0, 1, [(2.0, 3.0)])]},
@@ -745,9 +747,9 @@ BAD_CACHES = {
 
 
 def raw_cache(records=GOOD_RECORDS, delta=1.0, t_begin=0.0, t_end=10.0, names="abc") -> bytes:
-    """A cache of three one-letter ``names`` holding ``records`` of ``(u, v, intervals)``."""
+    """A cache of three ``names`` holding ``records`` of ``(u, v, intervals)``."""
     out = [LinkStream.MAGIC, struct.pack("<HdddQ", LinkStream.VERSION, delta, t_begin, t_end, 3)]
-    out += [struct.pack("<H", 1) + name.encode() for name in names]
+    out += [struct.pack("<H", len(name.encode())) + name.encode() for name in names]
     out.append(struct.pack("<Q", len(records)))
     for u, v, ivs in records:
         out.append(struct.pack("<QQQ", u, v, len(ivs)))

@@ -4,7 +4,11 @@
   replaced, kept as the executable spec: on any small scenario both give the
   same triplets, names, ground truth and written bytes.
 * ``_regular_edges`` is networkx's regular-graph pairing, ported; on any seed
-  it gives the edges of ``networkx.random_regular_graph``.
+  it gives the edges of ``networkx.random_regular_graph``.  Its inlined
+  shuffle makes the draws and swaps of ``random.Random.shuffle``, and the
+  packed sort gives ``np.lexsort``'s order.
+* Any scenario ``validate`` accepts, whatever its injection names, is written
+  as a trace that ``parse_trace`` reads back.
 * Golden hashes pin the written bytes of two scenarios, so they stay checked
   where networkx is not installed.
 """
@@ -12,11 +16,12 @@
 import hashlib
 import io
 import math
+import random
 from typing import Iterable
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 from streamdeg.trace_io import (
@@ -31,7 +36,10 @@ from streamdeg.trace_io import (
     TruthEntry,
     _regular_edges,
     _second_centers,
+    _shuffle,
+    _sorted_triplets,
     generate_synthetic,
+    parse_trace,
     write_ground_truth,
     write_trace,
 )
@@ -130,7 +138,7 @@ injection_names = st.sampled_from(["hub", "hub.t0", "bg1", "x", "x.p1"])
 
 
 @st.composite
-def scenarios(draw, model: str) -> ScenarioSpec:
+def scenarios(draw, model: str, names: st.SearchStrategy[str] = injection_names) -> ScenarioSpec:
     duration = draw(st.one_of(st.integers(1, 25).map(float), st.floats(0.25, 25.0)))
     n_bg = draw(st.integers(0, 12))
     degree = draw(st.integers(1, 6))
@@ -143,7 +151,7 @@ def scenarios(draw, model: str) -> ScenarioSpec:
         a, b = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2, unique=True)))
         window = (a * duration, b * duration)
         assume(window[0] < window[1])
-        name, count = draw(injection_names), draw(st.integers(1, 12))
+        name, count = draw(names), draw(st.integers(1, 12))
         kind = draw(st.sampled_from([ScanInjection, FanInInjection, SpikeInjection]))
         injections.append(kind(name, count, window))
     return ScenarioSpec(
@@ -185,10 +193,58 @@ def test_regular_matches_loop_generator(spec, seed):
 def test_regular_pairing_matches_networkx(n, d, seed):
     nx = pytest.importorskip("networkx")
     assume(d < n and n * d % 2 == 0)
-    edges = _regular_edges(d, n, seed)
+    edges = [divmod(key, n) for key in _regular_edges(d, n, seed)]
     assert all(a < b for a, b in edges)
     want = sorted(tuple(sorted(e)) for e in nx.random_regular_graph(d, n, seed=seed).edges())
     assert sorted(edges) == want
+
+
+def test_shuffle_makes_the_stdlib_draws_and_swaps():
+    for n in range(1001):
+        for seed in (n, 2**40 + 7 * n, 2**64 - 1 - n):
+            want, got = list(range(n)), list(range(n))
+            stdlib, inlined = random.Random(seed), random.Random(seed)
+            stdlib.shuffle(want)
+            _shuffle(got, inlined.getrandbits)
+            assert got == want, (n, seed)
+            assert inlined.getstate() == stdlib.getstate(), (n, seed)  # the same words drawn
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_packed_order_is_lexsort_order_past_raw_packing_range(seed):
+    """Node ids up to 2**31 with 40 distinct times: a key of time rank,
+    u and v as they are would need 40 * 2**62 > 2**63."""
+    rng = np.random.default_rng(seed)
+    n, rows = 2**31, 5_000
+    t = rng.choice(rng.normal(size=40) * 1e6, rows)
+    u = rng.choice(np.r_[0, n - 1, rng.integers(0, n, 30)], rows)
+    v = rng.choice(np.r_[0, n - 2, rng.integers(0, n, 30)], rows)
+    assert len(np.unique(t)) * n * n > 2**63
+    order = np.lexsort((v, u, t))
+    assert _sorted_triplets([t.copy(), u.copy(), v.copy()], n) == Triplets(t[order], u[order], v[order])
+    assert _sorted_triplets([t[:0], u[:0], v[:0]], n) == []
+
+
+def named(triplets, names: list[str]) -> list[tuple[float, str, str]]:
+    return [(t, names[u], names[v]) for t, u, v in triplets]
+
+
+@given(st.sampled_from(["regular", "poisson"]).flatmap(lambda model: scenarios(model, st.text())),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_accepted_scenarios_read_back(spec, seed):
+    try:
+        spec.validate()
+    except ValueError:
+        reject()
+    triplets, meta, _ = generate_synthetic(spec, seed)
+    trace = io.StringIO()
+    write_trace(triplets, meta.node_names, trace)
+    parsed, parsed_meta = parse_trace(trace.getvalue().encode("utf-8"))
+    want = named(triplets, meta.node_names)
+    assert named(parsed, parsed_meta.node_names) == want
+    # the parser names nodes in order of first appearance
+    assert parsed_meta.node_names == list(dict.fromkeys(name for _, u, v in want for name in (u, v)))
 
 
 def small_poisson_scenario() -> ScenarioSpec:

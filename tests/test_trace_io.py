@@ -13,6 +13,7 @@ from streamdeg.trace_io import (
     TraceFormatError,
     TruthEntry,
     generate_synthetic,
+    is_node_name,
     parse_trace,
     read_csv_records,
     read_ground_truth,
@@ -229,6 +230,17 @@ class TestSynthetic:
         )
         with pytest.raises(ValueError):
             generate_synthetic(spec, seed=0)
+
+    def test_longest_made_name_bounded_by_validate(self):
+        # "x" * 65_532 + ".t0" is 65,535 bytes; with 11 targets "...t10" is one more
+        name = "x" * (MAX_NAME_BYTES - 3)
+        ScenarioSpec(duration=10, background_nodes=4, background_degree=2,
+                     injections=[ScanInjection(name, 10, (2.0, 4.0))]).validate()
+        with pytest.raises(ValueError, match="at most 65535 bytes"):
+            ScenarioSpec(duration=10, background_nodes=4, background_degree=2,
+                         injections=[ScanInjection(name, 11, (2.0, 4.0))]).validate()
+        assert not is_node_name(name + ".t10")
+        assert is_node_name(name + ".t9")
 
     def test_odd_regular_degree_sum_rejected_by_validate(self):
         # 5 nodes of degree 3 admit no 3-regular graph
