@@ -28,7 +28,6 @@ from .pipeline import (
     classify_classes,
     detect_events,
     event_statuses,
-    run_identification,
     write_events_csv,
     write_removal_log,
 )
@@ -36,6 +35,7 @@ from .reporting import (
     build_report,
     class_count_summary,
     label_overlap,
+    run_pipeline_once,
     smallest_identifiable_degree,
     sweep,
     validate_removal,
@@ -44,6 +44,7 @@ from .reporting import (
 )
 from .robust_stats import MIN_BOOTSTRAP, InsufficientSupportError, power_law_test
 from .slicing import (
+    LatticeError,
     TimeSliceGrid,
     build_scheme,
     fraction_matrix,
@@ -154,9 +155,11 @@ def _grid_for(stream: LinkStream, cfg: RunConfig) -> TimeSliceGrid:
 @contextlib.contextmanager
 def _span_in_memory(grid: TimeSliceGrid):
     """Turn an array numpy refuses outright, one row per slice or one entry per
-    second of the trace span, into a data error."""
+    second of the trace span, and an r that leaves no class lattice, into a data error."""
     try:
         yield
+    except LatticeError as exc:
+        raise DataError(str(exc)) from None
     except MemoryError as exc:
         count = grid.count if grid.count <= np.iinfo(np.intp).max else "at least 2^63"
         raise DataError(f"the trace span needs {count} slices of tau {grid.tau:g} s, "
@@ -333,10 +336,8 @@ def cmd_analyze(args) -> int:
 
 def _run_identify(args, cfg):
     stream = _load_stream(args.trace, cfg)
-    grid = _grid_for(stream, cfg)
-    with _span_in_memory(grid):
-        scheme, _ = build_scheme(stream, cfg.class_ratio, cfg.normalized)
-        return stream, run_identification(stream, grid, scheme, _pipeline_params(cfg))
+    with _span_in_memory(_grid_for(stream, cfg)):
+        return stream, run_pipeline_once(stream, cfg.tau, cfg.class_ratio, _pipeline_params(cfg))
 
 
 def cmd_identify(args) -> int:

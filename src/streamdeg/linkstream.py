@@ -52,9 +52,6 @@ PairKey = tuple[int, int]
 _SWEEP_ENDPOINTS = 1 << 16
 # Nodes per sweep block, so a node's offset in its block is one uint16.
 _SWEEP_NODES = 1 << 16
-# Breakpoints above which ``degree_segments`` searches a node's window rather
-# than masking all of its segments.
-_LONG_PROFILE = 256
 # Cache words ``save`` and ``load`` move per block of records; bounds their temporaries.
 _CACHE_WORDS = 1 << 16
 # Profile breakpoints one block of matrix rows or normalized seconds reads,
@@ -145,8 +142,6 @@ def _splice(first: np.ndarray, columns: Sequence[np.ndarray], rows: np.ndarray, 
     """``[first, *columns]`` of a CSR table whose entries ``[lo[i], hi[i])``, of row
     ``rows[i]`` (ascending), give way to the next ``counts[i]`` of ``new``: one copy
     of each column, in pieces between the ranges, where touching ranges join."""
-    if not len(rows):
-        return [first, *columns]
     shift = np.zeros(len(first), dtype=np.int64)
     shift[rows + 1] = counts - (hi - lo)
     heads = np.append(True, lo[1:] != hi[:-1])
@@ -610,11 +605,9 @@ def degree_segments(stream: LinkStream, t0: float = -math.inf, t1: float = math.
     lead, last = stream._spans
     nodes = np.flatnonzero((last > t0) & (lead < t1))
     lo, hi = first[nodes], first[nodes + 1]
-    # cut a long profile to its breakpoints from before t0 to the first at or after t1
-    long = np.flatnonzero(hi - lo > _LONG_PROFILE)
-    at = _search(store_times, np.tile(lo[long], 2), np.tile(hi[long], 2), np.repeat([t0, t1], len(long)))
-    lo[long] = np.maximum(at[:len(long)] - 1, lo[long])
-    hi[long] = np.minimum(at[len(long):] + 1, hi[long])
+    # cut each profile to its breakpoints from before t0 to the first at or after t1
+    at = _search(store_times, np.tile(lo, 2), np.tile(hi, 2), np.repeat([t0, t1], len(nodes)))
+    lo, hi = np.maximum(at[:len(nodes)] - 1, lo), np.minimum(at[len(nodes):] + 1, hi)
     counts = np.maximum(hi - lo, 0)
     runs = _ranges(lo, counts)
     times, levels = store_times[runs], store_levels[runs]
@@ -679,8 +672,6 @@ def cut_slice(stream: LinkStream, state: SliceState, cuts: tuple[np.ndarray, ...
     mine = _within(held[0], pairs)
     pieces = (owner[meets], np.maximum(start[meets], t0), np.minimum(end[meets], t1))
     kept, lost = _trim(*(np.concatenate([a, b[mine]]) for a, b in zip(pieces, held)), stream, cuts)
-    if not len(lost[0]):
-        return state
     u, v = stream._u[lost[0]], stream._v[lost[0]]
     swept = _within(segs.node, _distinct(np.concatenate([u, v])))
     node, time, level = _sweep(*(np.concatenate(c) for c in zip(

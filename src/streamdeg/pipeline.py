@@ -149,8 +149,7 @@ def identify_event(
     slice, held by ``state``, during which their degree lies in the event's
     class, in node order, then time order."""
     segs = state.read(normalized)
-    k_lo, k_hi = scheme.edges[event.class_index - 1:event.class_index + 1].tolist()
-    hit = (k_lo <= segs.value) & (segs.value < k_hi)
+    hit = scheme.class_of(segs.value) == event.class_index
     node, start, end = segs.node[hit], segs.start[hit], segs.end[hit]
     # one interval per run of a node's touching pieces
     heads = np.ones(len(node), dtype=bool)
@@ -199,7 +198,6 @@ class DetectionState:
     matrix: FractionMatrix
     labels: list[ClassLabel]
     events: list[Event]
-    negatives: set[tuple[int, int]]
 
 
 @dataclass
@@ -223,18 +221,16 @@ class IdentificationResult:
 def _detect_state(matrix: FractionMatrix, params: PipelineParams, previous: DetectionState | None = None,
                   changed: Sequence[int] = ()) -> DetectionState:
     """Every class of ``matrix`` labelled and detected; with a ``previous`` state,
-    only the ``changed`` classes, and the others keep its labels, events and negatives."""
+    only the ``changed`` classes, and the others keep its labels and events."""
     changed = set(changed if previous else range(1, matrix.n_classes + 1))
     labels = list(previous.labels) if previous else [None] * matrix.n_classes
     for j in changed:
         labels[j - 1] = _label(matrix.column(j), j, params.grubbs_alpha, params.ks_alpha, params.zero_majority)
     fresh = [labels[j - 1] for j in sorted(changed)]
     events = [e for e in previous.events if e.class_index not in changed] if previous else []
-    negatives = {k for k in previous.negatives if k[0] not in changed} if previous else set()
-    negatives |= negative_outliers(matrix, fresh, params.sigma_mult)
     # events in class order, then slice order
     events = sorted(events + detect_events(matrix, fresh, params.sigma_mult), key=lambda e: e.class_index)
-    return DetectionState(matrix, labels, events, negatives)
+    return DetectionState(matrix, labels, events)
 
 
 def _event_order(event: Event) -> tuple[int, float, int]:
@@ -299,12 +295,11 @@ def run_identification(
         changed = (np.flatnonzero(matrix.fractions[i].view(np.int64)
                                   != state.matrix.fractions[i].view(np.int64)) + 1).tolist()
         tent_state = _detect_state(matrix, params, state, changed)
-        if params.rollback_fit == "frozen":
-            labels = [initial.labels[j - 1] for j in changed]
-            before = negative_outliers(state.matrix, labels, params.sigma_mult)
-            after = negative_outliers(tent_state.matrix, labels, params.sigma_mult)
-        else:
-            before, after = state.negatives, tent_state.negatives
+        # negative outliers the attempt creates, under each state's labels or the
+        # initial ones; a class keeps its column and label unless it changed
+        labels = lambda s: [(s if params.rollback_fit == "refit" else initial).labels[j - 1] for j in changed]
+        before = negative_outliers(state.matrix, labels(state), params.sigma_mult)
+        after = negative_outliers(tent_state.matrix, labels(tent_state), params.sigma_mult)
         created = sorted(after - before)
         if created:
             j, k = created[0]

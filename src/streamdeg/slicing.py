@@ -36,6 +36,14 @@ class SchemeRangeError(ValueError):
     """The class scheme does not cover an observed degree."""
 
 
+class LatticeError(ValueError):
+    """The class ratio r leaves no lattice of degree classes over a degree range."""
+
+
+# A normalized scheme's degrees span fewer buckets than this: each is a class, so a matrix column and a fit.
+_MAX_BUCKETS = 1 << 16
+
+
 @dataclass(frozen=True)
 class TimeSliceGrid:
     origin: float
@@ -71,29 +79,34 @@ class TimeSliceGrid:
 
 
 def _boundary(bucket: int, ratio: float) -> float:
-    """Lower edge 10**(bucket*ratio), snapped to integers hit exactly."""
-    x = 10.0 ** (bucket * ratio)
+    """Lower edge 10**(bucket*ratio), snapped to integers hit exactly; inf past the floats."""
+    try:
+        x = 10.0 ** (bucket * ratio)
+    except OverflowError:
+        return math.inf
     n = round(x)
     if n >= 1 and abs(x - n) <= 1e-9 * n:
         return float(n)
     return x
 
 
-def _bucket(x: float, ratio: float) -> int:
-    """Lattice bucket b of ``x`` > 0: _boundary(b) <= x < _boundary(b + 1)."""
-    b = math.floor(math.log10(x) / ratio)
-    while _boundary(b, ratio) > x:
-        b -= 1
-    while _boundary(b + 1, ratio) <= x:
-        b += 1
-    return b
-
-
-def _lattice(lo: float, hi: float, ratio: float) -> np.ndarray:
-    """Lattice edges from the bucket of ``lo`` to the top of the bucket of ``hi``."""
+def _lattice(lo: float, hi: float, ratio: float, most: float = math.inf) -> np.ndarray:
+    """Lattice edges from the bucket of ``lo`` to the top of the bucket of ``hi``, the
+    bucket b of x > 0 having _boundary(b) <= x < _boundary(b + 1); a LatticeError when
+    they overflow, underflow or coincide, or log10(hi / lo) / ratio is not below ``most``."""
     if ratio <= 0:
         raise ValueError("r must be positive")
-    return np.array([_boundary(b, ratio) for b in range(_bucket(lo, ratio), _bucket(hi, ratio) + 2)])
+    # a division guesses each bucket; one more edge either side takes its rounding
+    first, last = (math.log10(x) / ratio for x in (lo, hi))
+    if last - first < most:  # so neither guess is infinite
+        edges = np.array([_boundary(b, ratio) for b in range(math.floor(first) - 1, math.floor(last) + 3)])
+        i, j = np.searchsorted(edges, [lo, hi], side="right") - 1
+        out = edges[i:j + 2]
+        if i >= 0 and j + 1 < len(edges) and 0 < out[0] and out[-1] < math.inf and (np.diff(out) > 0).all():
+            return out
+    cap = f", and log10({hi:g} / {lo:g}) / r below {most}" if most < math.inf else ""
+    raise LatticeError(f"r {ratio:g} leaves no lattice of degree classes from {lo:g} to {hi:g}: "
+                       f"it needs finite, positive, increasing edges{cap}")
 
 
 class SchemeClass(NamedTuple):
@@ -150,13 +163,16 @@ def build_class_scheme(k_max: int, r: float) -> ClassScheme:
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
+    # buckets narrower than half a degree up to k_max + 1: each integer is its own class
+    if 0 < r < math.log10(1 + 0.5 / (k_max + 1)):
+        return ClassScheme(r, np.arange(1.0, k_max + 2), True)
     return ClassScheme(r, _distinct(np.minimum(np.ceil(_lattice(1, k_max, r)), k_max + 1)), True)
 
 
 def build_normalized_scheme(max_value: float, r: float, min_value: float = 1e-12) -> ClassScheme:
     """One class per lattice bucket, from the bucket of ``min_value``, the
     smallest positive degree, to the bucket of ``max_value``."""
-    return ClassScheme(r, _lattice(min_value, max(max_value, min_value), r), False)
+    return ClassScheme(r, _lattice(min_value, max(max_value, min_value), r, _MAX_BUCKETS), False)
 
 
 def build_scheme(

@@ -159,6 +159,34 @@ class TestExitCodes:
         assert "needs 250000000000000 slices of tau 4 s" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    # 10**400 overflows; normalized, at 1e-12 the degrees span 1e11 buckets, and at
+    # 1e-300 every edge is 1.0: each used to end in a traceback, a hang or a growing list
+    @pytest.mark.parametrize("r,normalized", [("400", []), ("400", ["--normalized"]),
+                                              ("1e-12", ["--normalized"]), ("1e-300", ["--normalized"])])
+    @pytest.mark.parametrize("command", ["analyze", "identify"])
+    def test_data_error_ratio_outside_the_lattice(self, tmp_path, capsys, command, normalized, r):
+        trace = tmp_path / "t.txt"
+        trace.write_text("0 a b\n0 a c\n1 b c\n")
+        rc = main([command, "--trace", str(trace), "--r", r, *normalized, "--output-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert f"data error: r {float(r):g} leaves no lattice of degree classes" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    # raw degrees finer than the integers: one class per degree, as at r 0.01
+    @pytest.mark.parametrize("r", ["1e-12", "1e-300"])
+    @pytest.mark.parametrize("command", ["analyze", "identify"])
+    def test_ratio_finer_than_the_integers(self, tmp_path, command, r):
+        trace = tmp_path / "t.txt"
+        trace.write_text("0 a b\n0 a c\n1 b c\n")
+        runs = {}
+        for ratio in (r, "0.01"):
+            out = tmp_path / ratio
+            assert main([command, "--trace", str(trace), "--r", ratio, "--output-dir", str(out)]) == 0
+            runs[ratio] = json.loads((out / "report.json").read_text())
+            del runs[ratio]["config"]["class_ratio"]
+            runs[ratio].get("scheme", {}).pop("ratio", None)
+        assert runs[r] == runs["0.01"]
+
     def test_data_error_bad_scenario(self, tmp_path):
         sc = tmp_path / "sc.json"
         sc.write_text("{not json")
@@ -622,6 +650,17 @@ class TestSweep:
         points = json.loads((out / "report.json").read_text())["sweep"]["points"]
         assert points[0]["error"].startswith("MemoryError")
         assert points[1]["error"] is None
+
+    def test_point_outside_the_lattice_is_its_error(self, tmp_path):
+        trace = tmp_path / "t.txt"
+        trace.write_text("0 a b\n0 a c\n1 b c\n")
+        out = tmp_path / "sw"
+        rc = main(["sweep", "--trace", str(trace), "--axis", "r", "--values", "0.1,1e-12",
+                   "--reference", "0.1", "--normalized", "--output-dir", str(out)])
+        assert rc == 0
+        points = json.loads((out / "report.json").read_text())["sweep"]["points"]
+        assert points[0]["error"] is None
+        assert points[1]["error"].startswith("LatticeError: r 1e-12 leaves no lattice")
 
     def test_data_error_reference_point_failed(self, tmp_path, capsys):
         trace = tmp_path / "huge.txt"

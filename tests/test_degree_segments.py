@@ -118,16 +118,12 @@ def removals(stream):
     return st.lists(st.sampled_from(nodes).flatmap(cuts), min_size=1, max_size=4)
 
 
-# 0 and 3: windowed reads cut every profile, or the longer ones, before masking;
 # 0 breakpoints a block: every matrix block is one row, every normalized read one second
 @given(st.data(), st.integers(1, 3), st.booleans(), st.sampled_from([2.0, 0.7]),
-       st.sampled_from([0, 3, linkstream._LONG_PROFILE]),
        st.sampled_from([0, linkstream._BLOCK_BREAKPOINTS]))
 @settings(max_examples=60, deadline=None)
-def test_read_path_equals_the_segment_loops(data, chained, normalized, tau, long_profile,
-                                            block_breakpoints):
-    with mock.patch.object(linkstream, "_LONG_PROFILE", long_profile), \
-            mock.patch.object(linkstream, "_BLOCK_BREAKPOINTS", block_breakpoints):
+def test_read_path_equals_the_segment_loops(data, chained, normalized, tau, block_breakpoints):
+    with mock.patch.object(linkstream, "_BLOCK_BREAKPOINTS", block_breakpoints):
         check_read_path(data, chained, normalized, tau)
 
 

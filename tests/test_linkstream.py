@@ -240,12 +240,9 @@ class TestDegreeProfile:
         windows = rng.choice(edges, size=(20, 2))
         for series in (None, stream.mean_degree_per_second()):
             segs = segment_rows(stream, [0], series=series)
-            # 0: every windowed read searches the profile first
-            for long_profile in (0, linkstream._LONG_PROFILE):
-                with mock.patch.object(linkstream, "_LONG_PROFILE", long_profile):
-                    for t0, t1 in windows:
-                        windowed = [s for s in segs if s[2] > t0 and s[1] < t1]
-                        assert segment_rows(stream, [0], t0, t1, series) == windowed
+            for t0, t1 in windows:
+                windowed = [s for s in segs if s[2] > t0 and s[1] < t1]
+                assert segment_rows(stream, [0], t0, t1, series) == windowed
 
 
 class TestProfileSweep:

@@ -19,6 +19,7 @@ from streamdeg.pipeline import (
     write_events_csv,
     write_removal_log,
 )
+from streamdeg.reporting import run_pipeline_once
 from streamdeg.slicing import (
     ClassScheme,
     FractionMatrix,
@@ -37,6 +38,7 @@ from streamdeg.trace_io import (
     SpikeInjection,
     Triplet,
     generate_synthetic,
+    scenario_from_dict,
 )
 
 from streams import from_pair_intervals, identified, rebuilt
@@ -285,6 +287,16 @@ def rollback_scenario():
     return stream, grid, scheme, names
 
 
+@pytest.fixture(scope="module")
+def fits_scenario():
+    # a spike on a small poisson background, raw at tau 2: one attempt makes a
+    # negative outlier under the refitted labels but not under the initial ones
+    spec = ScenarioSpec(duration=60, background_nodes=30, background_model="poisson",
+                        injections=[SpikeInjection("burst", 40, (10.0, 12.0))])
+    triplets, meta, _ = generate_synthetic(spec, seed=4)
+    return build_stream(triplets, meta.node_names, 1.0)
+
+
 class TestRunIdentification:
     def test_scan_identified_with_cascade(self, injected_scenario):
         stream, grid, scheme, meta, truth = injected_scenario
@@ -360,6 +372,31 @@ class TestRunIdentification:
             first.final_stream.total_link_seconds()
         )
 
+    @pytest.mark.xfail(strict=True, reason="re-identify applies more removals on this trace: an open defect")
+    def test_fixpoint_on_poisson_rollback(self):
+        # perfbench's poisson-rollback workload at seed 501, run as the CLI runs
+        # identify and then identify on its cleaned stream: 65 removals, then 5 more
+        spec = scenario_from_dict({
+            "duration": 60, "background_nodes": 40, "background_model": "poisson", "injections": [
+                {"kind": "scan", "source": "scanner", "targets": 1000, "window": [30, 32]},
+                {"kind": "fanin", "dest": "sink", "sources": 300, "window": [42, 44]},
+                {"kind": "spike", "node": "burst", "level": 150, "window": [10, 12]}]})
+        triplets, meta, _ = generate_synthetic(spec, seed=501)
+        stream = build_stream(triplets, meta.node_names, 1.0)
+        first = run_pipeline_once(stream, 2.0, 0.1, PipelineParams())
+        second = run_pipeline_once(first.final_stream, 2.0, 0.1, PipelineParams())
+        assert first.applied_count > 0
+        assert second.applied_count == 0
+
+    def test_fits_disagree_on_a_rollback(self, fits_scenario):
+        stream = fits_scenario
+        grid = TimeSliceGrid.covering(stream.t_begin, stream.t_end, 2.0)
+        scheme = build_class_scheme(stream.max_degree(), 0.1)
+        rolled = {fit: [rec.event.key for rec in run_identification(
+            stream, grid, scheme, PipelineParams(rollback_fit=fit)).log if rec.status == "rolled-back"]
+            for fit in ("refit", "frozen")}
+        assert len(rolled["refit"]) == 1 and rolled["frozen"] == []
+
     def test_no_a_events_is_identity(self):
         spec = ScenarioSpec(duration=100, background_nodes=40, background_degree=4)
         triplets, meta, _ = generate_synthetic(spec, seed=1)
@@ -419,8 +456,6 @@ class TestRunIdentification:
         # at desk scale a large scan inflates every second's mean degree, so
         # the background's normalized dip bins fire too; the contract here is
         # that the injected nodes are recalled with their exact windows
-        from streamdeg.reporting import run_pipeline_once
-
         stream, _, _, meta, truth = injected_scenario
         result = run_pipeline_once(stream, 2.0, 0.1, PipelineParams(normalized=True))
         for entry in truth.entries:
@@ -459,9 +494,12 @@ class TestRunIdentification:
 def check_each_attempt(stream, grid, scheme, params) -> int:
     """Run the removal loop and check each attempt against a full recompute:
     its victims equal those found on the input less the victims applied before
-    it, and its slice's segments, matrix, labels, events and negatives equal
-    those of the input less those victims and its own.  Returns the number of
-    attempts that cut."""
+    it, its slice's segments, matrix, labels and events equal those of the
+    input less those victims and its own, and it is rolled back exactly when
+    the full matrices before and after it give a negative outlier, over all
+    classes, that was not there before, under each matrix's labels (``refit``)
+    or the input's (``frozen``); its reason names the smallest such cell.
+    Returns the number of attempts that cut."""
     identify, cut, detect = pipeline.identify_event, pipeline.cut_slice, pipeline._detect_state
     attempts = []
 
@@ -484,7 +522,9 @@ def check_each_attempt(stream, grid, scheme, params) -> int:
             mock.patch.object(pipeline, "_detect_state", detect_recorded):
         result = run_identification(stream, grid, scheme, params)
     view = normalize_degrees(stream, stream.mean_degree_per_second()) if params.normalized else None
+    refit = params.rollback_fit == "refit"
     applied = []
+    initial = last = detect(fraction_matrix(stream, grid, scheme, view), params)
     for rec, attempt in zip(result.log, attempts, strict=True):
         victims = IdentifiedSet.of(*attempt["victims"])
         before = rebuilt(stream.remove_interactions(applied))
@@ -505,9 +545,15 @@ def check_each_attempt(stream, grid, scheme, params) -> int:
         assert got.matrix.zero.tobytes() == full.matrix.zero.tobytes()
         assert repr(got.labels) == repr(full.labels)
         assert got.events == full.events
-        assert got.negatives == full.negatives
+        created = sorted(
+            negative_outliers(full.matrix, (full if refit else initial).labels, params.sigma_mult)
+            - negative_outliers(last.matrix, (last if refit else initial).labels, params.sigma_mult))
+        assert (rec.status == "rolled-back") == bool(created)
+        if created:
+            assert rec.reason == "negative outlier in class %d, slice %d" % created[0]
         if rec.status == "applied":
             applied += victims.victims()
+            last = full
     return sum(1 for attempt in attempts if "slice" in attempt)
 
 
@@ -527,6 +573,14 @@ class TestRowUpdate:
         scheme, _ = build_scheme(stream, 0.1, normalized)
         params = PipelineParams(rollback_fit=rollback_fit, normalized=normalized)
         assert check_each_attempt(stream, grid, scheme, params) > 0
+
+    @pytest.mark.parametrize("rollback_fit", ["refit", "frozen"])
+    def test_rollback_decision_reads_each_fits_labels(self, fits_scenario, rollback_fit):
+        # refit rolls an attempt back here and frozen does not
+        stream = fits_scenario
+        grid = TimeSliceGrid.covering(stream.t_begin, stream.t_end, 2.0)
+        scheme, _ = build_scheme(stream, 0.1, False)
+        assert check_each_attempt(stream, grid, scheme, PipelineParams(rollback_fit=rollback_fit)) > 0
 
     @given(timed_streams(), st.booleans(), st.sampled_from(["refit", "frozen"]),
            st.sampled_from([2.0, 0.7]))

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,8 +9,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from streamdeg.linkstream import build_stream, degree_segments, grid_bound
 from streamdeg.slicing import (
+    LatticeError,
     SchemeRangeError,
     TimeSliceGrid,
+    _lattice,
     build_class_scheme,
     build_normalized_scheme,
     build_scheme,
@@ -100,6 +103,33 @@ class TestClassScheme:
         scheme = build_class_scheme(1000, 10.0)
         assert len(scheme) == 1
         assert (scheme.classes[0].k_lo, scheme.classes[0].k_hi) == (1, 1000)
+
+    @pytest.mark.parametrize("k_max,r", [(2, 400.0), (1, 1e10)])
+    def test_ratio_past_the_floats(self, k_max, r):
+        with pytest.raises(LatticeError, match=re.escape(f"r {r:g} leaves no lattice")):
+            build_class_scheme(k_max, r)
+        with pytest.raises(LatticeError, match=re.escape(f"r {r:g} leaves no lattice")):
+            build_normalized_scheme(k_max, r, min_value=0.5)
+
+    @pytest.mark.parametrize("k_max,r", [(2, 1e-12), (1, 1e-300), (1000, 1e-5)])
+    def test_ratio_finer_than_the_integers(self, k_max, r):
+        # raw: every degree is its own class, as the bucket walk of 1e-5 finds; normalized:
+        # each bucket is a class, and 0.5 to k_max spans 3e5 buckets or more, or coinciding edges
+        assert build_class_scheme(k_max, r).edges.tolist() == list(range(1, k_max + 2))
+        with pytest.raises(LatticeError, match=re.escape(f"r {r:g} leaves no lattice")):
+            build_normalized_scheme(k_max, r, min_value=0.5)
+
+    @pytest.mark.parametrize("k_max", [1, 2, 7, 100, 999, 2500])
+    def test_one_class_per_degree_is_the_bucket_walk(self, k_max):
+        # on both sides of r = log10(1 + 0.5 / (k_max + 1)), where the walk is skipped
+        threshold = math.log10(1 + 0.5 / (k_max + 1))
+        for r in (threshold * 0.5, threshold * 0.999, threshold * 1.001, threshold * 1.5, threshold * 3):
+            walk = np.unique(np.minimum(np.ceil(_lattice(1, k_max, r)), k_max + 1))
+            assert build_class_scheme(k_max, r).edges.tobytes() == walk.tobytes()
+
+    def test_widest_ratio_the_floats_hold(self):
+        assert build_class_scheme(1000, 300.0).edges.tolist() == [1.0, 1001.0]
+        assert build_normalized_scheme(2.0, 150.0, min_value=0.5).edges.tolist() == [1e-150, 1.0, 1e150]
 
     def test_class_of_roundtrip(self):
         scheme = build_class_scheme(5000, 0.1)
