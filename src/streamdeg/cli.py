@@ -161,6 +161,9 @@ def _span_in_memory(grid: TimeSliceGrid):
     except LatticeError as exc:
         raise DataError(str(exc)) from None
     except MemoryError as exc:
+        if hasattr(exc, "seconds"):
+            raise DataError(f"the trace span holds {exc.seconds} seconds, more than numpy can "
+                            f"allocate one mean degree each ({exc})") from exc
         count = grid.count if grid.count <= np.iinfo(np.intp).max else "at least 2^63"
         raise DataError(f"the trace span needs {count} slices of tau {grid.tau:g} s, "
                         f"more than numpy can allocate ({exc})") from exc
@@ -334,15 +337,11 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _run_identify(args, cfg):
-    stream = _load_stream(args.trace, cfg)
-    with _span_in_memory(_grid_for(stream, cfg)):
-        return stream, run_pipeline_once(stream, cfg.tau, cfg.class_ratio, _pipeline_params(cfg))
-
-
 def cmd_identify(args) -> int:
     cfg = _config_from_args(args)
-    stream, result = _run_identify(args, cfg)
+    stream = _load_stream(args.trace, cfg)
+    with _span_in_memory(_grid_for(stream, cfg)):
+        result = run_pipeline_once(stream, cfg.tau, cfg.class_ratio, _pipeline_params(cfg))
     out = Path(args.output_dir)
     names = stream.node_names
     with _create(out / "removal_log.jsonl", "w", encoding="utf-8") as fh:
@@ -378,8 +377,10 @@ def cmd_identify(args) -> int:
 
 def cmd_validate(args) -> int:
     cfg = _config_from_args(args)
-    stream, result = _run_identify(args, cfg)
-    report_block = validate_removal(stream, result.final_stream, result, cfg.grubbs_alpha, cfg.ks_alpha)
+    stream = _load_stream(args.trace, cfg)
+    with _span_in_memory(_grid_for(stream, cfg)):
+        result = run_pipeline_once(stream, cfg.tau, cfg.class_ratio, _pipeline_params(cfg))
+        report_block = validate_removal(stream, result.final_stream, result, cfg.grubbs_alpha, cfg.ks_alpha)
     out = Path(args.output_dir)
     with _create(out / "series_before.csv", "w", encoding="utf-8", newline="") as fh:
         write_series_csv(report_block.before.series, fh)

@@ -21,14 +21,14 @@ meets its window as columns, raw or divided by the mean degree of each second.  
 and ``grid_pieces`` are the one place where time meets a grid of seconds or
 slices; consecutive cells share their ``grid_bound``, so cells tile time.
 
-Streams are immutable.  ``remove_interactions`` trims pairs with the same
-endpoint sweep, ``_sweep``, the one place where interval endpoints meet, in
-``_trim``, and returns a new stream that builds its own node-to-pair
-adjacency and profile store when first read.
-``SliceState`` holds one slice of a stream after cuts inside it, its degree
-segments and the pieces of the pairs those cuts trimmed, so a removal tried
-inside one slice costs what that slice holds and is rolled back by dropping
-the new value.
+Streams are immutable.  Both cuts replace every pair of a cut node by the
+pieces ``_trim`` keeps of it, with ``_sweep``, the one place where interval
+endpoints meet.  ``remove_interactions`` inserts them among the other pairs'
+intervals and returns a new stream that builds its own node-to-pair adjacency
+and profile store when first read.  ``SliceState`` holds one slice of a stream
+after cuts inside it, its degree segments and the pieces of every pair of a
+node cut there, so a removal tried inside one slice costs what that slice
+holds and is rolled back by dropping the new value.
 """
 
 from __future__ import annotations
@@ -134,26 +134,6 @@ def _search(values: np.ndarray, lo: np.ndarray, hi: np.ndarray, t, side: str = "
         out[live] = lo = np.where(go, lo + half + 1, lo)
         size = np.where(go, size - half - 1, half)
         live, lo, size, t = (x[size > 0] for x in (live, lo, size, t))
-    return out
-
-
-def _splice(first: np.ndarray, columns: Sequence[np.ndarray], rows: np.ndarray, lo: np.ndarray,
-            hi: np.ndarray, counts: np.ndarray, *new: np.ndarray) -> list[np.ndarray]:
-    """``[first, *columns]`` of a CSR table whose entries ``[lo[i], hi[i])``, of row
-    ``rows[i]`` (ascending), give way to the next ``counts[i]`` of ``new``: one copy
-    of each column, in pieces between the ranges, where touching ranges join."""
-    shift = np.zeros(len(first), dtype=np.int64)
-    shift[rows + 1] = counts - (hi - lo)
-    heads = np.append(True, lo[1:] != hi[:-1])
-    at, last = np.cumsum(counts), np.append(heads[1:], True)
-    bounds = list(zip(*(x.tolist() for x in (lo[heads], hi[last], (at - counts)[heads], at[last]))))
-    out = [first + np.cumsum(shift)]
-    for column, add in zip(columns, new):
-        parts, done = [], 0
-        for a, b, x, y in bounds:
-            parts += [column[done:a], add[x:y]]
-            done = b
-        out.append(np.concatenate(parts + [column[done:]]))
     return out
 
 
@@ -427,9 +407,10 @@ class LinkStream:
         """Return a stream with every victim's incident links cut.
 
         For each victim ``(v, I)`` every pair containing v loses ``I``
-        intersected with its intervals; all other pairs keep theirs.  A pair
-        the cuts leave without intervals is dropped.  Removing absent time is
-        a no-op.
+        intersected with its intervals: it gives way to the pieces ``_trim``
+        keeps, so a pair the cuts miss keeps its intervals bit for bit.  A
+        pair the cuts empty is dropped; one the builder left without intervals
+        is kept.  Removing absent time is a no-op.
         """
         by_node: dict[int, list[iv.Interval]] = {}
         for n, cut in victims:
@@ -437,20 +418,21 @@ class LinkStream:
         # each node's cuts merged, so their starts and their ends both ascend
         cuts = np.array([(n, a, b) for n in sorted(by_node) for a, b in iv.merge(by_node[n])]).reshape(-1, 3)
         cuts = (cuts[:, 0].astype(np.int64), cuts[:, 1], cuts[:, 2])
-        owner, runs = self._runs(self._pair_ids(cuts[0]))
-        (key, start, end), lost = _trim(owner, self._starts[runs], self._ends[runs], self, cuts)
-        if not len(lost[0]):
-            return self
-        trimmed = _distinct(lost[0])
-        take = _within(key, trimmed)
-        counts = np.bincount(np.searchsorted(trimmed, key[take]), minlength=len(trimmed))
-        offsets, starts, ends = _splice(self._offsets, (self._starts, self._ends), trimmed,
-                                        self._offsets[trimmed], self._offsets[trimmed + 1], counts,
-                                        start[take], end[take])
-        keep = np.ones(self.num_pairs, dtype=bool)
-        keep[trimmed[counts == 0]] = False
-        return LinkStream(self.node_names, self._u[keep], self._v[keep], offsets[np.append(keep, True)],
-                          starts, ends, self.delta, self.t_begin, self.t_end)
+        pairs = self._pair_ids(cuts[0])
+        owner, runs = self._runs(pairs)
+        (key, start, end), _ = _trim(owner, self._starts[runs], self._ends[runs], self, cuts)
+        # the cut pairs' intervals give way to their kept pieces, inserted where
+        # the other pairs' intervals leave room for them
+        counts = np.diff(self._offsets)
+        built_empty = counts == 0
+        counts[pairs] = 0
+        at = (np.cumsum(counts) - counts)[key]
+        counts += np.bincount(key, minlength=self.num_pairs)
+        keep = (counts > 0) | built_empty
+        return LinkStream(self.node_names, self._u[keep], self._v[keep], np.append(0, np.cumsum(counts[keep])),
+                          np.insert(np.delete(self._starts, runs), at, start),
+                          np.insert(np.delete(self._ends, runs), at, end),
+                          self.delta, self.t_begin, self.t_end)
 
     # -- per-second aggregates ----------------------------------------------
 
@@ -466,7 +448,13 @@ class LinkStream:
         if self._series is not None:
             return self._series
         start = int(math.floor(self.t_begin))
-        acc = np.zeros(max(int(math.ceil(self.t_end)) - start, 0))
+        seconds = max(int(math.ceil(self.t_end)) - start, 0)
+        try:
+            acc = np.zeros(seconds)
+        except (ValueError, MemoryError) as exc:  # past numpy's index range, or its memory
+            error = MemoryError(str(exc))
+            error.seconds = seconds  # so a reader can name the array that failed
+            raise error from exc
         # pieces in pair order, then time order, then second order, added one
         # by one by np.add.at
         _, cell, lo, hi = grid_pieces(self._starts, self._ends, float(start), 1.0,
@@ -636,8 +624,8 @@ def per_second(segs: Segments, t0: float, t1: float, series: MeanDegreeSeries) -
 
 class SliceState(NamedTuple):
     """The slice ``[t0, t1)`` of a stream after cuts inside it: its raw degree
-    segments clipped to it, and the ``pieces`` in it of the ``pairs`` the cuts
-    trimmed; every other pair keeps the stream's intervals there."""
+    segments clipped to it, and the ``pieces`` in it of the ``pairs`` of every
+    node cut there; every other pair keeps the stream's intervals there."""
 
     t0: float
     t1: float
@@ -662,11 +650,11 @@ def slice_state(stream: LinkStream, t0: float, t1: float) -> SliceState:
 def cut_slice(stream: LinkStream, state: SliceState, cuts: tuple[np.ndarray, ...]) -> SliceState:
     """``state`` after the cuts ``(node, start, end)`` inside its slice, each node's
     disjoint and ascending: ``_trim`` of the pieces there of the pairs of the cut
-    nodes, and a ``_sweep`` of the segments of the nodes of the pairs that lost
-    time, less the runs they lost."""
-    t0, t1, segs, trimmed, held = state
+    nodes, which the new state holds, and a ``_sweep`` of the segments of the nodes
+    of the pairs that lost time, less the runs they lost."""
+    t0, t1, segs, held_pairs, held = state
     pairs = stream._pair_ids(cuts[0])
-    owner, runs = stream._runs(pairs[~_within(pairs, trimmed)])
+    owner, runs = stream._runs(pairs[~_within(pairs, held_pairs)])
     start, end = stream._starts[runs], stream._ends[runs]
     meets = (end > t0) & (start < t1)
     mine = _within(held[0], pairs)
@@ -681,11 +669,8 @@ def cut_slice(stream: LinkStream, state: SliceState, cuts: tuple[np.ndarray, ...
     new = (node[at], time[at], time[at + 1], level[at])
     order = np.argsort(np.concatenate([segs.node[~swept], new[0]]), kind="stable")
     segs = Segments(*(np.concatenate([x[~swept], y])[order] for x, y in zip(segs, new)))
-    # the cut nodes' pairs that lost time, now or before, hold their kept pieces
-    trimmed = _distinct(np.concatenate([trimmed, lost[0]]))
-    now = _within(kept[0], trimmed)
-    held = tuple(np.concatenate([x[~mine], y[now]]) for x, y in zip(held, kept))
-    return SliceState(t0, t1, segs, trimmed, held)
+    held = tuple(np.concatenate([x[~mine], y]) for x, y in zip(held, kept))
+    return SliceState(t0, t1, segs, _distinct(np.concatenate([held_pairs, pairs])), held)
 
 
 def read_blocks(stream: LinkStream, span: int, over: range, cap: float = math.inf) -> list[range]:

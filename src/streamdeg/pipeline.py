@@ -246,8 +246,8 @@ def run_identification(
 ) -> IdentificationResult:
     """Detect events, then iteratively remove A-class events with rollback.
 
-    Loop: re-detect on the current stream, pick the next unprocessed A-class
-    event (highest class first), remove its identified couples, and keep the
+    Loop: pick the next unprocessed A-class event of the current detection
+    state (highest class first), remove its identified couples, and keep the
     removal only if it creates no new negative outlier.  Every (class, slice)
     event is attempted at most once, so the loop always terminates.  The
     original stream object is never mutated.  Victims lie inside their

@@ -55,6 +55,13 @@ def small_cache() -> bytes:
     return buf.getvalue()
 
 
+SMALL = "0 a b\n1 a c\n2 b c\n"
+# windows over [-0.5, 1e15 + 0.5), which meets 1e15 + 2 whole seconds
+LONG_SPAN = "0 a b\n1 a c\n1e15 a c\n"
+SECONDS = ("data error: the trace span holds 1000000000000002 seconds, more than numpy can allocate "
+           "one mean degree each")
+
+
 class TestExitCodes:
     def test_usage_error_unknown_flag(self, capsys):
         assert main(["analyze", "--no-such-flag"]) == 1
@@ -128,17 +135,24 @@ class TestExitCodes:
         assert "not a file" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("command", ["analyze", "identify", "validate"])
-    @pytest.mark.parametrize("trace_text,flags,message", [
-        # numpy refuses the 3.55 PiB fraction matrix outright
-        ("0 a b\n1e15 a c\n", [], "needs 500000000000000 slices of tau 2 s"),
-        # a shape past numpy's index range: a dimension, or a byte count
-        ("0 a b\n1 a c\n2 b c\n", ["--tau", "1e-20"], "needs at least 2^63 slices of tau 1e-20 s"),
-        ("0 a b\n1 a c\n2 b c\n", ["--tau", "1e-20", "--normalized"], "needs at least 2^63 slices of tau 1e-20 s"),
-        ("0 a b\n1 a c\n2 b c\n", ["--tau", "1e-18"], "needs 3499999999999999743 slices of tau 1e-18 s"),
-        ("0 a b\n1 a c\n2 b c\n", ["--tau", "1e-300"], "needs at least 2^63 slices of tau 1e-300 s, more than numpy"),
-        ("0 a b\n1 a c\n2 b c\n", ["--tau", "5e-324"], "needs infinitely many slices of tau 4.94066e-324 s"),
-    ], ids=["long-span", "tau-1e-20", "tau-1e-20-normalized", "tau-1e-18", "tau-1e-300", "tau-5e-324"])
+    @pytest.mark.parametrize("command,trace_text,flags,message", [
+        pytest.param(command, *case, id=f"{name}-{command}") for name, case in [
+            # numpy refuses the 3.55 PiB fraction matrix outright
+            ("long-span", ("0 a b\n1e15 a c\n", [], "needs 500000000000000 slices of tau 2 s")),
+            # a shape past numpy's index range: a dimension, or a byte count
+            ("tau-1e-20", (SMALL, ["--tau", "1e-20"], "needs at least 2^63 slices of tau 1e-20 s")),
+            ("tau-1e-20-normalized", (SMALL, ["--tau", "1e-20", "--normalized"],
+                                      "needs at least 2^63 slices of tau 1e-20 s")),
+            ("tau-1e-18", (SMALL, ["--tau", "1e-18"], "needs 3499999999999999743 slices of tau 1e-18 s")),
+            ("tau-1e-300", (SMALL, ["--tau", "1e-300"], "needs at least 2^63 slices of tau 1e-300 s, more than numpy")),
+            ("tau-5e-324", (SMALL, ["--tau", "5e-324"], "needs infinitely many slices of tau 4.94066e-324 s")),
+            # 100 slices fit; the per-second series of the normalized degrees does not
+            ("seconds-normalized", (LONG_SPAN, ["--tau", "1e13", "--normalized"], SECONDS)),
+        ] for command in ["analyze", "identify", "validate"]
+    ] + [
+        # raw, only validate reads the per-second series
+        pytest.param("validate", LONG_SPAN, ["--tau", "1e13"], SECONDS, id="seconds-validate"),
+    ])
     def test_data_error_span_needs_too_many_slices(self, tmp_path, capsys, command, trace_text, flags,
                                                    message):
         trace = tmp_path / "huge.txt"

@@ -135,6 +135,12 @@ BANDED_STREAM = build_stream(
     [f"n{i}" for i in range(6)], 1.0,
 )
 
+# Node 0's three pairs against the cut window [9, 11): n1 on [0.5, 1.5) lies
+# outside it, n2 on [9.5, 10.5) inside, and n3 has no interval, as the builder
+# drops its one window (t = 1e17, where t +- 0.5 rounds to t)
+THREE_PAIR_STREAM = build_stream(
+    [Triplet(1.0, 0, 1), Triplet(10.0, 0, 2), Triplet(1e17, 0, 3)], [f"n{i}" for i in range(4)], 1.0)
+
 victim_lists = st.lists(
     st.lists(st.tuples(st.integers(0, 6), st.integers(-2, 62), st.integers(1, 20)), max_size=4),
     max_size=5,
@@ -292,6 +298,8 @@ class TestProfileSweep:
 
     @given(small_streams(), victim_lists)
     @example(BANDED_STREAM, [[(0, 8, 4)], [(0, 8, 4), (3, 14, 2)], [(1, 0, 30)]])
+    # the cut misses n0-n1, empties n0-n2 and keeps n0-n3, which the builder left empty
+    @example(THREE_PAIR_STREAM, [[(0, 18, 4)]])
     @settings(max_examples=60, deadline=None)
     def test_chained_removals_equal_a_fresh_stream(self, stream, removals):
         for victims in removals:
@@ -303,6 +311,8 @@ class TestProfileSweep:
             assert swept_pairs(*sweep.call_args_list[0].args) == pairs_of_cut_nodes(stream, cuts)
             fresh = stream_of(out.node_names, out.links, out.delta, out.t_begin, out.t_end)
             assert list(out.links.items()) == list(fresh.links.items())
+            # a pair the builder left without intervals stays
+            assert {key for key, ivs in stream.links.items() if not ivs} <= out.links.keys()
             # the pairs a removal empties leave its arrays, as a fresh build of its links has them
             for name in ("_u", "_v", "_offsets", "_starts", "_ends"):
                 assert getattr(out, name).tobytes() == getattr(fresh, name).tobytes(), name
